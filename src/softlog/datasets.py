@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -488,4 +488,6 @@ def load_problem(path) -> ILPProblem:
 
 
 def problem_hash(problem: ILPProblem) -> str:
-    return hashlib.sha256(problem_to_text(problem).encode()).hexdigest()[:16]
+    """Hash of the data alone: the task name selects defaults, not data."""
+    text = problem_to_text(replace(problem, name=""))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]

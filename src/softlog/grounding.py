@@ -3,8 +3,9 @@
 The tensor convention follows the worked scheme: row 0 of every clause slice
 (the ``false`` atom) holds index 0 everywhere, row 1 (``true``) holds index 1,
 body slots beyond a clause's length are padded with the ``true`` index, and
-subgoals that are non-ground or fall outside the enumerated set map to
-``false`` (sound: nothing extra ever becomes provable).
+subgoals that fall outside the enumerated set map to ``false`` (sound: nothing
+extra ever becomes provable).  Clauses must be range-restricted, so matching a
+head against a ground atom always yields ground subgoals.
 """
 from __future__ import annotations
 
@@ -20,8 +21,7 @@ from .logic import (
     FALSE,
     TRUE,
     apply_subst,
-    is_ground,
-    rename_apart,
+    check_range_restricted,
     unify,
 )
 from .problem import ILPProblem
@@ -64,41 +64,36 @@ def enumerate_atoms(
 
     Atoms keep their discovery order: the seeds first (false, true, positives,
     negatives, background, extras), then per round in clause order, seed order,
-    body position order.  Non-ground subgoals are skipped and counted.
+    body position order.  Each round matches only the atoms the previous round
+    added: older atoms already put all of their subgoals into the set.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    atoms: list[Atom] = [FALSE, TRUE]
-    seen = {FALSE, TRUE}
-    for a in (*problem.pos, *problem.neg, *problem.background, *extra_seeds):
-        if a not in seen:
-            seen.add(a)
-            atoms.append(a)
-    renamed = [rename_apart(c, ()) for c in clauses]
-    skipped = 0
+    for c in clauses:
+        check_range_restricted(c)
+    seeds = (*problem.pos, *problem.neg, *problem.background, *extra_seeds)
+    atoms: list[Atom] = list(dict.fromkeys((FALSE, TRUE, *seeds)))
+    seen = set(atoms)
+    frontier = atoms[2:]
     for _ in range(steps):
         fresh: list[Atom] = []
-        for c in renamed:
+        for c in clauses:
             if not c.body:
                 continue
-            for g in atoms:
-                if g is FALSE or g is TRUE:
-                    continue
+            for g in frontier:
                 theta = unify(c.head, g)
                 if theta is None:
                     continue
                 for b in c.body:
                     sub = apply_subst(b, theta)
-                    if not is_ground(sub):
-                        skipped += 1
-                        continue
                     if sub not in seen:
                         seen.add(sub)
                         fresh.append(sub)
         atoms.extend(fresh)
         if not fresh:
             break
-    log.info("grounding: |G|=%d skipped_nonground=%d", len(atoms), skipped)
+        frontier = fresh
+    log.info("grounding: |G|=%d", len(atoms))
     return atoms
 
 
@@ -108,25 +103,21 @@ def build_index_tensor(clauses: Sequence[Clause], atoms: Sequence[Atom]) -> np.n
     index = {a: j for j, a in enumerate(atoms)}
     if index.get(FALSE) != FALSE_INDEX or index.get(TRUE) != TRUE_INDEX:
         raise ValueError("atom list must start with the false and true atoms")
+    for c in clauses:
+        check_range_restricted(c)
     b = max(1, max((len(c.body) for c in clauses), default=1))
     x = np.zeros((len(clauses), len(atoms), b), dtype=np.int64)
     x[:, TRUE_INDEX, :] = TRUE_INDEX
-    for i, raw in enumerate(clauses):
-        c = rename_apart(raw, ())
+    for i, c in enumerate(clauses):
         for j, g in enumerate(atoms):
             if j in (FALSE_INDEX, TRUE_INDEX):
                 continue
             theta = unify(c.head, g)
             if theta is None:
                 continue  # row stays at the false index
-            for k in range(b):
-                if k < len(c.body):
-                    sub = apply_subst(c.body[k], theta)
-                    x[i, j, k] = (
-                        index.get(sub, FALSE_INDEX) if is_ground(sub) else FALSE_INDEX
-                    )
-                else:
-                    x[i, j, k] = TRUE_INDEX
+            for k, pattern in enumerate(c.body):
+                x[i, j, k] = index.get(apply_subst(pattern, theta), FALSE_INDEX)
+            x[i, j, len(c.body):] = TRUE_INDEX
     return x
 
 

@@ -7,7 +7,7 @@ safe to share across workers and usable as dict keys in the hot paths
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
 
 # Canonical variable alphabet used for alpha-renaming.  The leading names
 # match the fixed pool used by the benchmark tasks; overflow names only
@@ -263,6 +263,18 @@ def clause_vars(c: Clause) -> list[Var]:
     return acc
 
 
+def check_range_restricted(c: Clause) -> None:
+    """Raise ValueError unless every body variable of ``c`` occurs in its head,
+    so that matching the head against a ground atom grounds the whole body."""
+    head = atom_vars(c.head)
+    loose = next((v for v in clause_vars(c) if v not in head), None)
+    if loose is not None:
+        raise ValueError(
+            f"clause {c!r} is not range-restricted: "
+            f"variable {loose!r} occurs in the body but not in the head"
+        )
+
+
 def is_ground_term(t: Term) -> bool:
     if type(t) is Var:
         return False
@@ -383,15 +395,6 @@ def unify(a: Atom, b: Atom) -> Optional[Subst]:
     return theta
 
 
-def match(pattern: Atom, ground: Atom) -> Optional[Subst]:
-    """One-way matching: substitution on pattern variables only.
-
-    Assumes ``ground`` shares no variables with ``pattern`` (true for ground
-    atoms); in that case unify degenerates to matching.
-    """
-    return unify(pattern, ground)
-
-
 # ---------------------------------------------------------------------------
 # Canonical forms and ordering
 # ---------------------------------------------------------------------------
@@ -476,9 +479,3 @@ def _pattern_only(theta: Subst, specific: Clause) -> bool:
     svars = set(clause_vars(specific))
     return all(v not in svars for v in theta)
 
-
-def iter_subterms(t: Term) -> Iterator[Term]:
-    yield t
-    if type(t) is Func:
-        for a in t.args:
-            yield from iter_subterms(a)

@@ -19,6 +19,8 @@ from .logic import (
     RESERVED_PREDS,
     Term,
     Var,
+    check_range_restricted,
+    is_ground,
 )
 
 DEFAULT_VARIABLES = ("x", "y", "z", "v", "w")
@@ -199,10 +201,16 @@ def parse_atom(text: str, lang: Language) -> Atom:
 
 
 def parse_clause(text: str, lang: Language) -> Clause:
+    """Parse one clause; it must be range-restricted."""
     ts = _Tokens(text.rstrip().rstrip(".")) if text.rstrip().endswith(".") else _Tokens(text)
     c = _parse_clause(ts, lang)
     if ts.peek() is not None:
         raise ts.error("trailing input after clause")
+    try:
+        check_range_restricted(c)
+    except ValueError as e:
+        _, line, col = ts.toks[0]
+        raise ParseError(str(e), line, col) from None
     return c
 
 
@@ -278,9 +286,8 @@ def _split_statements(text: str) -> list[tuple[str, int]]:
             if stmt:
                 out.append((stmt, start_line))
             buf = []
-            start_line = line
-        else:
-            if not buf and not ch.isspace():
+        elif buf or not ch.isspace():
+            if not buf:
                 start_line = line
             buf.append(ch)
         i += 1
@@ -303,6 +310,7 @@ def parse_problem(text: str):
     bg: list[tuple[str, int]] = []
     pos: list[tuple[str, int]] = []
     neg: list[tuple[str, int]] = []
+    task = ""
 
     def name_arity(rest: str, line: int) -> tuple[str, int]:
         m = re.fullmatch(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*/\s*([0-9]+)\s*", rest)
@@ -313,7 +321,13 @@ def parse_problem(text: str):
     for stmt, line in _split_statements(text):
         kw, _, rest = stmt.partition(" ")
         rest = rest.strip()
-        if kw == "pred":
+        if kw == "task":
+            if task:
+                raise ParseError("duplicate task statement", line, 1)
+            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", rest):
+                raise ParseError(f"bad task name {rest!r}", line, 1)
+            task = rest
+        elif kw == "pred":
             name, ar = name_arity(rest, line)
             if name in RESERVED_PREDS:
                 raise ParseError(f"{name!r} is a reserved atom name", line, 1)
@@ -340,19 +354,15 @@ def parse_problem(text: str):
 
     lang = Language(preds, funcs, consts, variables)
 
-    def clause_at(src: str, line: int) -> Clause:
+    def at(parse, src: str, line: int):
+        """Parse one statement body, reporting errors at the statement's line."""
         try:
-            return parse_clause(src, lang)
+            return parse(src, lang)
         except ParseError as e:
-            raise ParseError(f"{e.args[0].split(': ', 1)[-1]}", line, e.col) from None
+            raise ParseError(e.args[0].split(": ", 1)[-1], line, e.col) from None
 
     def ground_atom_at(src: str, line: int, role: str) -> Atom:
-        try:
-            a = parse_atom(src, lang)
-        except ParseError as e:
-            raise ParseError(f"{e.args[0].split(': ', 1)[-1]}", line, e.col) from None
-        from .logic import is_ground
-
+        a = at(parse_atom, src, line)
         if not is_ground(a):
             raise ParseError(f"{role} atoms must be ground: {src}", line, 1)
         return a
@@ -362,14 +372,15 @@ def parse_problem(text: str):
         neg=tuple(ground_atom_at(s, ln, "neg") for s, ln in neg),
         background=tuple(ground_atom_at(s, ln, "bg") for s, ln in bg),
         language=lang,
-        initial_clauses=tuple(clause_at(s, ln) for s, ln in initial),
+        initial_clauses=tuple(at(parse_clause, s, ln) for s, ln in initial),
+        name=task,
     )
 
 
 def problem_to_text(problem) -> str:
     """Serialize a problem; load(save(p)) round-trips."""
     lang = problem.language
-    lines = []
+    lines = [f"task {problem.name}."] if problem.name else []
     for p, n in lang.predicates:
         lines.append(f"pred {p}/{n}.")
     for f, n in lang.functions:

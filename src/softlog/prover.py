@@ -1,10 +1,11 @@
-"""Depth-bounded symbolic proving.
+"""Depth-bounded ground proving over range-restricted clauses.
 
-``entails`` runs SLD resolution where the bound counts clause applications
-along each proof branch (proof-tree height); matching a background fact is
-free.  With that accounting, a ground atom is provable within depth T exactly
-when T-step forward chaining derives it, which is what makes this module the
-discrete oracle for the differentiable inference.
+``entails`` matches clause heads against a ground goal and proves the ground
+body atoms in turn; the bound counts clause applications along each proof
+branch (proof-tree height), and matching a background fact is free.  With that
+accounting, a ground atom is provable within depth T exactly when T-step
+forward chaining derives it, which is what makes this module the discrete
+oracle for the differentiable inference.
 
 Depth exhaustion returns False: an under-approximation, by design.
 """
@@ -12,19 +13,16 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .logic import (
     Atom,
     Clause,
     FALSE,
-    Subst,
     TRUE,
     apply_subst,
-    clause_vars,
-    compose,
+    check_range_restricted,
     is_ground,
-    rename_apart,
     unify,
 )
 from .problem import ILPProblem
@@ -41,30 +39,19 @@ class ProofConfig:
 
 class _Prover:
     def __init__(self, program: Sequence[Clause], facts: Iterable[Atom]):
-        self.facts = set(facts)
-        self.facts_by_pred = defaultdict(list)
-        for f in self.facts:
-            self.facts_by_pred[(f.pred, f.arity)].append(f)
+        self.facts = {TRUE, *facts}
         self.clauses_by_pred = defaultdict(list)
         for c in program:
+            check_range_restricted(c)
             self.clauses_by_pred[(c.head.pred, c.head.arity)].append(c)
         self.memo: dict[tuple[Atom, int], bool] = {}
-        self._fresh = 0
-
-    def _rename(self, c: Clause) -> Clause:
-        self._fresh += 1
-        tag = self._fresh
-        ren = {v: type(v)(f"_{tag}_{v.name}") for v in clause_vars(c)}
-        return apply_subst(c, ren)
 
     def provable(self, goal: Atom, depth: int) -> bool:
         """Ground goal provable within the given proof-tree height."""
-        if goal == TRUE:
+        if goal in self.facts:
             return True
         if goal == FALSE:
             return False
-        if goal in self.facts:
-            return True
         key = (goal, depth)
         hit = self.memo.get(key)
         if hit is not None:
@@ -72,44 +59,14 @@ class _Prover:
         result = False
         if depth >= 1:
             for c in self.clauses_by_pred.get((goal.pred, goal.arity), ()):
-                rc = self._rename(c)
-                theta = unify(rc.head, goal)
-                if theta is None:
-                    continue
-                goals = tuple((apply_subst(b, theta), depth - 1) for b in rc.body)
-                if self._any_solution(goals, {}):
+                theta = unify(c.head, goal)
+                if theta is not None and all(
+                    self.provable(apply_subst(b, theta), depth - 1) for b in c.body
+                ):
                     result = True
                     break
         self.memo[key] = result
         return result
-
-    def _any_solution(self, goals: tuple, theta: Subst) -> bool:
-        for _ in self._solutions(goals, theta):
-            return True
-        return False
-
-    def _solutions(self, goals: tuple, theta: Subst) -> Iterator[Subst]:
-        if not goals:
-            yield theta
-            return
-        (raw, budget), rest = goals[0], goals[1:]
-        goal = apply_subst(raw, theta)
-        if is_ground(goal):
-            if self.provable(goal, budget):
-                yield from self._solutions(rest, theta)
-            return
-        for f in self.facts_by_pred.get((goal.pred, goal.arity), ()):
-            sigma = unify(goal, f)
-            if sigma is not None:
-                yield from self._solutions(rest, compose(theta, sigma))
-        if budget >= 1:
-            for c in self.clauses_by_pred.get((goal.pred, goal.arity), ()):
-                rc = self._rename(c)
-                sigma = unify(goal, rc.head)
-                if sigma is None:
-                    continue
-                sub = tuple((b, budget - 1) for b in rc.body)
-                yield from self._solutions(sub + rest, compose(theta, sigma))
 
 
 def entails(
@@ -161,6 +118,8 @@ def forward_closure(
     true.  Subgoals that are neither background nor in the universe count as
     false; the result is the true set (background included) plus ``true``."""
     program = tuple(program)
+    for c in program:
+        check_range_restricted(c)
     true: set[Atom] = {TRUE} | set(background)
     candidates = [a for a in universe if a not in (TRUE, FALSE)]
     for _ in range(steps):
@@ -169,12 +128,10 @@ def forward_closure(
             if g in true:
                 continue
             for c in program:
-                rc = rename_apart(c, ())
-                theta = unify(rc.head, g)
-                if theta is None:
-                    continue
-                body = [apply_subst(b, theta) for b in rc.body]
-                if all(is_ground(b) and b in true for b in body):
+                theta = unify(c.head, g)
+                if theta is not None and all(
+                    apply_subst(b, theta) in true for b in c.body
+                ):
                     new.append(g)
                     break
         if not new:

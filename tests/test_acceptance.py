@@ -39,6 +39,8 @@ from softlog.run import default_beam_config, default_train_config, run_problem
 from softlog.search import BeamConfig, beam_search
 from softlog.training import TrainConfig, extract_program, train
 
+pytestmark = pytest.mark.acceptance
+
 SEEDS = (0, 1, 2, 3, 4)
 
 TABLE4_EXACT = {

@@ -132,6 +132,7 @@ class TestFiles:
         assert again.neg == problem.neg
         assert again.background == problem.background
         assert again.initial_clauses == problem.initial_clauses
+        assert again.name == problem.name == task
         assert problem_hash(again) == problem_hash(problem)
 
     def test_list_sugar_emitted(self, tmp_path):

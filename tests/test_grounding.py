@@ -10,9 +10,9 @@ from softlog.grounding import (
     ground_context,
 )
 from softlog.logic import Atom, Clause, Const, FALSE, Func, TRUE, Var
-from softlog.parser import parse_atom, parse_clause
+from softlog.parser import ParseError, parse_atom, parse_clause
 from softlog.problem import ILPProblem
-from softlog.prover import forward_closure
+from softlog.prover import ProofConfig, eval_counts, forward_closure
 
 x = Var("x")
 
@@ -71,11 +71,21 @@ class TestEnumerateAtoms:
         b = enumerate_atoms(even_problem, [DOUBLE_STEP], steps=3)
         assert a == b
 
-    def test_nonground_subgoals_skipped(self, nat_lang, even_problem, caplog):
-        # head variable y never bound by unification: subgoal stays open
-        leaky = parse_clause("e(x) :- e(y)", nat_lang)
-        got = enumerate_atoms(even_problem, [leaky], steps=2)
-        assert set(got) == {FALSE, TRUE, e(0), e(1), e(6)}
+    def test_nonground_subgoals_rejected(self, nat_lang, even_problem):
+        # body variable y never bound by matching the head: no engine takes it
+        leaky = Clause(Atom("e", (x,)), (Atom("e", (Var("y"),)),))
+        universe = [FALSE, TRUE, e(0), e(1), e(6)]
+        calls = (
+            lambda: enumerate_atoms(even_problem, [leaky], steps=2),
+            lambda: build_index_tensor([leaky], universe),
+            lambda: forward_closure([leaky], even_problem.background, universe, 2),
+            lambda: eval_counts(leaky, even_problem, ProofConfig(2)),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="variable y occurs in the body"):
+                call()
+        with pytest.raises(ParseError, match="not range-restricted"):
+            parse_clause("e(x) :- e(y)", nat_lang)
 
 
 class TestIndexTensor:

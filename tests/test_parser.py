@@ -129,3 +129,27 @@ def test_problem_extra_variable():
 def test_nonground_example_rejected():
     with pytest.raises(ParseError, match="ground"):
         parse_problem("pred p/1.\npos p(x).")
+
+
+def test_loose_clause_rejected_with_line():
+    text = "pred p/1.\npred q/2.\nconst a.\ninit p(x) :- q(x,y).\n"
+    with pytest.raises(ParseError, match="not range-restricted") as exc:
+        parse_problem(text)
+    assert exc.value.line == 4
+    assert "variable y" in str(exc.value)
+
+
+def test_task_name_roundtrip():
+    problem = parse_problem("task plus.\n" + PROBLEM_TEXT)
+    assert problem.name == "plus"
+    assert problem_to_text(problem).startswith("task plus.\n")
+    assert parse_problem(problem_to_text(problem)).name == "plus"
+    assert parse_problem(PROBLEM_TEXT).name == ""
+    assert "task" not in problem_to_text(parse_problem(PROBLEM_TEXT))
+
+
+def test_task_statement_checked():
+    with pytest.raises(ParseError, match="duplicate task"):
+        parse_problem("task plus.\ntask member.")
+    with pytest.raises(ParseError, match="bad task name"):
+        parse_problem("task p(x).")

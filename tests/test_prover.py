@@ -1,6 +1,7 @@
 import pytest
 
-from softlog.logic import Atom, Clause, Const, FALSE, Func, TRUE, Var
+from softlog.grounding import build_index_tensor
+from softlog.logic import Atom, Clause, Const, FALSE, Func, Language, TRUE, Var
 from softlog.parser import parse_atom, parse_clause
 from softlog.problem import ILPProblem
 from softlog.prover import (
@@ -62,10 +63,23 @@ class TestEntails:
             entails([], [], Atom("p", (x,)), ProofConfig(1))
 
     def test_nonground_subgoal_handled(self):
-        # body variable not bound by the head: prover searches bindings
+        # body variable y not bound by the head: every engine rejects the clause
         rule = Clause(Atom("p", (x,)), (Atom("q", (x, y)),))
-        assert entails([rule], [Atom("q", (a, b))], Atom("p", (a,)), ProofConfig(2))
-        assert not entails([rule], [Atom("q", (a, b))], Atom("p", (b,)), ProofConfig(2))
+        bg = (Atom("q", (a, b)),)
+        problem = ILPProblem(
+            pos=(Atom("p", (a,)),), neg=(Atom("p", (b,)),), background=bg,
+            language=Language([("p", 1), ("q", 2)], constants=["a", "b"]),
+        )
+        universe = [FALSE, TRUE, Atom("p", (a,)), Atom("p", (b,)), *bg]
+        calls = (
+            lambda: entails([rule], bg, Atom("p", (a,)), ProofConfig(2)),
+            lambda: eval_counts(rule, problem, ProofConfig(2)),
+            lambda: build_index_tensor([rule], universe),
+            lambda: forward_closure([rule], bg, universe, 2),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="variable y occurs in the body"):
+                call()
 
     def test_background_only(self):
         assert entails([], [Atom("p", (a, b))], Atom("p", (a, b)), ProofConfig(1))

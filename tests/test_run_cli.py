@@ -202,6 +202,26 @@ class TestCli:
         rec = json.loads(capsys.readouterr().out)
         assert rec["task"] == "member"
 
+    def test_loose_init_clause_exits_2(self, tmp_path, capsys):
+        prob = tmp_path / "loose.pl"
+        prob.write_text(
+            "pred p/1.\npred q/2.\nconst a. const b.\n"
+            "init p(x) :- q(x,y).\nbg q(a,b).\npos p(a).\nneg p(b).\n"
+        )
+        assert main(["train", str(prob), "--epochs", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "line 4" in err and "not range-restricted" in err
+
+    def test_reloaded_task_keeps_its_defaults(self, tmp_path):
+        from softlog.cli import _configs, _resolve_problem, build_parser
+
+        prob = tmp_path / "plus.pl"
+        assert main(["gen", "--task", "plus", "--n", "4", "--out", str(prob)]) == 0
+        args = build_parser().parse_args(["train", str(prob)])
+        _, task = _resolve_problem(args)
+        tc, _, _ = _configs(args, task)
+        assert (tc.m, tc.steps) == (3, 8)
+
     def test_sweep_beam_method(self, tmp_path):
         out = tmp_path / "beam.csv"
         code = main(["sweep", "--task", "member", "--axis", "nclause",

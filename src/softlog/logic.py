@@ -1,8 +1,11 @@
 """First-order syntax with function symbols: terms, atoms, clauses, unification.
 
-Everything here is an immutable value with a cached hash, so instances are
+Everything here is an immutable value that caches its hash, so instances are
 safe to share across workers and usable as dict keys in the hot paths
-(grounding, memoized proving).
+(grounding, memoized proving).  Terms also cache their groundness: a
+compound term computes it once at construction, so substitution and the
+occurs check pass over ground subterms without looking inside, and
+substituting into a ground term returns that same term, shared.
 """
 from __future__ import annotations
 
@@ -16,13 +19,17 @@ CANON_VARS = ("x", "y", "z", "v", "w", "u")
 
 
 class Term:
-    """Base class for constants, variables, and compound terms."""
+    """Base class for constants, variables, and compound terms.
+
+    ``ground`` is True when the term contains no variable.
+    """
 
     __slots__ = ()
 
 
 class Const(Term):
     __slots__ = ("name", "_hash")
+    ground = True
 
     def __init__(self, name: str):
         object.__setattr__(self, "name", name)
@@ -43,6 +50,7 @@ class Const(Term):
 
 class Var(Term):
     __slots__ = ("name", "_hash")
+    ground = False
 
     def __init__(self, name: str):
         object.__setattr__(self, "name", name)
@@ -64,7 +72,7 @@ class Var(Term):
 class Func(Term):
     """Application of a function symbol to argument terms (arity >= 1)."""
 
-    __slots__ = ("name", "args", "_hash")
+    __slots__ = ("name", "args", "ground", "_hash")
 
     def __init__(self, name: str, args: Iterable[Term]):
         args = tuple(args)
@@ -72,6 +80,7 @@ class Func(Term):
             raise ValueError("function symbols have arity >= 1")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "args", args)
+        object.__setattr__(self, "ground", all(a.ground for a in args))
         object.__setattr__(self, "_hash", hash(("f", name, args)))
 
     def __setattr__(self, *a):
@@ -275,16 +284,8 @@ def check_range_restricted(c: Clause) -> None:
         )
 
 
-def is_ground_term(t: Term) -> bool:
-    if type(t) is Var:
-        return False
-    if type(t) is Func:
-        return all(is_ground_term(a) for a in t.args)
-    return True
-
-
 def is_ground(a: Atom) -> bool:
-    return all(is_ground_term(t) for t in a.args)
+    return all(t.ground for t in a.args)
 
 
 def nest_depth_term(t: Term) -> int:
@@ -321,12 +322,15 @@ def distinct_var_tuples(c: Clause, n: int) -> list[tuple[Var, ...]]:
 # ---------------------------------------------------------------------------
 
 def apply_subst(e: Expr, theta: Subst) -> Expr:
-    """Simultaneously replace every bound variable in ``e``."""
+    """Simultaneously replace every bound variable in ``e``.  A ground term
+    comes back as the same object."""
     if type(e) is Var:
         return theta.get(e, e)
     if type(e) is Const:
         return e
     if type(e) is Func:
+        if e.ground:
+            return e
         return Func(e.name, tuple(apply_subst(a, theta) for a in e.args))
     if type(e) is Atom:
         if not e.args:
@@ -338,45 +342,65 @@ def apply_subst(e: Expr, theta: Subst) -> Expr:
     )
 
 
-def compose(theta: Subst, sigma: Subst) -> Subst:
-    """Substitution composition: applying the result equals theta then sigma."""
-    out = {v: apply_subst(t, sigma) for v, t in theta.items()}
-    for v, t in sigma.items():
-        if v not in out:
-            out[v] = t
-    return out
+def _walk(t: Term, theta: Subst) -> Term:
+    """Follow bindings from ``t`` to an unbound variable or a non-variable."""
+    while type(t) is Var:
+        u = theta.get(t)
+        if u is None:
+            return t
+        t = u
+    return t
 
 
-def occurs_in(v: Var, t: Term) -> bool:
+def _occurs(v: Var, t: Term, theta: Subst) -> bool:
+    """Whether ``v`` occurs in ``t`` once the bindings in ``theta`` are followed."""
+    t = _walk(t, theta)
     if type(t) is Var:
         return t == v
-    if type(t) is Func:
-        return any(occurs_in(v, a) for a in t.args)
+    if type(t) is Func and not t.ground:
+        return any(_occurs(v, a, theta) for a in t.args)
     return False
 
 
-def _unify_terms(a: Term, b: Term, theta: Subst) -> Optional[Subst]:
-    a = apply_subst(a, theta)
-    b = apply_subst(b, theta)
-    if a == b:
-        return theta
+def _unify_terms(a: Term, b: Term, theta: Subst) -> bool:
+    """Extend the triangular ``theta`` in place so that it unifies ``a`` and
+    ``b``; False when they do not unify (``theta`` is then partly extended)."""
     if type(a) is Var:
-        if occurs_in(a, b):
-            return None
-        return compose(theta, {a: b})
+        a = _walk(a, theta)
     if type(b) is Var:
-        if occurs_in(b, a):
-            return None
-        return compose(theta, {b: a})
-    if type(a) is Func and type(b) is Func:
-        if a.name != b.name or len(a.args) != len(b.args):
-            return None
-        for x, y in zip(a.args, b.args):
-            theta = _unify_terms(x, y, theta)
-            if theta is None:
-                return None
-        return theta
-    return None
+        b = _walk(b, theta)
+    if a == b:
+        return True
+    if type(a) is Var:
+        if not b.ground and _occurs(a, b, theta):
+            return False
+        theta[a] = b
+        return True
+    if type(b) is Var:
+        if not a.ground and _occurs(b, a, theta):
+            return False
+        theta[b] = a
+        return True
+    if (
+        type(a) is not Func
+        or type(b) is not Func
+        or (a.ground and b.ground)
+        or a.name != b.name
+        or len(a.args) != len(b.args)
+    ):
+        return False
+    for x, y in zip(a.args, b.args):
+        if not _unify_terms(x, y, theta):
+            return False
+    return True
+
+
+def _resolve(t: Term, theta: Subst) -> Term:
+    """``t`` with every bound variable replaced, through chains, by its value."""
+    t = _walk(t, theta)
+    if type(t) is Func and not t.ground:
+        return Func(t.name, tuple(_resolve(a, theta) for a in t.args))
+    return t
 
 
 def unify(a: Atom, b: Atom) -> Optional[Subst]:
@@ -384,14 +408,19 @@ def unify(a: Atom, b: Atom) -> Optional[Subst]:
 
     Occurs check is on.  When a variable of ``a`` meets a variable of ``b``,
     the variable of ``a`` becomes the key, so binding order is deterministic.
+    Bindings are kept triangular while the atoms are walked (a value may
+    mention other bound variables) and resolved once before returning, so
+    the result is idempotent: no variable it binds occurs in its values.
     """
     if a.pred != b.pred or len(a.args) != len(b.args):
         return None
     theta: Subst = {}
     for x, y in zip(a.args, b.args):
-        theta = _unify_terms(x, y, theta)
-        if theta is None:
+        if not _unify_terms(x, y, theta):
             return None
+    for v, t in theta.items():  # only values change, so iterating is safe
+        if not t.ground:
+            theta[v] = _resolve(t, theta)
     return theta
 
 
@@ -429,53 +458,3 @@ def canonical_in(c: Clause, variables: Iterable[str]) -> Clause:
     for i, v in enumerate(vs):
         ren[v] = Var(pool[i]) if i < len(pool) else Var(_canon_name(i))
     return apply_subst(c, ren)
-
-
-def alpha_equal(a: Clause, b: Clause) -> bool:
-    return canonical(a) == canonical(b)
-
-
-def rename_apart(c: Clause, taken: Iterable[str]) -> Clause:
-    """Standardize a clause apart from the given variable names."""
-    taken = set(taken)
-    ren: Subst = {}
-    i = 0
-    for v in clause_vars(c):
-        if v.name in taken:
-            while True:
-                cand = f"_r{i}"
-                i += 1
-                if cand not in taken:
-                    break
-            ren[v] = Var(cand)
-            taken.add(cand)
-    return apply_subst(c, ren) if ren else c
-
-
-def subsumes(general: Clause, specific: Clause) -> bool:
-    """True when some substitution maps general's head onto specific's head
-    and general's body into specific's body (theta-subsumption)."""
-    g = rename_apart(general, {v.name for v in clause_vars(specific)})
-
-    def extend(theta: Subst, goals: tuple[Atom, ...]) -> bool:
-        if not goals:
-            return True
-        first = apply_subst(goals[0], theta)
-        for cand in specific.body:
-            sigma = unify(first, cand)
-            if sigma is not None and _pattern_only(sigma, specific):
-                if extend(compose(theta, sigma), goals[1:]):
-                    return True
-        return False
-
-    theta = unify(g.head, specific.head)
-    if theta is None or not _pattern_only(theta, specific):
-        return False
-    return extend(theta, g.body)
-
-
-def _pattern_only(theta: Subst, specific: Clause) -> bool:
-    # subsumption must instantiate the general clause, never the specific one
-    svars = set(clause_vars(specific))
-    return all(v not in svars for v in theta)
-

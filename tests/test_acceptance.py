@@ -28,7 +28,6 @@ from softlog.logic import (
     TRUE,
     apply_subst,
     canonical,
-    subsumes,
     unify,
 )
 from softlog.parser import parse_atom, parse_clause
@@ -38,6 +37,7 @@ from softlog.refine import refine
 from softlog.run import default_beam_config, default_train_config, run_problem
 from softlog.search import BeamConfig, beam_search
 from softlog.training import TrainConfig, extract_program, train
+from conftest import subsumes
 
 pytestmark = pytest.mark.acceptance
 

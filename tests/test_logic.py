@@ -12,17 +12,21 @@ from softlog.logic import (
     Language,
     TRUE,
     Var,
-    alpha_equal,
     apply_subst,
     canonical,
     clause_vars,
     distinct_var_tuples,
     is_ground,
     nest_depth,
-    subsumes,
     unify,
 )
-from conftest import random_atom, random_ground_atom
+from conftest import (
+    alpha_equal,
+    random_atom,
+    random_ground_atom,
+    reference_unify,
+    subsumes,
+)
 
 x, y, z = Var("x"), Var("y"), Var("z")
 a, b = Const("a"), Const("b")
@@ -219,3 +223,36 @@ def test_unify_symmetric_success(left, right):
     if t1 is not None:
         assert apply_subst(la, t1) == apply_subst(ra, t1)
         assert apply_subst(la, t2) == apply_subst(ra, t2)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(terms=st.tuples(hyp_terms(), hyp_terms(), hyp_terms(), hyp_terms()))
+def test_unify_equals_reference(terms):
+    """The triangular unifier is exactly the compose-based one, both ways
+    round: variable-variable bindings, occurs-check failures, ground pairs."""
+    la, ra = Atom("p", terms[:2]), Atom("p", terms[2:])
+    assert unify(la, ra) == reference_unify(la, ra)
+    assert unify(ra, la) == reference_unify(ra, la)
+
+
+def _ground_by_definition(t):
+    if type(t) is Var:
+        return False
+    if type(t) is Func:
+        return all(_ground_by_definition(a) for a in t.args)
+    return True
+
+
+@settings(max_examples=100, derandomize=True)
+@given(
+    t=hyp_terms(depth=3),
+    theta=st.dictionaries(st.sampled_from([x, y, z]), hyp_terms()),
+)
+def test_cached_groundness(t, theta):
+    """``ground`` agrees with the recursive definition, also on terms that
+    substitution builds, and substituting into a ground term shares it."""
+    assert t.ground == _ground_by_definition(t)
+    out = apply_subst(t, theta)
+    assert out.ground == _ground_by_definition(out)
+    if t.ground:
+        assert out is t

@@ -9,7 +9,6 @@ from softlog.logic import (
     Var,
     canonical,
     nest_depth,
-    subsumes,
 )
 from softlog.parser import parse_clause
 from softlog.refine import (
@@ -21,6 +20,7 @@ from softlog.refine import (
     rho_rep,
     rho_sub,
 )
+from conftest import subsumes
 
 x, y, z = Var("x"), Var("y"), Var("z")
 

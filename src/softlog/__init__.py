@@ -37,7 +37,7 @@ from .grounding import (
     enumerate_atoms,
     ground_context,
 )
-from .infer import WeightSet, backward, gather, infer, softor
+from .infer import WeightSet, backward, infer, softor
 from .training import (
     LearnedProgram,
     TrainConfig,

@@ -8,10 +8,15 @@ float64 and every log-sum-exp is max-shifted: the naive smooth-or computes
 exp(x / gamma) with gamma around 1e-5, which overflows instantly, so the
 stable form is not optional here.
 
-Gradients are exact reverse-mode.  Only the valuation sequence is recorded;
-each step's intermediates are recomputed during the backward sweep, which
-keeps memory flat in the pairwise-weight mode where the step tensor has shape
-(clauses, clauses, atoms).
+Gradients are exact reverse-mode.  A recorded pass keeps, per step, what the
+gradient needs: for each gathered subgoal the product of the other subgoals
+of its body, the smooth-or coefficients of the mixture and of the
+amalgamation (the clamp mask folded into the latter), and the clause outputs
+(multi mode) or pairwise smooth-ors (pair mode) that the weight gradient
+contracts with.  The backward sweep reads only the tape and never re-runs a
+step.  In multi mode a step keeps O(|C|·|G|·B) floats, B the body length.
+In pair mode it keeps three arrays of shape (|C|, |C|, |G|), so a recorded
+pass holds about 3·T·|C|²·|G| floats.
 """
 from __future__ import annotations
 
@@ -28,9 +33,23 @@ PAIR = "pair"
 # Elementary operations
 # ---------------------------------------------------------------------------
 
-def gather(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Indexed read: out[j, k] = a[b[j, k]].  Gradient scatters additively."""
-    return a[b]
+def _softor_n(xs: np.ndarray, gamma: float, axis: int = 0):
+    """Smooth maximum along the axis and its Jacobian coefficients (softmax of
+    x / gamma), from one set of exponentials."""
+    m = xs.max(axis=axis, keepdims=True)
+    e = np.exp((xs - m) / gamma)
+    s = e.sum(axis=axis, keepdims=True)
+    return np.squeeze(m + gamma * np.log(s), axis=axis), e / s
+
+
+def _softor2(a: np.ndarray, b: np.ndarray, gamma: float):
+    """Smooth maximum of two broadcastable arrays and its coefficients with
+    respect to each."""
+    m = np.maximum(a, b)
+    ea = np.exp((a - m) / gamma)
+    eb = np.exp((b - m) / gamma)
+    s = ea + eb
+    return m + gamma * np.log(s), ea / s, eb / s
 
 
 def softor(xs: np.ndarray, gamma: float, axis: int = 0) -> np.ndarray:
@@ -41,17 +60,7 @@ def softor(xs: np.ndarray, gamma: float, axis: int = 0) -> np.ndarray:
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    xs = np.asarray(xs, dtype=np.float64)
-    m = xs.max(axis=axis, keepdims=True)
-    s = np.exp((xs - m) / gamma).sum(axis=axis, keepdims=True)
-    return np.squeeze(m + gamma * np.log(s), axis=axis)
-
-
-def _softor_coef(xs: np.ndarray, gamma: float, axis: int = 0) -> np.ndarray:
-    """Jacobian coefficients of softor: softmax of x / gamma along the axis."""
-    m = xs.max(axis=axis, keepdims=True)
-    e = np.exp((xs - m) / gamma)
-    return e / e.sum(axis=axis, keepdims=True)
+    return _softor_n(np.asarray(xs, dtype=np.float64), gamma, axis)[0]
 
 
 def softmax(w: np.ndarray, axis=None) -> np.ndarray:
@@ -64,24 +73,15 @@ def softmax(w: np.ndarray, axis=None) -> np.ndarray:
 def clause_outputs(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """All clause functions at once: row i is the soft conjunction of clause
     i's gathered subgoal valuations."""
-    return gather(v, x).prod(axis=2)
-
-
-def clause_fn(i: int, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return clause_outputs(x[i : i + 1], v)[0]
-
-
-def weighted_sum(omega_l: np.ndarray, cm: np.ndarray) -> np.ndarray:
-    """Convex combination of clause outputs under one softmax row."""
-    return omega_l @ cm
+    return v[x].prod(axis=2)
 
 
 def _prod_except(gv: np.ndarray) -> np.ndarray:
     """prod over the last axis excluding each position, division-free so zero
-    entries keep exact gradients."""
+    entries keep exact gradients.  A one-atom body gives a broadcast 1."""
     b = gv.shape[-1]
     if b == 1:
-        return np.ones_like(gv)
+        return np.ones((1,) * gv.ndim)
     ones = np.ones_like(gv[..., :1])
     left = np.concatenate([ones, np.cumprod(gv, axis=-1)[..., :-1]], axis=-1)
     rev = np.cumprod(gv[..., ::-1], axis=-1)[..., ::-1]
@@ -156,26 +156,35 @@ class WeightSet:
 @dataclass
 class Tape:
     x: np.ndarray
-    weights: WeightSet
-    gamma: float
-    clamp: bool
-    valuations: list  # v_0 .. v_T
+    mode: str
+    dist: np.ndarray
+    steps: list  # per step: (_prod_except of the gather, mixture terms, coef_v, coef_r)
 
 
 def _step(
-    v: np.ndarray, x: np.ndarray, dist: np.ndarray, mode: str, gamma: float
-) -> np.ndarray:
-    cm = clause_outputs(x, v)
+    v: np.ndarray, x: np.ndarray, dist: np.ndarray, mode: str, gamma: float, clamp: bool
+) -> tuple:
+    """One inference step: the next valuation and what its gradient needs.
+
+    The mixture terms are (clause outputs, smooth-or coefficients) in multi
+    mode and (pairwise smooth-ors, coefficient of each side) in pair mode.
+    """
+    gv = v[x]
+    cm = gv.prod(axis=2)
     if mode == MULTI:
-        h = dist @ cm
-        r = softor(h, gamma, axis=0)
+        r, q = _softor_n(dist @ cm, gamma)
+        mix = (cm, q)
     else:
-        a = cm[:, None, :]
-        b = cm[None, :, :]
-        m = np.maximum(a, b)
-        s = m + gamma * np.log(np.exp((a - m) / gamma) + np.exp((b - m) / gamma))
+        s, ca, cb = _softor2(cm[:, None, :], cm[None, :, :], gamma)
         r = np.tensordot(dist, s, axes=([0, 1], [0, 1]))
-    return softor(np.stack([v, r]), gamma, axis=0)
+        mix = (s, ca, cb)
+    v_next, coef_v, coef_r = _softor2(v, r, gamma)
+    if clamp:
+        inside = v_next <= 1.0
+        coef_v = coef_v * inside
+        coef_r = coef_r * inside
+        v_next = np.minimum(v_next, 1.0)
+    return v_next, (_prod_except(gv), mix, coef_v, coef_r)
 
 
 def infer(
@@ -192,71 +201,45 @@ def infer(
     Returns the final valuation, or (valuation, tape) when ``record`` so the
     caller can run :func:`backward`.
     """
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
     v = np.asarray(v0, dtype=np.float64)
     dist = weights.distribution()
-    vals = [v]
+    recs = []
     for _ in range(steps):
-        v = _step(v, x, dist, weights.mode, gamma)
-        if clamp:
-            v = np.minimum(v, 1.0)
-        vals.append(v)
+        v, rec = _step(v, x, dist, weights.mode, gamma, clamp)
+        if record:
+            recs.append(rec)
     if record:
-        return v, Tape(x, weights, gamma, clamp, vals)
+        return v, Tape(x, weights.mode, dist, recs)
     return v
 
 
 def backward(tape: Tape, grad_out: np.ndarray) -> np.ndarray:
     """Reverse-mode gradient of sum(grad_out * v_T) w.r.t. the weights."""
-    x = tape.x
-    gamma = tape.gamma
-    mode = tape.weights.mode
-    dist = tape.weights.distribution()
+    x, dist = tape.x, tape.dist
     g_dist = np.zeros_like(dist)
-    g = np.asarray(grad_out, dtype=np.float64).copy()
+    g = np.asarray(grad_out, dtype=np.float64)
 
-    for t in range(len(tape.valuations) - 2, -1, -1):
-        v = tape.valuations[t]
-        gv = gather(v, x)
-        cm = gv.prod(axis=2)
-        if mode == MULTI:
-            h = dist @ cm
-            r = softor(h, gamma, axis=0)
-        else:
-            a = cm[:, None, :]
-            b = cm[None, :, :]
-            m = np.maximum(a, b)
-            ea = np.exp((a - m) / gamma)
-            eb = np.exp((b - m) / gamma)
-            s = m + gamma * np.log(ea + eb)
-            r = np.tensordot(dist, s, axes=([0, 1], [0, 1]))
-        if tape.clamp:
-            v_next_raw = softor(np.stack([v, r]), gamma, axis=0)
-            g = g * (v_next_raw <= 1.0)
-
-        # v_next = softor(v, r)
-        pair_coef = _softor_coef(np.stack([v, r]), gamma, axis=0)
-        g_v = g * pair_coef[0]
-        g_r = g * pair_coef[1]
-
-        if mode == MULTI:
-            q = _softor_coef(h, gamma, axis=0)  # (m, G)
+    for others, mix, coef_v, coef_r in reversed(tape.steps):
+        g_v = g * coef_v
+        g_r = g * coef_r
+        if tape.mode == MULTI:
+            cm, q = mix
             g_h = q * g_r[None, :]
             g_dist += g_h @ cm.T
             g_cm = dist.T @ g_h
         else:
+            s, ca, cb = mix
             g_dist += np.tensordot(s, g_r, axes=([2], [0]))
             g_s = dist[:, :, None] * g_r[None, None, :]
-            denom = ea + eb
-            g_cm = (g_s * (ea / denom)).sum(axis=1) + (g_s * (eb / denom)).sum(axis=0)
+            g_cm = (g_s * ca).sum(axis=1) + (g_s * cb).sum(axis=0)
 
-        g_gv = g_cm[:, :, None] * _prod_except(gv)
+        g_gv = g_cm[:, :, None] * others
         np.add.at(g_v, x.ravel(), g_gv.ravel())
         g = g_v
 
     # through softmax: J^T u = p * (u - <u, p>) per distribution
-    w = tape.weights.w
-    if mode == MULTI:
-        inner = (g_dist * dist).sum(axis=1, keepdims=True)
-        return dist * (g_dist - inner)
-    inner = (g_dist * dist).sum()
-    return (dist * (g_dist - inner)).reshape(w.shape)
+    axis = 1 if tape.mode == MULTI else None
+    inner = (g_dist * dist).sum(axis=axis, keepdims=True)
+    return dist * (g_dist - inner)

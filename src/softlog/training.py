@@ -8,11 +8,13 @@ from typing import Sequence
 import numpy as np
 
 from .grounding import GroundContext, convert_background
-from .infer import MULTI, WeightSet, backward, infer
+from .infer import MULTI, PAIR, WeightSet, backward, infer
 from .logic import Atom, Clause, canonical
 from .problem import ILPProblem
 
 PRED_CLIP = 1e-7
+# A recorded pair-mode pass keeps about 3·T·|C|²·|G| floats; 2**27 is 1 GiB.
+PAIR_TAPE_FLOATS = 2**27
 
 
 class TrainingDiverged(RuntimeError):
@@ -94,8 +96,8 @@ def _loss_and_grad(ctx, v0, weights, idx, y, cfg):
         ctx.x, v0, weights, cfg.steps, cfg.gamma, clamp=cfg.clamp, record=True
     )
     p = v_t[idx]
+    loss = cross_entropy(p, y)
     pc = np.clip(p, PRED_CLIP, 1.0 - PRED_CLIP)
-    loss = float(np.mean(-(y * np.log(pc) + (1 - y) * np.log(1 - pc))))
     grad_out = np.zeros_like(v_t)
     # exact gradient of the clipped loss: flat (zero) outside the clip range
     inside = (p > PRED_CLIP) & (p < 1.0 - PRED_CLIP)
@@ -118,6 +120,14 @@ def train(
     labels = make_labels(problem)
     if not labels:
         raise ValueError("cannot train without examples")
+    if cfg.weight_mode == PAIR:
+        floats = 3 * cfg.steps * len(clauses) ** 2 * len(ctx)
+        if floats > PAIR_TAPE_FLOATS:
+            raise ValueError(
+                f"pair mode would record about {floats:,} floats per epoch "
+                f"(3·T·|C|²·|G|, T={cfg.steps}, |C|={len(clauses)}, |G|={len(ctx)}); "
+                f"the limit is {PAIR_TAPE_FLOATS:,} (1 GiB). Use multi weight mode"
+            )
     v0 = convert_background(problem.background, ctx.atoms)
     idx_all = np.array([ctx.index_of(a) for a, _ in labels])
     y_all = np.array([y for _, y in labels], dtype=np.float64)

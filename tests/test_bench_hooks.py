@@ -22,6 +22,8 @@ PROBED = (
     "grounding.apply_subst_calls",
     "search.clauses_scored",
     "grounding.atoms",
+    "infer.calls",
+    "training.epochs",
 )
 
 

@@ -7,13 +7,10 @@ from softlog.infer import (
     PAIR,
     WeightSet,
     backward,
-    clause_fn,
     clause_outputs,
-    gather,
     infer,
     softmax,
     softor,
-    weighted_sum,
 )
 from softlog.logic import Atom, Clause, Const, FALSE, Func, TRUE, Var
 from softlog.prover import forward_closure
@@ -46,13 +43,13 @@ def ctx6():
 class TestGather:
     def test_worked_rows(self, ctx6):
         a = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0])
-        out = gather(a, ctx6.x[1])
+        out = a[ctx6.x[1]]
         assert out.ravel().tolist() == [0.0, 1.0, 0.0, 0.0, 1.0, 1.0]
 
     def test_all_true_column(self, ctx6):
         a = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 0.125])
         col = np.full((6, 1), 1, dtype=np.int64)
-        assert gather(a, col).ravel().tolist() == [0.25] * 6
+        assert a[col].ravel().tolist() == [0.25] * 6
 
     def test_gradient_is_indicator_scatter(self):
         rng = np.random.default_rng(0)
@@ -69,25 +66,25 @@ class TestGather:
             ap, am = a.copy(), a.copy()
             ap[i] += h
             am[i] -= h
-            g_num[i] = ((gather(ap, b) * g_out).sum() - (gather(am, b) * g_out).sum()) / (2 * h)
+            g_num[i] = ((ap[b] * g_out).sum() - (am[b] * g_out).sum()) / (2 * h)
         assert np.allclose(g, g_num, atol=1e-6)
 
 
 class TestClauseFn:
     def test_worked_step_clause(self, ctx6):
         v = np.array([0.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-        out = clause_fn(1, ctx6.x, v)
+        out = clause_outputs(ctx6.x, v)[1]
         assert out.tolist() == [0.0, 1.0, 0.0, 0.0, 1.0, 0.0]
 
     def test_fact_clause_fires_everywhere_it_unifies(self, ctx6):
         v = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-        out = clause_fn(0, ctx6.x, v)
+        out = clause_outputs(ctx6.x, v)[0]
         assert out.tolist() == [0.0, 1.0, 1.0, 1.0, 1.0, 1.0]
 
     def test_false_entry_stays_at_input(self, ctx6):
         v = np.array([0.0, 1.0, 0.5, 0.5, 0.5, 0.5])
         for i in range(2):
-            assert clause_fn(i, ctx6.x, v)[0] == 0.0
+            assert clause_outputs(ctx6.x, v)[i][0] == 0.0
 
 
 class TestWeightedSum:
@@ -95,13 +92,13 @@ class TestWeightedSum:
         v = np.array([0.0, 1.0, 1.0, 0.0, 0.0, 0.0])
         cm = clause_outputs(ctx6.x, v)
         w = WeightSet.one_hot([1], 2)
-        h = weighted_sum(w.distribution()[0], cm)
+        h = w.distribution()[0] @ cm
         assert np.allclose(h, cm[1], atol=1e-12)
 
     def test_uniform_mixture(self, ctx6):
         v = np.array([0.0, 1.0, 1.0, 0.0, 0.0, 0.0])
         cm = clause_outputs(ctx6.x, v)
-        h = weighted_sum(np.array([0.5, 0.5]), cm)
+        h = np.array([0.5, 0.5]) @ cm
         assert np.allclose(h, cm.mean(axis=0))
 
     def test_softmax_normalizes(self):
@@ -135,6 +132,13 @@ class TestSoftor:
     def test_rejects_bad_gamma(self):
         with pytest.raises(ValueError):
             softor(np.zeros((2, 2)), 0.0)
+
+    @pytest.mark.parametrize("mode", [MULTI, PAIR])
+    def test_infer_rejects_bad_gamma(self, ctx6, mode):
+        w = WeightSet.random(2, 2, seed=0, mode=mode)
+        v0 = convert_background([e(0)], ATOMS6)
+        with pytest.raises(ValueError, match="gamma"):
+            infer(ctx6.x, v0, w, 2, gamma=0.0)
 
 
 class TestStep:
@@ -218,7 +222,7 @@ class TestOneHotEquivalence:
 
 
 class TestBackward:
-    def _finite_diff(self, mode, seed, m=3, T=3, gamma=0.1, h=1e-4):
+    def _finite_diff(self, mode, seed, clamp=False, m=3, T=3, gamma=0.1, h=1e-4):
         rng = np.random.default_rng(seed)
         n_clauses = int(rng.integers(2, 7))
         n_atoms = int(rng.integers(6, 41))
@@ -231,7 +235,7 @@ class TestBackward:
         w = WeightSet.random(min(m, 3), n_clauses, seed=seed, mode=mode)
         w.w *= 10
         grad_out = rng.random(n_atoms)
-        _, tape = infer(xt, v0, w, T, gamma, record=True)
+        _, tape = infer(xt, v0, w, T, gamma, clamp=clamp, record=True)
         g = backward(tape, grad_out)
         g_num = np.zeros_like(w.w)
         it = np.nditer(w.w, flags=["multi_index"])
@@ -240,7 +244,7 @@ class TestBackward:
             for sign in (1, -1):
                 w2 = WeightSet(mode, w.w.copy())
                 w2.w[i] += sign * h
-                val = float(np.dot(grad_out, infer(xt, v0, w2, T, gamma)))
+                val = float(np.dot(grad_out, infer(xt, v0, w2, T, gamma, clamp=clamp)))
                 g_num[i] += sign * val / (2 * h)
         mask = np.abs(g) > 1e-8
         if not mask.any():
@@ -252,6 +256,11 @@ class TestBackward:
     @pytest.mark.parametrize("mode", [MULTI, PAIR])
     def test_matches_central_differences(self, mode):
         worst = max(self._finite_diff(mode, seed) for seed in range(5))
+        assert worst < 1e-4
+
+    @pytest.mark.parametrize("mode", [MULTI, PAIR])
+    def test_clamped_matches_central_differences(self, mode):
+        worst = max(self._finite_diff(mode, seed, clamp=True) for seed in range(5))
         assert worst < 1e-4
 
     def test_unused_clause_gradient_vanishes(self, ctx6):

@@ -194,6 +194,22 @@ class TestCli:
         code = main(["train", "--task", "member", "--n", "5", "--epochs", "5"])
         assert code == 3
 
+    @pytest.mark.parametrize("mode", ["multi", "pair"])
+    def test_zero_gamma_exits_2(self, mode, capsys):
+        code = main(["train", "--task", "member", "--n", "5", "--epochs", "5",
+                     "--weight-mode", mode, "--gamma", "0"])
+        assert code == 2
+        assert "gamma must be positive" in capsys.readouterr().err
+
+    def test_pair_tape_over_budget_exits_2(self, monkeypatch, capsys):
+        from softlog import training
+
+        monkeypatch.setattr(training, "PAIR_TAPE_FLOATS", 1000)
+        code = main(["train", "--task", "member", "--n", "5", "--epochs", "5",
+                     "--weight-mode", "pair"])
+        assert code == 2
+        assert "the limit is 1,000" in capsys.readouterr().err
+
     def test_extension_flags_accepted(self, capsys):
         code = main(["train", "--task", "member", "--n", "8", "--seed", "0",
                      "--epochs", "30", "--clamp", "--neg-penalty", "0.5",

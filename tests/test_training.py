@@ -187,6 +187,21 @@ class TestTrain:
         w, _ = train(problem, clauses, ctx, cfg)
         assert w.param_count == len(clauses) ** 2
 
+    def test_pair_tape_over_budget_refused(self, monkeypatch):
+        from softlog import training
+
+        problem = generate(TaskSpec("member", n_per_class=5, seed=0))
+        clauses = list(problem.initial_clauses) * 3
+        ctx = ground_context(problem, clauses, steps=2)
+        floats = 3 * 2 * len(clauses) ** 2 * len(ctx)
+        cfg = TrainConfig(m=2, steps=2, epochs=1, seed=0, weight_mode=PAIR)
+        monkeypatch.setattr(training, "PAIR_TAPE_FLOATS", floats - 1)
+        with pytest.raises(ValueError, match=f"{floats:,} floats"):
+            train(problem, clauses, ctx, cfg)
+        monkeypatch.setattr(training, "PAIR_TAPE_FLOATS", floats)
+        w, _ = train(problem, clauses, ctx, cfg)
+        assert w.param_count == len(clauses) ** 2
+
 
 class TestExtraction:
     def test_argmax_per_slot(self):

@@ -92,7 +92,7 @@ def _resolve_problem(args) -> tuple:
 def _configs(args, task: str):
     overrides = {}
     for key in ("m", "steps", "gamma", "lr", "epochs", "batch_frac"):
-        val = getattr(args, key if key != "batch_frac" else "batch_frac", None)
+        val = getattr(args, key)
         if val is not None:
             overrides[key] = val
     overrides["weight_mode"] = args.weight_mode
@@ -110,8 +110,6 @@ def _configs(args, task: str):
         bc = default_beam_config(task, **beam_over)
     else:
         tc = TrainConfig(seed=args.seed, **overrides)
-        beam_over.setdefault("beam_size", 10)
-        beam_over.setdefault("beam_steps", 5)
         bc = BeamConfig(**beam_over)
     rc = RefinementConfig(n_body=args.n_body, n_nest=args.n_nest)
     return tc, bc, rc

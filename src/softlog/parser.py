@@ -45,25 +45,27 @@ _TOKEN_RE = re.compile(
 )
 
 
+def _advance(line: int, col: int, text: str) -> tuple[int, int]:
+    """The position just after ``text`` when it starts at (line, col)."""
+    nl = text.count("\n")
+    return (line + nl, len(text) - text.rfind("\n")) if nl else (line, col + len(text))
+
+
 class _Tokens:
-    def __init__(self, text: str):
+    """Tokens with their positions; ``text`` starts at (line, col)."""
+
+    def __init__(self, text: str, line: int = 1, col: int = 1):
         self.toks: list[tuple[str, int, int]] = []
-        line, col = 1, 1
+        self.start = (line, col)
         pos = 0
         while pos < len(text):
             m = _TOKEN_RE.match(text, pos)
             if m is None:
                 raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-            kind = m.lastgroup
             val = m.group()
-            if kind not in ("ws", "comment"):
+            if m.lastgroup not in ("ws", "comment"):
                 self.toks.append((val, line, col))
-            nl = val.count("\n")
-            if nl:
-                line += nl
-                col = len(val) - val.rfind("\n")
-            else:
-                col += len(val)
+            line, col = _advance(line, col, val)
             pos = m.end()
         self.i = 0
 
@@ -72,7 +74,7 @@ class _Tokens:
 
     def next(self) -> tuple[str, int, int]:
         if self.i >= len(self.toks):
-            last = self.toks[-1] if self.toks else ("", 1, 1)
+            last = self.toks[-1] if self.toks else ("", *self.start)
             raise ParseError("unexpected end of input", last[1], last[2])
         t = self.toks[self.i]
         self.i += 1
@@ -89,7 +91,7 @@ class _Tokens:
         elif self.toks:
             _, line, col = self.toks[-1]
         else:
-            line, col = 1, 1
+            line, col = self.start
         return ParseError(msg, line, col)
 
 
@@ -173,6 +175,7 @@ def _parse_atom(ts: _Tokens, lang: Language) -> Atom:
 
 
 def _parse_clause(ts: _Tokens, lang: Language) -> Clause:
+    """A range-restricted clause with at most one terminating period."""
     head = _parse_atom(ts, lang)
     body: list[Atom] = []
     if ts.peek() == ":-":
@@ -181,37 +184,37 @@ def _parse_clause(ts: _Tokens, lang: Language) -> Clause:
         while ts.peek() == ",":
             ts.next()
             body.append(_parse_atom(ts, lang))
-    return Clause(head, body)
-
-
-def parse_term(text: str, lang: Language) -> Term:
-    ts = _Tokens(text)
-    t = _parse_term(ts, lang)
-    if ts.peek() is not None:
-        raise ts.error("trailing input after term")
-    return t
-
-
-def parse_atom(text: str, lang: Language) -> Atom:
-    ts = _Tokens(text)
-    a = _parse_atom(ts, lang)
-    if ts.peek() is not None:
-        raise ts.error("trailing input after atom")
-    return a
-
-
-def parse_clause(text: str, lang: Language) -> Clause:
-    """Parse one clause; it must be range-restricted."""
-    ts = _Tokens(text.rstrip().rstrip(".")) if text.rstrip().endswith(".") else _Tokens(text)
-    c = _parse_clause(ts, lang)
-    if ts.peek() is not None:
-        raise ts.error("trailing input after clause")
+    if ts.peek() == ".":
+        ts.next()
+    c = Clause(head, body)
     try:
         check_range_restricted(c)
     except ValueError as e:
-        _, line, col = ts.toks[0]
-        raise ParseError(str(e), line, col) from None
+        raise ParseError(str(e), *ts.toks[0][1:]) from None
     return c
+
+
+def _parse_all(parse, what: str, text: str, lang: Language, line=1, col=1):
+    """Parse all of ``text``, which starts at (line, col) of its file."""
+    ts = _Tokens(text, line, col)
+    out = parse(ts, lang)
+    if ts.peek() is not None:
+        raise ts.error(f"trailing input after {what}")
+    return out
+
+
+def parse_term(text: str, lang: Language) -> Term:
+    return _parse_all(_parse_term, "term", text, lang)
+
+
+def parse_atom(text: str, lang: Language) -> Atom:
+    return _parse_all(_parse_atom, "atom", text, lang)
+
+
+def parse_clause(text: str, lang: Language) -> Clause:
+    """Parse one clause, with at most one terminating period; it must be
+    range-restricted."""
+    return _parse_all(_parse_clause, "clause", text, lang)
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +269,14 @@ def print_clause(c: Clause, lang: Optional[Language] = None) -> str:
 # Problem files
 # ---------------------------------------------------------------------------
 
-def _split_statements(text: str) -> list[tuple[str, int]]:
-    """Split into period-terminated statements, tracking starting lines."""
+def _split_statements(text: str) -> list[tuple[str, int, int]]:
+    """Split into period-terminated statements, each with the line and column
+    of its first character.  Comments are dropped; each runs to the end of
+    its line, so no later position moves."""
     out = []
     buf: list[str] = []
-    start_line = 1
-    line = 1
+    line, col = 1, 1
+    start = (1, 1)
     i = 0
     while i < len(text):
         ch = text[i]
@@ -279,21 +284,19 @@ def _split_statements(text: str) -> list[tuple[str, int]]:
             while i < len(text) and text[i] != "\n":
                 i += 1
             continue
-        if ch == "\n":
-            line += 1
         if ch == ".":
-            stmt = "".join(buf).strip()
+            stmt = "".join(buf).rstrip()
             if stmt:
-                out.append((stmt, start_line))
+                out.append((stmt, *start))
             buf = []
         elif buf or not ch.isspace():
             if not buf:
-                start_line = line
+                start = (line, col)
             buf.append(ch)
+        line, col = _advance(line, col, ch)
         i += 1
-    tail = "".join(buf).strip()
-    if tail:
-        raise ParseError("statement missing terminating '.'", line, 1)
+    if "".join(buf).strip():
+        raise ParseError("statement missing terminating '.'", *start)
     return out
 
 
@@ -306,73 +309,70 @@ def parse_problem(text: str):
     funcs: list[tuple[str, int]] = []
     consts: list[str] = []
     variables = list(DEFAULT_VARIABLES)
-    initial: list[tuple[str, int]] = []
-    bg: list[tuple[str, int]] = []
-    pos: list[tuple[str, int]] = []
-    neg: list[tuple[str, int]] = []
+    initial: list[tuple[str, int, int]] = []
+    bg: list[tuple[str, int, int]] = []
+    pos: list[tuple[str, int, int]] = []
+    neg: list[tuple[str, int, int]] = []
     task = ""
 
-    def name_arity(rest: str, line: int) -> tuple[str, int]:
+    def name_arity(rest: str, at: tuple[int, int]) -> tuple[str, int]:
         m = re.fullmatch(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*/\s*([0-9]+)\s*", rest)
         if m is None:
-            raise ParseError(f"expected name/arity, found {rest!r}", line, 1)
+            raise ParseError(f"expected name/arity, found {rest!r}", *at)
         return m.group(1), int(m.group(2))
 
-    for stmt, line in _split_statements(text):
+    for stmt, line, col in _split_statements(text):
         kw, _, rest = stmt.partition(" ")
-        rest = rest.strip()
+        rest = rest.lstrip()
+        # file position of the statement body
+        at = _advance(line, col, stmt[: len(stmt) - len(rest)])
         if kw == "task":
             if task:
-                raise ParseError("duplicate task statement", line, 1)
+                raise ParseError("duplicate task statement", line, col)
             if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", rest):
-                raise ParseError(f"bad task name {rest!r}", line, 1)
+                raise ParseError(f"bad task name {rest!r}", *at)
             task = rest
         elif kw == "pred":
-            name, ar = name_arity(rest, line)
+            name, ar = name_arity(rest, at)
             if name in RESERVED_PREDS:
-                raise ParseError(f"{name!r} is a reserved atom name", line, 1)
+                raise ParseError(f"{name!r} is a reserved atom name", *at)
             preds.append((name, ar))
         elif kw == "func":
-            funcs.append(name_arity(rest, line))
+            funcs.append(name_arity(rest, at))
         elif kw == "const":
             if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|\*", rest):
-                raise ParseError(f"bad constant name {rest!r}", line, 1)
+                raise ParseError(f"bad constant name {rest!r}", *at)
             if rest in variables:
                 raise ParseError(
-                    f"{rest!r} is a variable name and cannot be a constant", line, 1
+                    f"{rest!r} is a variable name and cannot be a constant", *at
                 )
             consts.append(rest)
         elif kw == "var":
             if not re.fullmatch(r"[a-z][A-Za-z0-9_]*", rest):
-                raise ParseError(f"bad variable name {rest!r}", line, 1)
+                raise ParseError(f"bad variable name {rest!r}", *at)
             if rest not in variables:
                 variables.append(rest)
         elif kw in ("init", "bg", "pos", "neg"):
-            {"init": initial, "bg": bg, "pos": pos, "neg": neg}[kw].append((rest, line))
+            {"init": initial, "bg": bg, "pos": pos, "neg": neg}[kw].append((rest, *at))
         else:
-            raise ParseError(f"unknown statement {stmt!r}", line, 1)
+            raise ParseError(f"unknown statement {stmt!r}", line, col)
 
     lang = Language(preds, funcs, consts, variables)
 
-    def at(parse, src: str, line: int):
-        """Parse one statement body, reporting errors at the statement's line."""
-        try:
-            return parse(src, lang)
-        except ParseError as e:
-            raise ParseError(e.args[0].split(": ", 1)[-1], line, e.col) from None
-
-    def ground_atom_at(src: str, line: int, role: str) -> Atom:
-        a = at(parse_atom, src, line)
+    def ground_atom_at(src: str, line: int, col: int, role: str) -> Atom:
+        a = _parse_all(_parse_atom, "atom", src, lang, line, col)
         if not is_ground(a):
-            raise ParseError(f"{role} atoms must be ground: {src}", line, 1)
+            raise ParseError(f"{role} atoms must be ground: {src}", line, col)
         return a
 
     return ILPProblem(
-        pos=tuple(ground_atom_at(s, ln, "pos") for s, ln in pos),
-        neg=tuple(ground_atom_at(s, ln, "neg") for s, ln in neg),
-        background=tuple(ground_atom_at(s, ln, "bg") for s, ln in bg),
+        pos=tuple(ground_atom_at(*s, "pos") for s in pos),
+        neg=tuple(ground_atom_at(*s, "neg") for s in neg),
+        background=tuple(ground_atom_at(*s, "bg") for s in bg),
         language=lang,
-        initial_clauses=tuple(at(parse_clause, s, ln) for s, ln in initial),
+        initial_clauses=tuple(
+            _parse_all(_parse_clause, "clause", s, lang, ln, c) for s, ln, c in initial
+        ),
         name=task,
     )
 

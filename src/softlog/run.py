@@ -31,6 +31,9 @@ from .training import TrainConfig, extract_program, make_labels, metrics, predic
 
 log = logging.getLogger(__name__)
 
+# Every this-many epochs one loss value goes into RunRecord.loss_samples.
+LOSS_SAMPLE_EVERY = 50
+
 
 @dataclass
 class RunRecord:
@@ -104,16 +107,15 @@ def run_problem(
     naive_n: Optional[int] = None,
     clause_cap: Optional[int] = None,
     proof_depth: Optional[int] = None,
-    loss_sample_every: int = 50,
 ) -> RunResult:
     """Full pipeline on one problem.
 
     The split and noise injection reuse the training seed; clause scoring,
     grounding, and inference all share the same chaining horizon.  Test atoms
-    never influence clause generation or training; evaluation rebuilds the
-    grounding with them as extra seeds.  ``naive_n`` switches to unscored
-    clause generation; ``clause_cap`` instead keeps the beam but stops it at
-    the given clause budget.
+    never influence clause generation or training; evaluation grounds them as
+    the only examples.  ``naive_n`` switches to unscored clause generation;
+    ``clause_cap`` instead keeps the beam but stops it at the given clause
+    budget.
     """
     t0 = time.perf_counter()
     seed = train_cfg.seed
@@ -172,6 +174,10 @@ def run_problem(
             "noise": noise,
             "split_frac": split_frac,
             "naive_n": naive_n,
+            "clause_cap": clause_cap,
+            "proof_depth": proof_cfg.max_depth,
+            "neg_penalty": beam_cfg.neg_penalty,
+            "clamp": train_cfg.clamp,
         },
         dataset_hash=problem_hash(problem),
         n_clauses=len(clauses),
@@ -179,7 +185,7 @@ def run_problem(
         param_count=weights.param_count,
         loss_samples=[
             [i, history[i]]
-            for i in range(0, len(history), max(1, loss_sample_every))
+            for i in range(0, len(history), LOSS_SAMPLE_EVERY)
         ]
         + ([[len(history) - 1, history[-1]]] if history else []),
         train_mse=train_m["mse"],
@@ -201,11 +207,13 @@ def evaluate(
     steps: int,
     gamma: float,
 ) -> dict:
-    """Metrics on held-out atoms; the grounding is rebuilt with them as extra
-    seeds so every test atom has a valuation."""
+    """Metrics on held-out atoms.  They are grounded as the only examples: a
+    seed's valuation after ``steps`` rounds depends only on atoms the
+    grounding reaches from it, so the training examples are not needed."""
     atoms = [a for a, _ in test_labels]
     ys = [y for _, y in test_labels]
-    ctx = ground_context(train_problem, clauses, steps, extra_seeds=atoms)
+    pos, neg = ([a for a, y in test_labels if y == k] for k in (1, 0))
+    ctx = ground_context(train_problem.with_examples(pos, neg), clauses, steps)
     v0 = convert_background(train_problem.background, ctx.atoms)
     scores = predictions(atoms, ctx, v0, weights, steps, gamma)
     return metrics(scores, ys)

@@ -15,6 +15,9 @@ from .problem import ILPProblem
 PRED_CLIP = 1e-7
 # A recorded pair-mode pass keeps about 3·T·|C|²·|G| floats; 2**27 is 1 GiB.
 PAIR_TAPE_FLOATS = 2**27
+# RMSProp internals; fixed here because no standard values exist upstream
+RMS_DECAY = 0.99
+RMS_EPS = 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -31,10 +34,6 @@ class TrainConfig:
     batch_frac: float = 0.05
     seed: int = 0
     weight_mode: str = MULTI
-    # RMSProp internals; fixed here because no standard values exist upstream
-    rms_decay: float = 0.99
-    rms_eps: float = 1e-8
-    init_scale: float = 0.1
     clamp: bool = False
 
 
@@ -66,8 +65,8 @@ def predict(
     """Final valuation at the atom's index (raw, unclipped)."""
     if atom not in ctx.index:
         raise KeyError(
-            f"{atom!r} is not in the enumerated ground atoms; rebuild the "
-            "grounding with it as an extra seed"
+            f"{atom!r} is not in the enumerated ground atoms; ground it as an "
+            "example"
         )
     v = infer(ctx.x, v0, weights, steps, gamma)
     return float(v[ctx.index_of(atom)])
@@ -133,9 +132,7 @@ def train(
     y_all = np.array([y for _, y in labels], dtype=np.float64)
 
     rng = np.random.default_rng(cfg.seed)
-    weights = WeightSet.random(
-        cfg.m, len(clauses), cfg.seed, mode=cfg.weight_mode, scale=cfg.init_scale
-    )
+    weights = WeightSet.random(cfg.m, len(clauses), cfg.seed, mode=cfg.weight_mode)
     batch = max(1, int(np.ceil(cfg.batch_frac * len(labels))))
     cache = np.zeros_like(weights.w)
     history: list[float] = []
@@ -148,8 +145,8 @@ def train(
             raise TrainingDiverged(
                 f"non-finite loss at epoch {epoch}; retry with a different seed"
             )
-        cache = cfg.rms_decay * cache + (1 - cfg.rms_decay) * grad * grad
-        weights.w -= cfg.lr * grad / (np.sqrt(cache) + cfg.rms_eps)
+        cache = RMS_DECAY * cache + (1 - RMS_DECAY) * grad * grad
+        weights.w -= cfg.lr * grad / (np.sqrt(cache) + RMS_EPS)
         history.append(loss)
     return weights, history
 

@@ -1,9 +1,14 @@
+import logging
 import random
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
+import numpy as np
 import pytest
 
+from softlog.grounding import FALSE_INDEX, TRUE_INDEX
 from softlog.logic import (
+    FALSE,
+    TRUE,
     Atom,
     Clause,
     Const,
@@ -14,9 +19,13 @@ from softlog.logic import (
     Var,
     apply_subst,
     canonical,
+    check_range_restricted,
     clause_vars,
     unify,
 )
+from softlog.problem import ILPProblem
+
+log = logging.getLogger(__name__)
 
 
 @pytest.fixture
@@ -188,3 +197,78 @@ def _pattern_only(theta: Subst, specific: Clause) -> bool:
     # subsumption must instantiate the general clause, never the specific one
     svars = set(clause_vars(specific))
     return all(v not in svars for v in theta)
+
+
+# ---------------------------------------------------------------------------
+# Two-pass grounding: the oracle the one-pass softlog.grounding is checked
+# against (enumeration, then a second match of every clause on every atom)
+# ---------------------------------------------------------------------------
+
+def reference_enumerate_atoms(
+    problem: ILPProblem,
+    clauses: Sequence[Clause],
+    steps: int,
+    extra_seeds: Iterable[Atom] = (),
+) -> list[Atom]:
+    """Backward-chain from the examples, background, and any extra seeds for
+    ``steps`` rounds, collecting every ground subgoal.
+
+    Atoms keep their discovery order: the seeds first (false, true, positives,
+    negatives, background, extras), then per round in clause order, seed order,
+    body position order.  Each round matches only the atoms the previous round
+    added: older atoms already put all of their subgoals into the set.
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    for c in clauses:
+        check_range_restricted(c)
+    seeds = (*problem.pos, *problem.neg, *problem.background, *extra_seeds)
+    atoms: list[Atom] = list(dict.fromkeys((FALSE, TRUE, *seeds)))
+    seen = set(atoms)
+    frontier = atoms[2:]
+    for _ in range(steps):
+        fresh: list[Atom] = []
+        for c in clauses:
+            if not c.body:
+                continue
+            for g in frontier:
+                theta = unify(c.head, g)
+                if theta is None:
+                    continue
+                for b in c.body:
+                    sub = apply_subst(b, theta)
+                    if sub not in seen:
+                        seen.add(sub)
+                        fresh.append(sub)
+        atoms.extend(fresh)
+        if not fresh:
+            break
+        frontier = fresh
+    log.info("grounding: |G|=%d", len(atoms))
+    return atoms
+
+
+def reference_build_index_tensor(
+    clauses: Sequence[Clause], atoms: Sequence[Atom]
+) -> np.ndarray:
+    """Index tensor: entry (i, j, k) is the position of the k-th subgoal
+    needed to derive atom j with clause i."""
+    index = {a: j for j, a in enumerate(atoms)}
+    if index.get(FALSE) != FALSE_INDEX or index.get(TRUE) != TRUE_INDEX:
+        raise ValueError("atom list must start with the false and true atoms")
+    for c in clauses:
+        check_range_restricted(c)
+    b = max(1, max((len(c.body) for c in clauses), default=1))
+    x = np.zeros((len(clauses), len(atoms), b), dtype=np.int64)
+    x[:, TRUE_INDEX, :] = TRUE_INDEX
+    for i, c in enumerate(clauses):
+        for j, g in enumerate(atoms):
+            if j in (FALSE_INDEX, TRUE_INDEX):
+                continue
+            theta = unify(c.head, g)
+            if theta is None:
+                continue  # row stays at the false index
+            for k, pattern in enumerate(c.body):
+                x[i, j, k] = index.get(apply_subst(pattern, theta), FALSE_INDEX)
+            x[i, j, len(c.body):] = TRUE_INDEX
+    return x

@@ -7,9 +7,16 @@ closure over that set is sandwiched between proving at depth T - k and at
 depth T.  On the seeds (the examples the learner scores) all three engines
 therefore agree exactly at depth T.
 """
+import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st, target
 
-from softlog.grounding import context_from_atoms, convert_background, enumerate_atoms
+from conftest import reference_build_index_tensor, reference_enumerate_atoms
+from softlog.grounding import (
+    context_from_atoms,
+    convert_background,
+    enumerate_atoms,
+    ground_context,
+)
 from softlog.infer import WeightSet, infer
 from softlog.logic import (
     FALSE,
@@ -159,3 +166,52 @@ def test_frontier_enumeration_matches_rescan(pq_lang, nat_lang, data):
     atoms = enumerate_atoms(problem, program, steps)
     target(float(len(atoms)), label="enumerated atoms")
     assert atoms == rescan_enumeration(problem, program, steps)
+
+
+def same_context(ctx, atoms, program):
+    assert list(ctx.atoms) == atoms
+    assert ctx.index == {a: j for j, a in enumerate(atoms)}
+    assert np.array_equal(ctx.x, reference_build_index_tensor(program, atoms))
+
+
+@settings(max_examples=150, **DRAWN)
+@given(data=st.data())
+def test_one_pass_grounding_matches_two_passes(pq_lang, nat_lang, data):
+    """The one pass gives the atoms, index and tensor of enumerating first
+    and matching every clause on every atom afterwards."""
+    program, problem, steps = data.draw(instances(pq_lang, nat_lang))
+    for rounds in range(1, steps + 1):
+        atoms = reference_enumerate_atoms(problem, program, rounds)
+        same_context(ground_context(problem, program, rounds), atoms, program)
+    target(float(len(atoms)), label="enumerated atoms")
+    # zero growth rounds over a drawn atom list that leaves subgoals out
+    kept = data.draw(st.permutations(atoms[2:]))
+    kept = [FALSE, TRUE, *kept[: data.draw(st.integers(0, len(kept)))]]
+    same_context(context_from_atoms(program, kept), kept, program)
+
+
+@settings(max_examples=150, **DRAWN)
+@given(data=st.data())
+def test_held_out_seeds_need_no_training_seeds(pq_lang, nat_lang, data):
+    """A seed's valuation after T steps is the same whether the other
+    examples are seeds too: evaluation grounds the held-out atoms alone."""
+    program, problem, steps = data.draw(instances(pq_lang, nat_lang))
+
+    def some(atoms):
+        return data.draw(st.lists(st.sampled_from(atoms), max_size=2)) if atoms else []
+
+    pos, neg = some(problem.pos), some(problem.neg)
+    held_out = problem.with_examples(pos, neg)
+    both = problem.with_examples((*problem.pos, *pos), (*problem.neg, *neg))
+
+    def valuations(seeded, w):
+        ctx = ground_context(seeded, program, steps)
+        v0 = convert_background(problem.background, ctx.atoms)
+        v = infer(ctx.x, v0, w, steps, gamma=1e-5)
+        return {a: v[ctx.index_of(a)] for a in (*pos, *neg)}
+
+    for w in (
+        WeightSet.one_hot(list(range(len(program))), len(program)),
+        WeightSet.random(2, len(program), seed=0),
+    ):
+        assert valuations(held_out, w) == valuations(both, w)

@@ -1,5 +1,6 @@
 import pytest
 
+from softlog import grounding
 from softlog.grounding import (
     FALSE_INDEX,
     TRUE_INDEX,
@@ -9,7 +10,8 @@ from softlog.grounding import (
     enumerate_atoms,
     ground_context,
 )
-from softlog.logic import Atom, Clause, Const, FALSE, Func, TRUE, Var
+from softlog.infer import WeightSet, infer
+from softlog.logic import Atom, Clause, Const, FALSE, Func, TRUE, Var, unify
 from softlog.parser import ParseError, parse_atom, parse_clause
 from softlog.problem import ILPProblem
 from softlog.prover import ProofConfig, eval_counts, forward_closure
@@ -61,10 +63,24 @@ class TestEnumerateAtoms:
             assert prev <= cur
             prev = cur
 
-    def test_extra_seeds(self, even_problem):
-        got = enumerate_atoms(even_problem, [DOUBLE_STEP], steps=2, extra_seeds=[e(8)])
-        assert e(8) in set(got)
-        assert {e(6), e(4), e(2)} <= set(got)
+    def test_held_out_seeds(self, even_problem):
+        # evaluation grounds the held-out atoms as the only examples; a seed's
+        # valuation is the same as with the training examples also seeded
+        held_out = even_problem.with_examples([e(4)], [e(3)])
+        both = even_problem.with_examples([e(6), e(4)], [e(1), e(3)])
+        got = ground_context(held_out, [DOUBLE_STEP], steps=2)
+        assert {e(4), e(3), e(2), e(1)} <= set(got.atoms)
+        assert e(6) not in got.index  # a training example, no longer a seed
+        ref = ground_context(both, [DOUBLE_STEP], steps=2)
+
+        def v_t(ctx):
+            v0 = convert_background(even_problem.background, ctx.atoms)
+            return infer(ctx.x, v0, WeightSet.one_hot([0], 1), 2)
+
+        v_got, v_ref = v_t(got), v_t(ref)
+        for a in (e(4), e(3)):
+            assert v_got[got.index_of(a)] == v_ref[ref.index_of(a)]
+        assert v_got[got.index_of(e(4))] > 0.5 > v_got[got.index_of(e(3))]
 
     def test_deterministic_order(self, even_problem):
         a = enumerate_atoms(even_problem, [DOUBLE_STEP], steps=3)
@@ -120,6 +136,31 @@ class TestIndexTensor:
     def test_entries_are_valid_indices(self, even_problem):
         ctx = ground_context(even_problem, [FACT, DOUBLE_STEP], steps=3)
         assert ctx.x.min() >= 0 and ctx.x.max() < len(ctx)
+
+    def test_each_clause_meets_each_atom_once(self, even_problem, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            grounding, "unify", lambda h, g: calls.append((h, g)) or unify(h, g)
+        )
+        clauses = [FACT, DOUBLE_STEP]
+        ctx = ground_context(even_problem, clauses, steps=3)
+        assert sorted(map(repr, calls)) == sorted(
+            repr((c.head, g)) for c in clauses for g in ctx.atoms[2:]
+        )
+
+    def test_cell_bound(self, even_problem, monkeypatch):
+        clauses = [FACT, DOUBLE_STEP]
+        full = ground_context(even_problem, clauses, steps=3)
+        cells = full.x.size  # |C|·|G|·B = 2·|G|·1
+        monkeypatch.setattr(grounding, "GROUND_CELLS", cells)
+        assert ground_context(even_problem, clauses, steps=3).atoms == full.atoms
+        monkeypatch.setattr(grounding, "GROUND_CELLS", cells - 1)
+        with pytest.raises(ValueError) as err:
+            ground_context(even_problem, clauses, steps=3)
+        # refused at the last atom, before it is added
+        msg = str(err.value)
+        assert f"|C|=2, |G|={len(full) - 1} so far, B=1" in msg
+        assert f"{cells - 1:,}" in msg
 
     def test_requires_special_prefix(self):
         with pytest.raises(ValueError):

@@ -153,3 +153,26 @@ def test_task_statement_checked():
         parse_problem("task plus.\ntask member.")
     with pytest.raises(ParseError, match="bad task name"):
         parse_problem("task p(x).")
+
+
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        ("pred p/1.\nconst a.\npos p(b).", 3, 7),  # after the keyword
+        ("pred p/1.\n   bg p(q).", 2, 9),  # indented statement
+        ("pred p/1.\nconst a.\npos p(a,\n  b).", 4, 3),  # second line of a statement
+        ("pred p/1. const a. pos p(a). neg p(c).", 1, 36),  # later on the same line
+    ],
+)
+def test_problem_error_at_file_position(text, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value).startswith(f"line {line}, column {col}: ")
+
+
+def test_clause_takes_one_terminating_period(list_lang):
+    assert parse_clause("mem(x,y).", list_lang) == parse_clause("mem(x,y)", list_lang)
+    for text in ("mem(x,y)..", "mem(x,y)...", "mem(x,y). ."):
+        with pytest.raises(ParseError, match="trailing input"):
+            parse_clause(text, list_lang)

@@ -2,10 +2,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from softlog.cli import main
 from softlog.datasets import TaskSpec, generate, load_problem
+from softlog.grounding import convert_background
 from softlog.run import (
     default_beam_config,
     default_train_config,
@@ -52,19 +54,45 @@ class TestRunProblem:
         payload = json.loads(member_result.record.to_json())
         assert payload["task"] == "member"
 
-    def test_eval_grounding_extends_train_grounding(self, member_result):
+    def test_eval_grounding_seeds_held_out_atoms(self, member_result, monkeypatch):
+        from softlog import run as run_module
         from softlog.datasets import split
         from softlog.grounding import ground_context
+        from softlog.training import metrics, predictions
 
         problem = member_result.problem
         train_p, test_labels = split(problem, 0.7, 0)
         steps = member_result.record.config["steps"]
-        g_train = ground_context(train_p, member_result.clauses, steps)
-        g_eval = ground_context(
-            train_p, member_result.clauses, steps,
-            extra_seeds=[a for a, _ in test_labels],
+        gamma = member_result.record.config["gamma"]
+        held_out = [a for a, _ in test_labels]
+        seen = []
+
+        def spy(*args):
+            seen.append(ground_context(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(run_module, "ground_context", spy)
+        got = run_module.evaluate(
+            train_p, member_result.clauses, member_result.weights, test_labels,
+            steps, gamma,
         )
-        assert len(g_eval) >= len(g_train)
+        (g_eval,) = seen
+        assert set(held_out) <= set(g_eval.atoms)
+        # the training examples are not seeds, yet every held-out score equals
+        # the one from a grounding seeded with train and held-out atoms
+        both = train_p.with_examples(
+            train_p.pos + tuple(a for a, y in test_labels if y),
+            train_p.neg + tuple(a for a, y in test_labels if not y),
+        )
+        g_both = ground_context(both, member_result.clauses, steps)
+
+        def scores(ctx):
+            v0 = convert_background(train_p.background, ctx.atoms)
+            return predictions(held_out, ctx, v0, member_result.weights, steps, gamma)
+
+        assert len(g_eval) < len(g_both)
+        assert np.array_equal(scores(g_eval), scores(g_both))
+        assert got == metrics(scores(g_both), [y for _, y in test_labels])
 
     def test_saved_weights_reproduce_metrics(self, member_result, tmp_path):
         wpath = tmp_path / "weights.json"
@@ -209,6 +237,30 @@ class TestCli:
                      "--weight-mode", "pair"])
         assert code == 2
         assert "the limit is 1,000" in capsys.readouterr().err
+
+    def test_grounding_over_budget_exits_2(self, monkeypatch, capsys):
+        from softlog import grounding
+
+        monkeypatch.setattr(grounding, "GROUND_CELLS", 50)
+        code = main(["train", "--task", "member", "--n", "5", "--epochs", "5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "exceed 50 index tensor cells" in err and "|C|=" in err
+
+    def test_run_json_records_the_run(self, tmp_path, capsys):
+        def config(*flags):
+            out = tmp_path / "-".join(flags or ("plain",))
+            assert main(["train", "--task", "member", "--n", "5", "--epochs", "5",
+                         "--out", str(out), *flags]) == 0
+            return json.loads((out / "run.json").read_text())["config"]
+
+        plain = config()
+        assert (plain["clamp"], plain["neg_penalty"]) == (False, 0.0)
+        assert plain["proof_depth"] == plain["steps"]
+        assert plain["clause_cap"] is None
+        changed = config("--clamp", "--neg-penalty", "0.5", "--proof-depth", "3")
+        assert (changed["clamp"], changed["neg_penalty"]) == (True, 0.5)
+        assert changed["proof_depth"] == 3
 
     def test_extension_flags_accepted(self, capsys):
         code = main(["train", "--task", "member", "--n", "8", "--seed", "0",

@@ -47,7 +47,6 @@ from .training import (
     make_labels,
     metrics,
     mse,
-    predict,
     train,
 )
 from .datasets import (

@@ -14,9 +14,10 @@ of its body, the smooth-or coefficients of the mixture and of the
 amalgamation (the clamp mask folded into the latter), and the clause outputs
 (multi mode) or pairwise smooth-ors (pair mode) that the weight gradient
 contracts with.  The backward sweep reads only the tape and never re-runs a
-step.  In multi mode a step keeps O(|C|·|G|·B) floats, B the body length.
-In pair mode it keeps three arrays of shape (|C|, |C|, |G|), so a recorded
-pass holds about 3·T·|C|²·|G| floats.
+step.  Over n atoms, a step keeps O(|C|·n·B) floats in multi mode, B the
+body length, and three arrays of shape (|C|, |C|, n) in pair mode.  Training
+passes the tensor of one batch's dependency cone, so n is the cone size, not
+|G|, and a recorded pair-mode pass holds about 3·T·|C|²·|cone| floats.
 """
 from __future__ import annotations
 
@@ -68,12 +69,6 @@ def softmax(w: np.ndarray, axis=None) -> np.ndarray:
     m = w.max(axis=axis, keepdims=True)
     e = np.exp(w - m)
     return e / e.sum(axis=axis, keepdims=True)
-
-
-def clause_outputs(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """All clause functions at once: row i is the soft conjunction of clause
-    i's gathered subgoal valuations."""
-    return v[x].prod(axis=2)
 
 
 def _prod_except(gv: np.ndarray) -> np.ndarray:

@@ -2,18 +2,21 @@
 program extraction, and evaluation metrics."""
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .grounding import GroundContext, convert_background
+from .grounding import FALSE_INDEX, TRUE_INDEX, GroundContext, convert_background
 from .infer import MULTI, PAIR, WeightSet, backward, infer
 from .logic import Atom, Clause, canonical
 from .problem import ILPProblem
 
+log = logging.getLogger(__name__)
+
 PRED_CLIP = 1e-7
-# A recorded pair-mode pass keeps about 3·T·|C|²·|G| floats; 2**27 is 1 GiB.
+# A recorded pair-mode pass keeps about 3·T·|C|²·|cone| floats; 2**27 is 1 GiB.
 PAIR_TAPE_FLOATS = 2**27
 # RMSProp internals; fixed here because no standard values exist upstream
 RMS_DECAY = 0.99
@@ -54,24 +57,6 @@ def make_labels(problem: ILPProblem) -> list[tuple[Atom, int]]:
     return [(e, 1) for e in problem.pos] + [(e, 0) for e in problem.neg]
 
 
-def predict(
-    atom: Atom,
-    ctx: GroundContext,
-    v0: np.ndarray,
-    weights: WeightSet,
-    steps: int,
-    gamma: float = 1e-5,
-) -> float:
-    """Final valuation at the atom's index (raw, unclipped)."""
-    if atom not in ctx.index:
-        raise KeyError(
-            f"{atom!r} is not in the enumerated ground atoms; ground it as an "
-            "example"
-        )
-    v = infer(ctx.x, v0, weights, steps, gamma)
-    return float(v[ctx.index_of(atom)])
-
-
 def predictions(
     atoms: Sequence[Atom],
     ctx: GroundContext,
@@ -89,10 +74,10 @@ def cross_entropy(p: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(-(y * np.log(pc) + (1 - y) * np.log(1 - pc))))
 
 
-def _loss_and_grad(ctx, v0, weights, idx, y, cfg):
+def _loss_and_grad(x, v0, weights, idx, y, cfg):
     """Mean cross-entropy over one batch plus its weight gradient."""
     v_t, tape = infer(
-        ctx.x, v0, weights, cfg.steps, cfg.gamma, clamp=cfg.clamp, record=True
+        x, v0, weights, cfg.steps, cfg.gamma, clamp=cfg.clamp, record=True
     )
     p = v_t[idx]
     loss = cross_entropy(p, y)
@@ -105,6 +90,53 @@ def _loss_and_grad(ctx, v0, weights, idx, y, cfg):
     return loss, backward(tape, grad_out)
 
 
+def _cones(x: np.ndarray, roots: np.ndarray, steps: int) -> list[np.ndarray]:
+    """Per root, the sorted indexes of the atoms within ``steps`` subgoal hops
+    of it, with false and true (so they sit at positions 0 and 1).
+
+    v_T at a root reads v_{T-d} at an atom d hops away, so the cone holds every
+    valuation the root's v_T depends on; an atom exactly ``steps`` hops away
+    is read only at step 0, where its valuation is its v0.
+    """
+    subgoals = x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+    out = []
+    for root in roots:
+        seen = np.zeros(x.shape[1], dtype=bool)
+        seen[[FALSE_INDEX, TRUE_INDEX, root]] = True
+        frontier = np.array([root])
+        for _ in range(steps):
+            fresh = np.zeros_like(seen)
+            fresh[subgoals[frontier]] = True
+            fresh &= ~seen
+            seen |= fresh
+            frontier = np.flatnonzero(fresh)
+        out.append(np.flatnonzero(seen))
+    return out
+
+
+def _on_cone(x: np.ndarray, v0: np.ndarray, idx: np.ndarray, cones: Sequence[np.ndarray]):
+    """Restrict a batch to the union of its atoms' cones: the tensor over the
+    cone with subgoals outside it sent to false, v0 and the batch indexes."""
+    inside = np.zeros(x.shape[1], dtype=bool)
+    for c in cones:
+        inside[c] = True
+    cone = np.flatnonzero(inside)
+    remap = np.zeros(x.shape[1], dtype=np.int64)  # outside the cone: false
+    remap[cone] = np.arange(len(cone))
+    return remap[x[:, cone, :]], v0[cone], remap[idx]
+
+
+def _check_config(cfg: TrainConfig) -> None:
+    if cfg.m < 1:
+        raise ValueError(f"TrainConfig.m must be >= 1, got {cfg.m}")
+    if cfg.epochs < 0:
+        raise ValueError(f"TrainConfig.epochs must be >= 0, got {cfg.epochs}")
+    if not 0 < cfg.batch_frac <= 1:
+        raise ValueError(f"TrainConfig.batch_frac must be in (0, 1], got {cfg.batch_frac}")
+    if not cfg.lr > 0:
+        raise ValueError(f"TrainConfig.lr must be positive, got {cfg.lr}")
+
+
 def train(
     problem: ILPProblem,
     clauses: Sequence[Clause],
@@ -113,34 +145,46 @@ def train(
 ) -> tuple[WeightSet, list[float]]:
     """RMSProp over mini-batches sampled without replacement each epoch.
 
+    Each epoch infers and back-propagates over the batch's dependency cone
+    only: the atoms within T subgoal hops of a batch atom (see ``_cones``).
+    The result equals a pass over all of G in real arithmetic, and the
+    recorded pass holds per-step arrays over the cone, not over |G|: about
+    3·T·|C|²·|cone| floats in pair mode.
+
     Returns the trained weights and the per-epoch loss history.  Identical
     seeds and inputs give bit-identical histories.
     """
+    _check_config(cfg)
     labels = make_labels(problem)
     if not labels:
         raise ValueError("cannot train without examples")
-    if cfg.weight_mode == PAIR:
-        floats = 3 * cfg.steps * len(clauses) ** 2 * len(ctx)
-        if floats > PAIR_TAPE_FLOATS:
-            raise ValueError(
-                f"pair mode would record about {floats:,} floats per epoch "
-                f"(3·T·|C|²·|G|, T={cfg.steps}, |C|={len(clauses)}, |G|={len(ctx)}); "
-                f"the limit is {PAIR_TAPE_FLOATS:,} (1 GiB). Use multi weight mode"
-            )
     v0 = convert_background(problem.background, ctx.atoms)
     idx_all = np.array([ctx.index_of(a) for a, _ in labels])
     y_all = np.array([y for _, y in labels], dtype=np.float64)
+    batch = int(np.ceil(cfg.batch_frac * len(labels)))  # 1..len(labels)
+    cones = _cones(ctx.x, idx_all, cfg.steps)
+    if cfg.weight_mode == PAIR:
+        # the largest cone any draw of `batch` labels can have
+        widest = min(len(ctx), sum(sorted(map(len, cones))[-batch:]))
+        floats = 3 * cfg.steps * len(clauses) ** 2 * widest
+        if floats > PAIR_TAPE_FLOATS:
+            raise ValueError(
+                f"pair mode would record up to {floats:,} floats per epoch "
+                f"(3·T·|C|²·|cone|, T={cfg.steps}, |C|={len(clauses)}, "
+                f"|cone| <= {widest} of |G|={len(ctx)}); "
+                f"the limit is {PAIR_TAPE_FLOATS:,} (1 GiB). Use multi weight mode"
+            )
 
     rng = np.random.default_rng(cfg.seed)
     weights = WeightSet.random(cfg.m, len(clauses), cfg.seed, mode=cfg.weight_mode)
-    batch = max(1, int(np.ceil(cfg.batch_frac * len(labels))))
     cache = np.zeros_like(weights.w)
     history: list[float] = []
+    sizes: list[int] = []
     for epoch in range(cfg.epochs):
-        pick = rng.choice(len(labels), size=min(batch, len(labels)), replace=False)
-        loss, grad = _loss_and_grad(
-            ctx, v0, weights, idx_all[pick], y_all[pick], cfg
-        )
+        pick = rng.choice(len(labels), size=batch, replace=False)
+        x, v0_cone, idx = _on_cone(ctx.x, v0, idx_all[pick], [cones[k] for k in pick])
+        sizes.append(len(v0_cone))
+        loss, grad = _loss_and_grad(x, v0_cone, weights, idx, y_all[pick], cfg)
         if not np.isfinite(loss):
             raise TrainingDiverged(
                 f"non-finite loss at epoch {epoch}; retry with a different seed"
@@ -148,6 +192,11 @@ def train(
         cache = RMS_DECAY * cache + (1 - RMS_DECAY) * grad * grad
         weights.w -= cfg.lr * grad / (np.sqrt(cache) + RMS_EPS)
         history.append(loss)
+    if sizes:
+        log.info(
+            "training: |G|=%d, %d labelled atoms, batch cone median %d, max %d",
+            len(ctx), len(labels), int(np.median(sizes)), max(sizes),
+        )
     return weights, history
 
 

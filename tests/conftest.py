@@ -5,7 +5,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 import pytest
 
-from softlog.grounding import FALSE_INDEX, TRUE_INDEX
+from softlog.grounding import FALSE_INDEX, TRUE_INDEX, GroundContext
+from softlog.infer import WeightSet, infer
 from softlog.logic import (
     FALSE,
     TRUE,
@@ -272,3 +273,47 @@ def reference_build_index_tensor(
                 x[i, j, k] = index.get(apply_subst(pattern, theta), FALSE_INDEX)
             x[i, j, len(c.body):] = TRUE_INDEX
     return x
+
+
+# ---------------------------------------------------------------------------
+# Inference helpers that only tests use
+# ---------------------------------------------------------------------------
+
+def clause_outputs(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """All clause functions at once: row i is the soft conjunction of clause
+    i's gathered subgoal valuations."""
+    return v[x].prod(axis=2)
+
+
+def predict(
+    atom: Atom,
+    ctx: GroundContext,
+    v0: np.ndarray,
+    weights: WeightSet,
+    steps: int,
+    gamma: float = 1e-5,
+) -> float:
+    """Final valuation at the atom's index (raw, unclipped)."""
+    if atom not in ctx.index:
+        raise KeyError(
+            f"{atom!r} is not in the enumerated ground atoms; ground it as an "
+            "example"
+        )
+    v = infer(ctx.x, v0, weights, steps, gamma)
+    return float(v[ctx.index_of(atom)])
+
+
+def reference_cone(x: np.ndarray, root: int, steps: int) -> list[int]:
+    """Breadth-first search over the index tensor: the atoms within ``steps``
+    subgoal hops of the root, plus false and true, in index order."""
+    seen = {FALSE_INDEX, TRUE_INDEX, int(root)}
+    frontier = {int(root)}
+    for _ in range(steps):
+        frontier = {
+            int(k)
+            for j in frontier
+            for row in x[:, j, :]
+            for k in row
+        } - seen
+        seen |= frontier
+    return sorted(seen)

@@ -10,7 +10,11 @@ therefore agree exactly at depth T.
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st, target
 
-from conftest import reference_build_index_tensor, reference_enumerate_atoms
+from conftest import (
+    reference_build_index_tensor,
+    reference_cone,
+    reference_enumerate_atoms,
+)
 from softlog.grounding import (
     context_from_atoms,
     convert_background,
@@ -33,6 +37,7 @@ from softlog.logic import (
 )
 from softlog.problem import ILPProblem
 from softlog.prover import ProofConfig, entails, eval_counts, forward_closure
+from softlog.training import _cones
 
 
 def ground_terms(lang):
@@ -215,3 +220,19 @@ def test_held_out_seeds_need_no_training_seeds(pq_lang, nat_lang, data):
         WeightSet.random(2, len(program), seed=0),
     ):
         assert valuations(held_out, w) == valuations(both, w)
+
+
+@settings(max_examples=150, **DRAWN)
+@given(data=st.data())
+def test_cones_match_breadth_first_search(pq_lang, nat_lang, data):
+    """Each example's training cone is the set a breadth-first search over
+    the index tensor reaches within the given number of hops."""
+    program, problem, steps = data.draw(instances(pq_lang, nat_lang))
+    ctx = ground_context(problem, program, steps)
+    roots = [ctx.index_of(a) for a in problem.examples]
+    for hops in range(steps + 2):
+        cones = _cones(ctx.x, np.array(roots), hops)
+        assert [c.tolist() for c in cones] == [
+            reference_cone(ctx.x, r, hops) for r in roots
+        ]
+    target(float(max(map(len, cones))), label="cone size")

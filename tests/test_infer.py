@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import clause_outputs
 from softlog.grounding import context_from_atoms, convert_background
 from softlog.infer import (
     MULTI,
     PAIR,
     WeightSet,
     backward,
-    clause_outputs,
     infer,
     softmax,
     softor,

@@ -229,6 +229,17 @@ class TestCli:
         assert code == 2
         assert "gamma must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--m", "0", "m"), ("--epochs", "-5", "epochs"),
+         ("--batch-frac", "0", "batch_frac"), ("--batch-frac", "-1", "batch_frac"),
+         ("--lr", "-1", "lr")],
+    )
+    def test_bad_train_config_exits_2(self, flag, value, field, capsys):
+        code = main(["train", "--task", "member", "--n", "5", flag, value])
+        assert code == 2
+        assert f"TrainConfig.{field} must" in capsys.readouterr().err
+
     def test_pair_tape_over_budget_exits_2(self, monkeypatch, capsys):
         from softlog import training
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from softlog.datasets import TaskSpec, generate, split
+from conftest import predict, reference_cone
+from softlog import training
+from softlog.datasets import TASKS, TaskSpec, generate, split
 from softlog.grounding import convert_background, ground_context
 from softlog.infer import MULTI, PAIR, WeightSet, infer
 from softlog.logic import Atom, Clause, Const, Var
@@ -15,7 +17,6 @@ from softlog.training import (
     make_labels,
     metrics,
     mse,
-    predict,
     predictions,
     train,
 )
@@ -129,13 +130,9 @@ class TestLoss:
             idx = rng.integers(2, n_a, size=6)
             y = rng.integers(0, 2, size=6).astype(float)
             cfg = TrainConfig(m=2, steps=2, gamma=0.1, seed=trial)
-            loss0, grad = _loss_and_grad(
-                type("C", (), {"x": xt})(), v0, w, idx, y, cfg
-            )
+            loss0, grad = _loss_and_grad(xt, v0, w, idx, y, cfg)
             w2 = WeightSet(MULTI, w.w - 1e-3 * grad)
-            loss1, _ = _loss_and_grad(
-                type("C", (), {"x": xt})(), v0, w2, idx, y, cfg
-            )
+            loss1, _ = _loss_and_grad(xt, v0, w2, idx, y, cfg)
             wins += loss1 < loss0 + 1e-12
         assert wins >= 18
 
@@ -188,19 +185,99 @@ class TestTrain:
         assert w.param_count == len(clauses) ** 2
 
     def test_pair_tape_over_budget_refused(self, monkeypatch):
-        from softlog import training
-
+        # the budget holds any draw: the `batch` largest label cones, at most
+        # |G| (which binds when every label is in the batch)
         problem = generate(TaskSpec("member", n_per_class=5, seed=0))
         clauses = list(problem.initial_clauses) * 3
         ctx = ground_context(problem, clauses, steps=2)
-        floats = 3 * 2 * len(clauses) ** 2 * len(ctx)
-        cfg = TrainConfig(m=2, steps=2, epochs=1, seed=0, weight_mode=PAIR)
-        monkeypatch.setattr(training, "PAIR_TAPE_FLOATS", floats - 1)
-        with pytest.raises(ValueError, match=f"{floats:,} floats"):
+        labels = make_labels(problem)
+        cones = sorted(
+            len(reference_cone(ctx.x, ctx.index_of(a), 2)) for a, _ in labels
+        )
+        for batch_frac in (0.3, 1.0):
+            batch = int(np.ceil(batch_frac * len(labels)))
+            widest = min(len(ctx), sum(cones[-batch:]))
+            floats = 3 * 2 * len(clauses) ** 2 * widest
+            cfg = TrainConfig(
+                m=2, steps=2, epochs=1, seed=0, weight_mode=PAIR, batch_frac=batch_frac
+            )
+            monkeypatch.setattr(training, "PAIR_TAPE_FLOATS", floats - 1)
+            with pytest.raises(ValueError, match=f"{floats:,} floats"):
+                train(problem, clauses, ctx, cfg)
+            monkeypatch.setattr(training, "PAIR_TAPE_FLOATS", floats)
+            w, _ = train(problem, clauses, ctx, cfg)
+            assert w.param_count == len(clauses) ** 2
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("m", 0), ("epochs", -5), ("batch_frac", 0.0), ("batch_frac", -1.0),
+         ("batch_frac", 1.5), ("lr", -1.0), ("lr", 0.0)],
+    )
+    def test_bad_field_refused_before_any_work(self, field, value, monkeypatch):
+        problem = generate(TaskSpec("member", n_per_class=5, seed=0))
+        clauses = list(problem.initial_clauses)
+        ctx = ground_context(problem, clauses, steps=2)
+
+        def no_work(*a, **kw):
+            raise AssertionError("work started before the config was checked")
+
+        monkeypatch.setattr(training, "make_labels", no_work)
+        cfg = TrainConfig(**{"steps": 2, "epochs": 1, field: value})
+        with pytest.raises(ValueError, match=f"TrainConfig.{field} must"):
             train(problem, clauses, ctx, cfg)
-        monkeypatch.setattr(training, "PAIR_TAPE_FLOATS", floats)
-        w, _ = train(problem, clauses, ctx, cfg)
-        assert w.param_count == len(clauses) ** 2
+
+
+def _task_batches(task, steps):
+    """A task's grounding with its reference program among the clauses, and
+    the per-label cones, indexes and labels."""
+    problem = generate(TaskSpec(task, n_per_class=10, seed=0))
+    clauses = [*TASKS[task].ground_truth, *problem.initial_clauses]
+    ctx = ground_context(problem, clauses, steps)
+    v0 = convert_background(problem.background, ctx.atoms)
+    labels = make_labels(problem)
+    idx_all = np.array([ctx.index_of(a) for a, _ in labels])
+    y_all = np.array([y for _, y in labels], dtype=np.float64)
+    return clauses, ctx, v0, idx_all, y_all, training._cones(ctx.x, idx_all, steps)
+
+
+class TestCone:
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("mode", [MULTI, PAIR])
+    @pytest.mark.parametrize("task", sorted(TASKS))
+    def test_cone_loss_and_grad_match_full_grounding(self, task, mode, clamp):
+        # Equal in real arithmetic.  BLAS groups the sums over atoms by column
+        # position, so a gradient entry that is zero in real arithmetic can
+        # come out as a rounding residue (about 1e-17 of the largest entry)
+        # on one side and 0.0 on the other: atol is rtol times that entry.
+        rng = np.random.default_rng(0)
+        for steps in (2, 3):
+            clauses, ctx, v0, idx_all, y_all, cones = _task_batches(task, steps)
+            for trial, gamma in enumerate((1e-5, 1e-5, 0.1, 0.1)):
+                cfg = TrainConfig(steps=steps, gamma=gamma, weight_mode=mode, clamp=clamp)
+                w = WeightSet.random(2, len(clauses), trial, mode=mode)
+                pick = rng.choice(len(idx_all), size=4, replace=False)
+                idx, y = idx_all[pick], y_all[pick]
+                loss, grad = training._loss_and_grad(ctx.x, v0, w, idx, y, cfg)
+                x, v0_cone, idx_cone = training._on_cone(
+                    ctx.x, v0, idx, [cones[k] for k in pick]
+                )
+                assert len(v0_cone) < len(ctx)
+                loss_c, grad_c = training._loss_and_grad(x, v0_cone, w, idx_cone, y, cfg)
+                assert np.allclose(loss_c, loss, rtol=1e-12, atol=0)
+                assert np.allclose(
+                    grad_c, grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max()
+                )
+
+    def test_training_logs_the_batch_cone(self, caplog):
+        problem = generate(TaskSpec("member", n_per_class=10, seed=0))
+        clauses = [*TASKS["member"].ground_truth, *problem.initial_clauses]
+        ctx = ground_context(problem, clauses, steps=3)
+        with caplog.at_level("INFO", logger="softlog.training"):
+            train(problem, clauses, ctx, TrainConfig(steps=3, epochs=5))
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "softlog.training"]
+        assert f"|G|={len(ctx)}, 20 labelled atoms, batch cone median" in line
 
 
 class TestExtraction:

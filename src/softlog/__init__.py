@@ -27,7 +27,7 @@ from .parser import (
 )
 from .problem import ILPProblem
 from .refine import RefinementConfig, refine, rho_add, rho_fun, rho_rep, rho_sub
-from .prover import ProofConfig, entails, eval_clause, forward_closure
+from .prover import ProofConfig, entails, forward_closure
 from .search import BeamConfig, beam_search, naive_generate
 from .grounding import (
     GroundContext,

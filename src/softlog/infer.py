@@ -1,20 +1,29 @@
 """Differentiable forward chaining over the index tensor.
 
 One inference step gathers current valuations at the subgoal indexes, takes
-the product over each clause body (soft conjunction), mixes clause outputs
-under softmax weights, combines the mixtures with a smooth maximum (soft
-disjunction), and amalgamates with the previous valuation.  All arithmetic is
-float64 and every log-sum-exp is max-shifted: the naive smooth-or computes
-exp(x / gamma) with gamma around 1e-5, which overflows instantly, so the
-stable form is not optional here.
+the product over each clause body (soft conjunction) and mixes the clause
+outputs under softmax weights, one mixture h_l per program slot.  The paper
+then takes a smooth-or over the m mixtures and a second smooth-or with the
+previous valuation v (amalgamation).  A smooth-or is a scaled log-sum-exp,
+and log-sum-exp is associative:
 
-Gradients are exact reverse-mode.  A recorded pass keeps, per step, what the
-gradient needs: for each gathered subgoal the product of the other subgoals
-of its body, the smooth-or coefficients of the mixture and of the
-amalgamation (the clamp mask folded into the latter), and the clause outputs
-(multi mode) or pairwise smooth-ors (pair mode) that the weight gradient
-contracts with.  The backward sweep reads only the tape and never re-runs a
-step.  Over n atoms, a step keeps O(|C|·n·B) floats in multi mode, B the
+    softor(v, softor(h_1, ..., h_m)) = softor(v, h_1, ..., h_m)
+
+in real arithmetic, so each step runs one smooth-or over the stacked rows
+[v; h_1; ...; h_m].  In pair mode the rows are [v; r], r the weighted sum of
+the pairwise smooth-ors of clause outputs.  All arithmetic is float64 and
+every log-sum-exp is max-shifted: the naive smooth-or computes exp(x / gamma)
+with gamma around 1e-5, which overflows instantly, so the stable form is not
+optional here.
+
+Gradients are exact reverse-mode.  A recorded pass keeps, per step, a tuple
+(others, mix, coef): for each gathered subgoal the product of the other
+subgoals of its body (None for one-atom bodies), the clause outputs (multi
+mode) or the pairwise smooth-ors and their coefficients (pair mode), and the
+smooth-or coefficients of the stacked rows with the clamp mask folded in.
+The backward sweep reads only the tape and never re-runs a step: coef[0]
+carries the gradient to the previous valuation and coef[1:] to the
+mixtures.  Over n atoms, a step keeps O(|C|·n·B) floats in multi mode, B the
 body length, and three arrays of shape (|C|, |C|, n) in pair mode.  Training
 passes the tensor of one batch's dependency cone, so n is the cone size, not
 |G|, and a recorded pair-mode pass holds about 3·T·|C|²·|cone| floats.
@@ -34,13 +43,13 @@ PAIR = "pair"
 # Elementary operations
 # ---------------------------------------------------------------------------
 
-def _softor_n(xs: np.ndarray, gamma: float, axis: int = 0):
-    """Smooth maximum along the axis and its Jacobian coefficients (softmax of
+def _softor_n(xs: np.ndarray, gamma: float):
+    """Smooth maximum over the rows and its Jacobian coefficients (softmax of
     x / gamma), from one set of exponentials."""
-    m = xs.max(axis=axis, keepdims=True)
+    m = xs.max(axis=0)
     e = np.exp((xs - m) / gamma)
-    s = e.sum(axis=axis, keepdims=True)
-    return np.squeeze(m + gamma * np.log(s), axis=axis), e / s
+    s = e.sum(axis=0)
+    return m + gamma * np.log(s), e / s
 
 
 def _softor2(a: np.ndarray, b: np.ndarray, gamma: float):
@@ -61,7 +70,7 @@ def softor(xs: np.ndarray, gamma: float, axis: int = 0) -> np.ndarray:
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    return _softor_n(np.asarray(xs, dtype=np.float64), gamma, axis)[0]
+    return _softor_n(np.moveaxis(np.asarray(xs, dtype=np.float64), axis, 0), gamma)[0]
 
 
 def softmax(w: np.ndarray, axis=None) -> np.ndarray:
@@ -71,12 +80,12 @@ def softmax(w: np.ndarray, axis=None) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def _prod_except(gv: np.ndarray) -> np.ndarray:
+def _prod_except(gv: np.ndarray) -> np.ndarray | None:
     """prod over the last axis excluding each position, division-free so zero
-    entries keep exact gradients.  A one-atom body gives a broadcast 1."""
-    b = gv.shape[-1]
-    if b == 1:
-        return np.ones((1,) * gv.ndim)
+    entries keep exact gradients.  None for a one-atom body (the product of
+    nothing is 1)."""
+    if gv.shape[-1] == 1:
+        return None
     ones = np.ones_like(gv[..., :1])
     left = np.concatenate([ones, np.cumprod(gv, axis=-1)[..., :-1]], axis=-1)
     rev = np.cumprod(gv[..., ::-1], axis=-1)[..., ::-1]
@@ -153,7 +162,7 @@ class Tape:
     x: np.ndarray
     mode: str
     dist: np.ndarray
-    steps: list  # per step: (_prod_except of the gather, mixture terms, coef_v, coef_r)
+    steps: list  # per step: (_prod_except of the gather, mixture terms, coef)
 
 
 def _step(
@@ -161,25 +170,27 @@ def _step(
 ) -> tuple:
     """One inference step: the next valuation and what its gradient needs.
 
-    The mixture terms are (clause outputs, smooth-or coefficients) in multi
-    mode and (pairwise smooth-ors, coefficient of each side) in pair mode.
+    The mixture terms are the clause outputs in multi mode and (pairwise
+    smooth-ors, coefficient of each side) in pair mode; coef holds the
+    smooth-or coefficients of the stacked rows, v first.
     """
     gv = v[x]
-    cm = gv.prod(axis=2)
+    cm = gv[..., 0]
+    for k in range(1, gv.shape[2]):
+        cm = cm * gv[..., k]
     if mode == MULTI:
-        r, q = _softor_n(dist @ cm, gamma)
-        mix = (cm, q)
+        rows = np.concatenate((v[None], dist @ cm))
+        mix = cm
     else:
         s, ca, cb = _softor2(cm[:, None, :], cm[None, :, :], gamma)
-        r = np.tensordot(dist, s, axes=([0, 1], [0, 1]))
+        rows = np.stack((v, np.tensordot(dist, s, axes=([0, 1], [0, 1]))))
         mix = (s, ca, cb)
-    v_next, coef_v, coef_r = _softor2(v, r, gamma)
+    v_next, coef = _softor_n(rows, gamma)
     if clamp:
         inside = v_next <= 1.0
-        coef_v = coef_v * inside
-        coef_r = coef_r * inside
+        coef *= inside
         v_next = np.minimum(v_next, 1.0)
-    return v_next, (_prod_except(gv), mix, coef_v, coef_r)
+    return v_next, (_prod_except(gv), mix, coef)
 
 
 def infer(
@@ -213,26 +224,25 @@ def infer(
 def backward(tape: Tape, grad_out: np.ndarray) -> np.ndarray:
     """Reverse-mode gradient of sum(grad_out * v_T) w.r.t. the weights."""
     x, dist = tape.x, tape.dist
+    subgoals, n = x.ravel(), x.shape[1]
     g_dist = np.zeros_like(dist)
     g = np.asarray(grad_out, dtype=np.float64)
 
-    for others, mix, coef_v, coef_r in reversed(tape.steps):
-        g_v = g * coef_v
-        g_r = g * coef_r
+    for others, mix, coef in reversed(tape.steps):
+        g_rows = coef * g
         if tape.mode == MULTI:
-            cm, q = mix
-            g_h = q * g_r[None, :]
-            g_dist += g_h @ cm.T
+            g_h = g_rows[1:]
+            g_dist += g_h @ mix.T
             g_cm = dist.T @ g_h
         else:
             s, ca, cb = mix
+            g_r = g_rows[1]
             g_dist += np.tensordot(s, g_r, axes=([2], [0]))
-            g_s = dist[:, :, None] * g_r[None, None, :]
+            g_s = dist[:, :, None] * g_r
             g_cm = (g_s * ca).sum(axis=1) + (g_s * cb).sum(axis=0)
 
-        g_gv = g_cm[:, :, None] * others
-        np.add.at(g_v, x.ravel(), g_gv.ravel())
-        g = g_v
+        g_gv = g_cm if others is None else g_cm[:, :, None] * others
+        g = g_rows[0] + np.bincount(subgoals, weights=g_gv.ravel(), minlength=n)
 
     # through softmax: J^T u = p * (u - <u, p>) per distribution
     axis = 1 if tape.mode == MULTI else None

@@ -240,18 +240,6 @@ def print_term(t: Term, lang: Optional[Language] = None) -> str:
     return t.name  # type: ignore[union-attr]
 
 
-def print_term_compact(t: Term) -> str:
-    """Render naturals s(s(...(0))) as s^n(0); display only, not parseable."""
-    n = 0
-    cur = t
-    while type(cur) is Func and cur.name == "s" and len(cur.args) == 1:
-        n += 1
-        cur = cur.args[0]
-    if n > 1 and cur == Const("0"):
-        return f"s^{n}(0)"
-    return print_term(cur if n == 0 else t, None)
-
-
 def print_atom(a: Atom, lang: Optional[Language] = None) -> str:
     if not a.args:
         return a.pred

@@ -92,21 +92,6 @@ def eval_counts(
     return p, n
 
 
-def eval_clause(
-    clause: Clause,
-    problem: ILPProblem,
-    cfg: ProofConfig,
-    neg_penalty: float = 0.0,
-) -> float:
-    """Number of positive examples entailed by background + the clause.
-
-    ``neg_penalty`` > 0 switches to the extension score pos - lambda * neg;
-    the default scores positives only.
-    """
-    p, n = eval_counts(clause, problem, cfg)
-    return p - neg_penalty * n if neg_penalty else float(p)
-
-
 def forward_closure(
     program: Iterable[Clause],
     background: Iterable[Atom],

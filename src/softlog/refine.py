@@ -118,14 +118,3 @@ def refine(
             out.append(r)
     return out
 
-
-def refinement_bound(c: Clause, lang: Language) -> int:
-    """Upper bound on |refine(c)| before filtering."""
-    nv = len(clause_vars(c))
-    total = nv * len(lang.functions) + nv * len(lang.constants) + nv * nv
-    for _, arity in lang.predicates:
-        k = 1
-        for i in range(arity):
-            k *= max(0, nv - i)
-        total += k
-    return total

@@ -39,6 +39,27 @@ class TrainConfig:
     weight_mode: str = MULTI
     clamp: bool = False
 
+    def __post_init__(self):
+        if self.m < 1:
+            raise ValueError(f"TrainConfig.m must be >= 1, got {self.m}")
+        if self.steps < 1:
+            raise ValueError(f"TrainConfig.steps must be >= 1, got {self.steps}")
+        if not self.gamma > 0:
+            raise ValueError(f"TrainConfig.gamma must be positive, got {self.gamma}")
+        if not self.lr > 0:
+            raise ValueError(f"TrainConfig.lr must be positive, got {self.lr}")
+        if self.epochs < 0:
+            raise ValueError(f"TrainConfig.epochs must be >= 0, got {self.epochs}")
+        if not 0 < self.batch_frac <= 1:
+            raise ValueError(
+                f"TrainConfig.batch_frac must be in (0, 1], got {self.batch_frac}"
+            )
+        if self.weight_mode not in (MULTI, PAIR):
+            raise ValueError(
+                f"TrainConfig.weight_mode must be {MULTI!r} or {PAIR!r}, "
+                f"got {self.weight_mode!r}"
+            )
+
 
 @dataclass(frozen=True)
 class LearnedProgram:
@@ -80,28 +101,27 @@ def _loss_and_grad(x, v0, weights, idx, y, cfg):
         x, v0, weights, cfg.steps, cfg.gamma, clamp=cfg.clamp, record=True
     )
     p = v_t[idx]
-    loss = cross_entropy(p, y)
     pc = np.clip(p, PRED_CLIP, 1.0 - PRED_CLIP)
-    grad_out = np.zeros_like(v_t)
+    loss = float(np.mean(-(y * np.log(pc) + (1 - y) * np.log(1 - pc))))
     # exact gradient of the clipped loss: flat (zero) outside the clip range
     inside = (p > PRED_CLIP) & (p < 1.0 - PRED_CLIP)
     dp = np.where(inside, (pc - y) / (pc * (1 - pc)) / len(idx), 0.0)
-    np.add.at(grad_out, idx, dp)
+    grad_out = np.bincount(idx, weights=dp, minlength=len(v_t))
     return loss, backward(tape, grad_out)
 
 
-def _cones(x: np.ndarray, roots: np.ndarray, steps: int) -> list[np.ndarray]:
-    """Per root, the sorted indexes of the atoms within ``steps`` subgoal hops
-    of it, with false and true (so they sit at positions 0 and 1).
+def _cones(x: np.ndarray, roots: np.ndarray, steps: int) -> np.ndarray:
+    """Boolean matrix, one row per root over all atoms: the atoms within
+    ``steps`` subgoal hops of the root, with false and true (so they sit at
+    positions 0 and 1 of any cone).
 
     v_T at a root reads v_{T-d} at an atom d hops away, so the cone holds every
     valuation the root's v_T depends on; an atom exactly ``steps`` hops away
     is read only at step 0, where its valuation is its v0.
     """
     subgoals = x.transpose(1, 0, 2).reshape(x.shape[1], -1)
-    out = []
-    for root in roots:
-        seen = np.zeros(x.shape[1], dtype=bool)
+    out = np.zeros((len(roots), x.shape[1]), dtype=bool)
+    for seen, root in zip(out, roots):
         seen[[FALSE_INDEX, TRUE_INDEX, root]] = True
         frontier = np.array([root])
         for _ in range(steps):
@@ -110,31 +130,17 @@ def _cones(x: np.ndarray, roots: np.ndarray, steps: int) -> list[np.ndarray]:
             fresh &= ~seen
             seen |= fresh
             frontier = np.flatnonzero(fresh)
-        out.append(np.flatnonzero(seen))
     return out
 
 
-def _on_cone(x: np.ndarray, v0: np.ndarray, idx: np.ndarray, cones: Sequence[np.ndarray]):
-    """Restrict a batch to the union of its atoms' cones: the tensor over the
-    cone with subgoals outside it sent to false, v0 and the batch indexes."""
-    inside = np.zeros(x.shape[1], dtype=bool)
-    for c in cones:
-        inside[c] = True
+def _on_cone(x: np.ndarray, v0: np.ndarray, idx: np.ndarray, inside: np.ndarray):
+    """Restrict a batch to the union of its atoms' cones (a boolean mask over
+    all atoms): the tensor over the cone with subgoals outside it sent to
+    false, v0 and the batch indexes."""
     cone = np.flatnonzero(inside)
     remap = np.zeros(x.shape[1], dtype=np.int64)  # outside the cone: false
     remap[cone] = np.arange(len(cone))
     return remap[x[:, cone, :]], v0[cone], remap[idx]
-
-
-def _check_config(cfg: TrainConfig) -> None:
-    if cfg.m < 1:
-        raise ValueError(f"TrainConfig.m must be >= 1, got {cfg.m}")
-    if cfg.epochs < 0:
-        raise ValueError(f"TrainConfig.epochs must be >= 0, got {cfg.epochs}")
-    if not 0 < cfg.batch_frac <= 1:
-        raise ValueError(f"TrainConfig.batch_frac must be in (0, 1], got {cfg.batch_frac}")
-    if not cfg.lr > 0:
-        raise ValueError(f"TrainConfig.lr must be positive, got {cfg.lr}")
 
 
 def train(
@@ -154,7 +160,6 @@ def train(
     Returns the trained weights and the per-epoch loss history.  Identical
     seeds and inputs give bit-identical histories.
     """
-    _check_config(cfg)
     labels = make_labels(problem)
     if not labels:
         raise ValueError("cannot train without examples")
@@ -165,7 +170,7 @@ def train(
     cones = _cones(ctx.x, idx_all, cfg.steps)
     if cfg.weight_mode == PAIR:
         # the largest cone any draw of `batch` labels can have
-        widest = min(len(ctx), sum(sorted(map(len, cones))[-batch:]))
+        widest = min(len(ctx), int(np.sort(cones.sum(axis=1))[-batch:].sum()))
         floats = 3 * cfg.steps * len(clauses) ** 2 * widest
         if floats > PAIR_TAPE_FLOATS:
             raise ValueError(
@@ -182,7 +187,7 @@ def train(
     sizes: list[int] = []
     for epoch in range(cfg.epochs):
         pick = rng.choice(len(labels), size=batch, replace=False)
-        x, v0_cone, idx = _on_cone(ctx.x, v0, idx_all[pick], [cones[k] for k in pick])
+        x, v0_cone, idx = _on_cone(ctx.x, v0, idx_all[pick], cones[pick].any(axis=0))
         sizes.append(len(v0_cone))
         loss, grad = _loss_and_grad(x, v0_cone, weights, idx, y_all[pick], cfg)
         if not np.isfinite(loss):

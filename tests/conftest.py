@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from softlog.grounding import FALSE_INDEX, TRUE_INDEX, GroundContext
-from softlog.infer import WeightSet, infer
+from softlog.infer import MULTI, Tape, WeightSet, _softor2, infer
 from softlog.logic import (
     FALSE,
     TRUE,
@@ -24,7 +24,9 @@ from softlog.logic import (
     clause_vars,
     unify,
 )
+from softlog.parser import print_term
 from softlog.problem import ILPProblem
+from softlog.prover import ProofConfig, eval_counts
 
 log = logging.getLogger(__name__)
 
@@ -317,3 +319,142 @@ def reference_cone(x: np.ndarray, root: int, steps: int) -> list[int]:
         } - seen
         seen |= frontier
     return sorted(seen)
+
+
+# ---------------------------------------------------------------------------
+# Nested two-smooth-or inference: the oracle the one-smooth-or step of
+# softlog.infer is checked against (a smooth-or over the slot mixtures, then
+# a second one with the previous valuation)
+# ---------------------------------------------------------------------------
+
+def _reference_softor_n(xs: np.ndarray, gamma: float, axis: int = 0):
+    m = xs.max(axis=axis, keepdims=True)
+    e = np.exp((xs - m) / gamma)
+    s = e.sum(axis=axis, keepdims=True)
+    return np.squeeze(m + gamma * np.log(s), axis=axis), e / s
+
+
+def _reference_prod_except(gv: np.ndarray) -> np.ndarray:
+    b = gv.shape[-1]
+    if b == 1:
+        return np.ones((1,) * gv.ndim)
+    ones = np.ones_like(gv[..., :1])
+    left = np.concatenate([ones, np.cumprod(gv, axis=-1)[..., :-1]], axis=-1)
+    rev = np.cumprod(gv[..., ::-1], axis=-1)[..., ::-1]
+    right = np.concatenate([rev[..., 1:], ones], axis=-1)
+    return left * right
+
+
+def _reference_step(
+    v: np.ndarray, x: np.ndarray, dist: np.ndarray, mode: str, gamma: float, clamp: bool
+) -> tuple:
+    gv = v[x]
+    cm = gv.prod(axis=2)
+    if mode == MULTI:
+        r, q = _reference_softor_n(dist @ cm, gamma)
+        mix = (cm, q)
+    else:
+        s, ca, cb = _softor2(cm[:, None, :], cm[None, :, :], gamma)
+        r = np.tensordot(dist, s, axes=([0, 1], [0, 1]))
+        mix = (s, ca, cb)
+    v_next, coef_v, coef_r = _softor2(v, r, gamma)
+    if clamp:
+        inside = v_next <= 1.0
+        coef_v = coef_v * inside
+        coef_r = coef_r * inside
+        v_next = np.minimum(v_next, 1.0)
+    return v_next, (_reference_prod_except(gv), mix, coef_v, coef_r)
+
+
+def reference_infer(
+    x: np.ndarray,
+    v0: np.ndarray,
+    weights: WeightSet,
+    steps: int,
+    gamma: float = 1e-5,
+    clamp: bool = False,
+    record: bool = False,
+):
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    v = np.asarray(v0, dtype=np.float64)
+    dist = weights.distribution()
+    recs = []
+    for _ in range(steps):
+        v, rec = _reference_step(v, x, dist, weights.mode, gamma, clamp)
+        if record:
+            recs.append(rec)
+    if record:
+        return v, Tape(x, weights.mode, dist, recs)
+    return v
+
+
+def reference_backward(tape: Tape, grad_out: np.ndarray) -> np.ndarray:
+    x, dist = tape.x, tape.dist
+    g_dist = np.zeros_like(dist)
+    g = np.asarray(grad_out, dtype=np.float64)
+
+    for others, mix, coef_v, coef_r in reversed(tape.steps):
+        g_v = g * coef_v
+        g_r = g * coef_r
+        if tape.mode == MULTI:
+            cm, q = mix
+            g_h = q * g_r[None, :]
+            g_dist += g_h @ cm.T
+            g_cm = dist.T @ g_h
+        else:
+            s, ca, cb = mix
+            g_dist += np.tensordot(s, g_r, axes=([2], [0]))
+            g_s = dist[:, :, None] * g_r[None, None, :]
+            g_cm = (g_s * ca).sum(axis=1) + (g_s * cb).sum(axis=0)
+
+        g_gv = g_cm[:, :, None] * others
+        np.add.at(g_v, x.ravel(), g_gv.ravel())
+        g = g_v
+
+    axis = 1 if tape.mode == MULTI else None
+    inner = (g_dist * dist).sum(axis=axis, keepdims=True)
+    return dist * (g_dist - inner)
+
+
+# ---------------------------------------------------------------------------
+# Scoring, refinement and printing helpers that only tests use
+# ---------------------------------------------------------------------------
+
+def eval_clause(
+    clause: Clause,
+    problem: ILPProblem,
+    cfg: ProofConfig,
+    neg_penalty: float = 0.0,
+) -> float:
+    """Number of positive examples entailed by background + the clause.
+
+    ``neg_penalty`` > 0 switches to the extension score pos - lambda * neg;
+    the default scores positives only.
+    """
+    p, n = eval_counts(clause, problem, cfg)
+    return p - neg_penalty * n if neg_penalty else float(p)
+
+
+def refinement_bound(c: Clause, lang: Language) -> int:
+    """Upper bound on |refine(c)| before filtering."""
+    nv = len(clause_vars(c))
+    total = nv * len(lang.functions) + nv * len(lang.constants) + nv * nv
+    for _, arity in lang.predicates:
+        k = 1
+        for i in range(arity):
+            k *= max(0, nv - i)
+        total += k
+    return total
+
+
+def print_term_compact(t: Term) -> str:
+    """Render naturals s(s(...(0))) as s^n(0); display only, not parseable."""
+    n = 0
+    cur = t
+    while type(cur) is Func and cur.name == "s" and len(cur.args) == 1:
+        n += 1
+        cur = cur.args[0]
+    if n > 1 and cur == Const("0"):
+        return f"s^{n}(0)"
+    return print_term(cur if n == 0 else t, None)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import clause_outputs
+from conftest import clause_outputs, reference_backward, reference_infer
 from softlog.grounding import context_from_atoms, convert_background
 from softlog.infer import (
     MULTI,
@@ -282,6 +283,52 @@ class TestBackward:
         _, tape = infer(xt, v0, w, 2, 0.1, record=True)
         g = backward(tape, rng.random(10))
         assert np.allclose(g.sum(axis=1), 0.0, atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    mode=st.sampled_from([MULTI, PAIR]),
+    clamp=st.booleans(),
+    gamma=st.sampled_from([1e-5, 1e-2, 1.0]),
+    steps=st.integers(1, 6),
+    n_clauses=st.integers(1, 6),
+    n_atoms=st.integers(3, 30),
+    body=st.integers(1, 3),
+    scale=st.sampled_from([0.1, 1.0, 10.0]),
+    binary=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_softor_step_matches_nested_softors(
+    mode, clamp, gamma, steps, n_clauses, n_atoms, body, scale, binary, seed
+):
+    """softor(v, softor_l(h_l)) = softor(v, h_1, ..., h_m), so the flat step
+    equals the nested one in real arithmetic and v_T and the gradient agree
+    to rounding.
+
+    A gradient entry that is zero or tiny in real arithmetic is the
+    difference of terms as large as the upstream gradient (the softmax
+    projection subtracts <u, p> from u), and comes out as a different
+    rounding residue on each side: atol is 1e-12 of the larger of max|g| and
+    max|grad_out|.  Unclamped valuations that pass 2 (gamma = 1 adds up to
+    log(m + 1) per step and 3-atom bodies cube it, reaching 1e90 by T = 6)
+    put every gradient term out of scale, so those draws are not compared.
+    """
+    rng = np.random.default_rng(seed)
+    xt = rng.integers(0, n_atoms, size=(n_clauses, n_atoms, body))
+    xt[:, 0, :] = 0
+    xt[:, 1, :] = 1
+    v0 = (rng.random(n_atoms) < 0.5).astype(float) if binary else rng.random(n_atoms)
+    v0[0], v0[1] = 0.0, 1.0
+    w = WeightSet.random(3, n_clauses, seed=seed, mode=mode, scale=scale)
+    grad_out = rng.standard_normal(n_atoms)
+
+    v_ref, tape_ref = reference_infer(xt, v0, w, steps, gamma, clamp=clamp, record=True)
+    assume(v_ref.max() <= 2.0)
+    v, tape = infer(xt, v0, w, steps, gamma, clamp=clamp, record=True)
+    assert np.allclose(v, v_ref, rtol=1e-12, atol=0)
+    g, g_ref = backward(tape, grad_out), reference_backward(tape_ref, grad_out)
+    atol = 1e-12 * max(np.abs(g_ref).max(), np.abs(grad_out).max())
+    assert np.allclose(g, g_ref, rtol=1e-12, atol=atol)
 
 
 class TestWeightSet:

@@ -12,10 +12,9 @@ from softlog.parser import (
     print_atom,
     print_clause,
     print_term,
-    print_term_compact,
     problem_to_text,
 )
-from conftest import random_atom
+from conftest import print_term_compact, random_atom
 
 
 def test_list_print_and_parse(list_lang):

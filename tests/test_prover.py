@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import eval_clause
 from softlog.grounding import build_index_tensor
 from softlog.logic import Atom, Clause, Const, FALSE, Func, Language, TRUE, Var
 from softlog.parser import parse_atom, parse_clause
@@ -7,7 +8,6 @@ from softlog.problem import ILPProblem
 from softlog.prover import (
     ProofConfig,
     entails,
-    eval_clause,
     eval_counts,
     forward_closure,
 )

@@ -14,13 +14,12 @@ from softlog.parser import parse_clause
 from softlog.refine import (
     RefinementConfig,
     refine,
-    refinement_bound,
     rho_add,
     rho_fun,
     rho_rep,
     rho_sub,
 )
-from conftest import subsumes
+from conftest import refinement_bound, subsumes
 
 x, y, z = Var("x"), Var("y"), Var("z")
 

@@ -233,9 +233,15 @@ class TestCli:
         "flag, value, field",
         [("--m", "0", "m"), ("--epochs", "-5", "epochs"),
          ("--batch-frac", "0", "batch_frac"), ("--batch-frac", "-1", "batch_frac"),
-         ("--lr", "-1", "lr")],
+         ("--lr", "-1", "lr"), ("--gamma", "0", "gamma"), ("--T", "0", "steps")],
     )
-    def test_bad_train_config_exits_2(self, flag, value, field, capsys):
+    def test_bad_train_config_exits_2(self, flag, value, field, monkeypatch, capsys):
+        import softlog.run
+
+        def no_beam(*a, **kw):
+            raise AssertionError("beam search ran before the config was checked")
+
+        monkeypatch.setattr(softlog.run, "beam_search", no_beam)
         code = main(["train", "--task", "member", "--n", "5", flag, value])
         assert code == 2
         assert f"TrainConfig.{field} must" in capsys.readouterr().err

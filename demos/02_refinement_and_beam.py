@@ -43,7 +43,7 @@ print("\n== scores: positives entailed together with the background ==")
 for text in ("p(x,x)", "p(x,y) :- q(x,y)", "p(b,y)", "p(f(x),y)"):
     c = parse_clause(text, lang)
     pos, neg = eval_counts(c, problem, ProofConfig(2))
-    print(f"  {print_clause(c, lang):24s} -> {pos} positives, {neg} negatives")
+    print(f"  {print_clause(c, lang):24s} -> {len(pos)} positives, {len(neg)} negatives")
 
 print("\n== two beam steps, width two ==")
 for c in beam_search([seed], problem, BeamConfig(beam_size=2, beam_steps=2),

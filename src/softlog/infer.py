@@ -183,7 +183,9 @@ def _step(
         mix = cm
     else:
         s, ca, cb = _softor2(cm[:, None, :], cm[None, :, :], gamma)
-        rows = np.stack((v, np.tensordot(dist, s, axes=([0, 1], [0, 1]))))
+        # einsum sums each column in the same order wherever it sits; BLAS
+        # (tensordot) would round an atom's score by its column position
+        rows = np.stack((v, np.einsum("ij,ijg->g", dist, s)))
         mix = (s, ca, cb)
     v_next, coef = _softor_n(rows, gamma)
     if clamp:

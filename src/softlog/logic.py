@@ -403,6 +403,25 @@ def _resolve(t: Term, theta: Subst) -> Term:
     return t
 
 
+def _match(p: Term, g: Term, theta: Subst) -> bool:
+    """Extend ``theta`` in place so that ``p`` under it equals the ground
+    ``g``; False when no substitution does (``theta`` is then partly
+    extended).  Every value bound is ground, so a variable met again is
+    checked by equality and nothing needs walking, an occurs check or
+    resolving."""
+    if type(p) is Var:
+        t = theta.setdefault(p, g)
+        return t is g or t == g
+    if p.ground:
+        return p == g
+    if type(g) is not Func or g.name != p.name or len(g.args) != len(p.args):
+        return False
+    for x, y in zip(p.args, g.args):
+        if not _match(x, y, theta):
+            return False
+    return True
+
+
 def unify(a: Atom, b: Atom) -> Optional[Subst]:
     """Most general unifier of two atoms, or None when not unifiable.
 
@@ -411,10 +430,22 @@ def unify(a: Atom, b: Atom) -> Optional[Subst]:
     Bindings are kept triangular while the atoms are walked (a value may
     mention other bound variables) and resolved once before returning, so
     the result is idempotent: no variable it binds occurs in its values.
+
+    When ``b`` is ground, which is every call the prover and the grounding
+    make, unification is one-way matching: ``a``'s variables are bound in a
+    single pass with the same result.
     """
     if a.pred != b.pred or len(a.args) != len(b.args):
         return None
     theta: Subst = {}
+    for y in b.args:
+        if not y.ground:
+            break
+    else:
+        for x, y in zip(a.args, b.args):
+            if not _match(x, y, theta):
+                return None
+        return theta
     for x, y in zip(a.args, b.args):
         if not _unify_terms(x, y, theta):
             return None

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .logic import (
     Atom,
@@ -58,11 +58,14 @@ class _Prover:
             return hit
         result = False
         if depth >= 1:
-            for c in self.clauses_by_pred.get((goal.pred, goal.arity), ()):
+            for c in self.clauses_by_pred.get((goal.pred, len(goal.args)), ()):
                 theta = unify(c.head, goal)
-                if theta is not None and all(
-                    self.provable(apply_subst(b, theta), depth - 1) for b in c.body
-                ):
+                if theta is None:
+                    continue
+                for b in c.body:
+                    if not self.provable(apply_subst(b, theta), depth - 1):
+                        break
+                else:
                     result = True
                     break
         self.memo[key] = result
@@ -83,13 +86,25 @@ def entails(
 
 
 def eval_counts(
-    clause: Clause, problem: ILPProblem, cfg: ProofConfig
-) -> tuple[int, int]:
-    """(positives, negatives) entailed by background + the clause alone."""
+    clause: Clause,
+    problem: ILPProblem,
+    cfg: ProofConfig,
+    within: Optional[tuple[Sequence[int], Sequence[int]]] = None,
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Indexes into ``problem.pos`` and ``problem.neg`` of the examples that
+    background + the clause alone entail; the counts are their lengths.
+
+    ``within`` = (positive indexes, negative indexes) proves only those
+    examples and leaves the rest uncovered.  Beam search passes a parent's
+    cover when it scores a refinement, which is exact because the child can
+    prove no example its parent cannot (module ``search``).
+    """
     prover = _Prover((clause,), problem.background)
-    p = sum(prover.provable(e, cfg.max_depth) for e in problem.pos)
-    n = sum(prover.provable(e, cfg.max_depth) for e in problem.neg)
-    return p, n
+    pos_idx, neg_idx = within or (range(len(problem.pos)), range(len(problem.neg)))
+    depth = cfg.max_depth
+    pos = tuple(i for i in pos_idx if prover.provable(problem.pos[i], depth))
+    neg = tuple(i for i in neg_idx if prover.provable(problem.neg[i], depth))
+    return pos, neg
 
 
 def forward_closure(

@@ -125,7 +125,9 @@ def run_problem(
 
     # clause scoring defaults to the same horizon the differentiable
     # inference uses
-    proof_cfg = ProofConfig(max_depth=proof_depth or train_cfg.steps)
+    proof_cfg = ProofConfig(
+        max_depth=proof_depth if proof_depth is not None else train_cfg.steps
+    )
     if naive_n is not None:
         clauses = naive_generate(
             list(problem.initial_clauses), train_problem, naive_n, refine_cfg

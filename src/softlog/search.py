@@ -2,6 +2,7 @@
 baseline."""
 from __future__ import annotations
 
+import logging
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -10,6 +11,8 @@ from .logic import Clause, canonical, canonical_in, canonical_text, nest_depth
 from .problem import ILPProblem
 from .prover import ProofConfig, eval_counts
 from .refine import RefinementConfig, refine
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -53,21 +56,30 @@ def beam_search(
     clauses are collected (the generation-budget comparison against the
     unscored baseline).  Output is deduplicated by canonical form and ordered
     by score (descending), ties by canonical text.
+
+    Every refinement operator specialises: the parent θ-subsumes the child,
+    so at the same proof depth the child proves a subset of the examples the
+    parent proves.  A refinement is therefore proved only on its parent's
+    covered examples (initial clauses on all of them), which gives the same
+    scores as proving it on every example.
     """
     if not initial:
         raise ValueError("at least one initial clause is required")
     base_nest = max(nest_depth(c) for c in initial)
     collected: dict = {}  # canonical clause -> (clause, rank key)
-    scores: dict = {}
+    covers: dict = {}  # canonical clause -> (covered pos indexes, neg indexes)
+    n_examples = len(problem.pos) + len(problem.neg)
+    proofs = 0
 
-    def score_of(c: Clause) -> tuple:
-        key = canonical(c)
-        if key not in scores:
-            p, n = eval_counts(c, problem, proof_cfg)
-            scores[key] = (p, n)
-        return scores[key]
+    def cover_of(key: Clause, c: Clause, within: Optional[tuple] = None) -> tuple:
+        nonlocal proofs
+        if key not in covers:
+            covers[key] = eval_counts(c, problem, proof_cfg, within)
+            proofs += n_examples if within is None else len(within[0]) + len(within[1])
+        return covers[key]
 
-    def ranked(p: int, n: int, c: Clause) -> tuple:
+    def ranked(cover: tuple, c: Clause) -> tuple:
+        p, n = len(cover[0]), len(cover[1])
         return _rank_key(p - cfg.neg_penalty * n, n, c)
 
     to_open = list(dict.fromkeys(initial))
@@ -77,10 +89,10 @@ def beam_search(
         buffered = set()
         for c in to_open:
             ck = canonical(c)
+            cover = cover_of(ck, c)
             if ck not in collected:
-                p, n = score_of(c)
                 rep = canonical_in(c, problem.language.variables)
-                collected[ck] = (rep, ranked(p, n, c))
+                collected[ck] = (rep, ranked(cover, c))
                 if max_clauses is not None and len(collected) >= max_clauses:
                     full = True
                     break
@@ -88,17 +100,21 @@ def beam_search(
                 rk = canonical(r)
                 if rk in collected or rk in buffered:
                     continue
-                p, n = score_of(r)
-                if cfg.prune_zero and p == 0:
+                r_cover = cover_of(rk, r, cover)
+                if cfg.prune_zero and not r_cover[0]:
                     continue
                 buffered.add(rk)
-                buffer.append((ranked(p, n, r), r))
+                buffer.append((ranked(r_cover, r), r))
         if full:
             break
         buffer.sort(key=lambda item: item[0])
         to_open = [r for _, r in buffer[: cfg.beam_size]]
         if not to_open:
             break
+    log.info(
+        "beam: clauses scored=%d, example proofs=%d of %d (clauses x |E|)",
+        len(covers), proofs, len(covers) * n_examples,
+    )
     ordered = sorted(collected.values(), key=lambda item: item[1])
     return [c for c, _ in ordered]
 

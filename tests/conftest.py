@@ -432,7 +432,8 @@ def eval_clause(
     ``neg_penalty`` > 0 switches to the extension score pos - lambda * neg;
     the default scores positives only.
     """
-    p, n = eval_counts(clause, problem, cfg)
+    pos, neg = eval_counts(clause, problem, cfg)
+    p, n = len(pos), len(neg)
     return p - neg_penalty * n if neg_penalty else float(p)
 
 

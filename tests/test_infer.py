@@ -349,3 +349,23 @@ class TestWeightSet:
         v = infer(ctx6.x, v0, w, 2, GAMMA)
         # pair (fact, step) behaves like the union program
         assert v[2] > 0.5 and v[4] > 0.5
+
+
+@pytest.mark.parametrize("shift", range(1, 9))
+def test_pair_valuations_ignore_column_position(shift):
+    """Prepending atoms moves every original atom ``shift`` columns along the
+    tensor.  Its subgoals move with it, so its pair-mode valuation must stay
+    the same to the last bit: a sum over clause pairs that BLAS groups by
+    column position would round differently."""
+    rng = np.random.default_rng(shift)
+    n_clauses, n_atoms, steps = 30, 200, 3
+    xt = rng.integers(0, n_atoms, size=(n_clauses, n_atoms, 2))
+    v0 = rng.random(n_atoms)
+    w = WeightSet.random(1, n_clauses, seed=shift, mode=PAIR, scale=1.0)
+    v = infer(xt, v0, w, steps, 1e-2)
+
+    extra = rng.integers(0, n_atoms + shift, size=(n_clauses, shift, 2))
+    shifted = np.concatenate((extra, xt + shift), axis=1)
+    v0_shifted = np.concatenate((rng.random(shift), v0))
+    v_shifted = infer(shifted, v0_shifted, w, steps, 1e-2)
+    assert np.array_equal(v_shifted[shift:], v)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from softlog.logic import (
     Atom,
@@ -198,6 +198,10 @@ class TestStructure:
         assert not subsumes(specific, general)
 
 
+# two unary symbols, so that a name clash is not also an arity clash
+FUNCTIONS = (("g", 2), ("f", 1), ("h", 1))
+
+
 @st.composite
 def hyp_terms(draw, depth=2):
     if depth == 0:
@@ -209,7 +213,8 @@ def hyp_terms(draw, depth=2):
         return draw(st.sampled_from([Const("a"), Const("b")]))
     if branch == 1:
         return draw(st.sampled_from([Var("x"), Var("y"), Var("z")]))
-    return Func("g", (draw(hyp_terms(depth=depth - 1)), draw(hyp_terms(depth=depth - 1))))
+    name, arity = draw(st.sampled_from(FUNCTIONS))
+    return Func(name, [draw(hyp_terms(depth=depth - 1)) for _ in range(arity)])
 
 
 @settings(max_examples=120, derandomize=True)
@@ -225,12 +230,40 @@ def test_unify_symmetric_success(left, right):
         assert apply_subst(la, t2) == apply_subst(ra, t2)
 
 
-@settings(max_examples=300, derandomize=True)
-@given(terms=st.tuples(hyp_terms(), hyp_terms(), hyp_terms(), hyp_terms()))
-def test_unify_equals_reference(terms):
-    """The triangular unifier is exactly the compose-based one, both ways
-    round: variable-variable bindings, occurs-check failures, ground pairs."""
-    la, ra = Atom("p", terms[:2]), Atom("p", terms[2:])
+@st.composite
+def hyp_ground_terms(draw, depth=2):
+    if depth == 0 or draw(st.booleans()):
+        return draw(st.sampled_from([Const("a"), Const("b")]))
+    name, arity = draw(st.sampled_from(FUNCTIONS))
+    return Func(name, [draw(hyp_ground_terms(depth=depth - 1)) for _ in range(arity)])
+
+
+def hyp_atoms(ground=False):
+    """p/1 to p/3 atoms, so arities can differ; ``ground`` keeps them ground."""
+    terms = hyp_ground_terms() if ground else hyp_terms()
+    return st.lists(terms, min_size=1, max_size=3).map(lambda ts: Atom("p", ts))
+
+
+def _p(*args):
+    return Atom("p", args)
+
+
+@settings(max_examples=400, derandomize=True)
+@given(la=hyp_atoms(), ra=st.one_of(hyp_atoms(), hyp_atoms(ground=True)))
+@example(la=_p(x, x), ra=_p(a, b))  # a repeated pattern variable that clashes
+@example(la=_p(x, Func("g", (y, x))), ra=_p(a, Func("g", (b, a))))  # and one that agrees
+@example(la=_p(Func("g", (x, Func("g", (y, a))))), ra=_p(Func("g", (b, Func("g", (a, a))))))
+@example(la=_p(Func("f", (x,))), ra=_p(Func("h", (a,))))  # function symbol clash
+@example(la=_p(Func("f", (x,))), ra=_p(a))  # function against constant
+@example(la=_p(x), ra=_p(a, b))  # arity mismatch
+@example(la=_p(Func("g", (a, b))), ra=_p(Func("g", (a, b))))  # ground against ground
+@example(la=_p(a, Func("g", (a, b))), ra=_p(a, Func("g", (b, b))))
+def test_unify_equals_reference(la, ra):
+    """The unifier is exactly the compose-based one, both ways round:
+    variable-variable bindings, occurs-check failures, and against a ground
+    atom (half the right-hand draws), where ``unify`` takes its one-way
+    matching path: repeated pattern variables, nested functions, arity
+    mismatches and ground pairs."""
     assert unify(la, ra) == reference_unify(la, ra)
     assert unify(ra, la) == reference_unify(ra, la)
 

@@ -119,7 +119,7 @@ class TestEvalClause:
         pos, neg = eval_counts(
             parse_clause("p(x,y) :- q(x,y)", pq_lang), worked_problem, ProofConfig(2)
         )
-        assert (pos, neg) == (2, 0)
+        assert (pos, neg) == ((2, 3), ())  # p(b,c), p(c,b)
 
     def test_negative_penalty_extension(self, pq_lang, worked_problem):
         clause = parse_clause("p(b,y)", pq_lang)

@@ -246,6 +246,19 @@ class TestCli:
         assert code == 2
         assert f"TrainConfig.{field} must" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("depth", ["0", "-1"])
+    def test_bad_proof_depth_exits_2(self, depth, monkeypatch, capsys):
+        # 0 is a given depth, not a missing one: it must not fall back to T
+        import softlog.run
+
+        def no_beam(*a, **kw):
+            raise AssertionError("beam search ran with an invalid proof depth")
+
+        monkeypatch.setattr(softlog.run, "beam_search", no_beam)
+        code = main(["train", "--task", "member", "--n", "5", "--proof-depth", depth])
+        assert code == 2
+        assert "max_depth must be >= 1" in capsys.readouterr().err
+
     def test_pair_tape_over_budget_exits_2(self, monkeypatch, capsys):
         from softlog import training
 

@@ -1,9 +1,15 @@
+import logging
+
 import pytest
 
+import softlog.search
+from softlog.datasets import TASKS, TaskSpec, generate
 from softlog.logic import canonical
 from softlog.parser import parse_atom, parse_clause
 from softlog.problem import ILPProblem
-from softlog.prover import ProofConfig
+from softlog.prover import ProofConfig, eval_counts
+from softlog.refine import refine
+from softlog.run import default_beam_config
 from softlog.search import BeamConfig, beam_search, naive_generate
 
 
@@ -110,6 +116,82 @@ class TestBeamSearch:
                         nxt.append(r)
             layer = nxt
         assert canon_set(got) <= reachable
+
+
+@pytest.fixture(scope="module")
+def delete_problem():
+    problem = generate(TaskSpec("delete", n_per_class=50, seed=0))
+    return problem, default_beam_config("delete"), ProofConfig(TASKS["delete"].steps)
+
+
+class TestInheritedCoverage:
+    """A refinement proves a subset of its parent's examples at the same
+    depth, so the beam proves it on the parent's cover only."""
+
+    @staticmethod
+    def assert_restriction_exact(parents, problem, cfg):
+        checked = 0
+        for c in parents:
+            cover = eval_counts(c, problem, cfg)
+            for r in refine(c, problem.language):
+                full = eval_counts(r, problem, cfg)
+                assert eval_counts(r, problem, cfg, within=cover) == full, r
+                checked += 1
+        assert checked
+
+    def test_restricted_scoring_is_exact_on_the_worked_problem(self, worked_problem):
+        seeds = list(worked_problem.initial_clauses)
+        parents = seeds + [r for c in seeds for r in refine(c, worked_problem.language)]
+        self.assert_restriction_exact(parents, worked_problem, ProofConfig(2))
+
+    def test_restricted_scoring_is_exact_on_delete(self, delete_problem):
+        problem, beam_cfg, proof_cfg = delete_problem
+        opened = beam_search(
+            list(problem.initial_clauses), problem, beam_cfg, proof_cfg=proof_cfg
+        )
+        self.assert_restriction_exact(opened, problem, proof_cfg)
+
+    @pytest.mark.parametrize("max_clauses", [None, 3, 7])
+    def test_beam_equals_unrestricted_beam(self, max_clauses, delete_problem, monkeypatch):
+        problem, beam_cfg, proof_cfg = delete_problem
+
+        def run():
+            return beam_search(
+                list(problem.initial_clauses), problem, beam_cfg,
+                proof_cfg=proof_cfg, max_clauses=max_clauses,
+            )
+
+        inherited = run()
+
+        def full_scoring(clause, problem, cfg, within=None):
+            return eval_counts(clause, problem, cfg)
+
+        monkeypatch.setattr(softlog.search, "eval_counts", full_scoring)
+        assert run() == inherited
+
+    def test_log_line_counts_the_proofs(self, worked_problem, monkeypatch, caplog):
+        calls = []
+
+        def counted(clause, problem, cfg, within=None):
+            calls.append(within)
+            return eval_counts(clause, problem, cfg, within)
+
+        monkeypatch.setattr(softlog.search, "eval_counts", counted)
+        with caplog.at_level(logging.INFO, logger="softlog.search"):
+            beam_search(
+                list(worked_problem.initial_clauses), worked_problem,
+                BeamConfig(beam_size=3, beam_steps=3), proof_cfg=ProofConfig(2),
+            )
+        n_examples = len(worked_problem.examples)
+        proofs = sum(
+            n_examples if w is None else len(w[0]) + len(w[1]) for w in calls
+        )
+        assert proofs < len(calls) * n_examples
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "softlog.search"]
+        assert line == (
+            f"beam: clauses scored={len(calls)}, example proofs={proofs} "
+            f"of {len(calls) * n_examples} (clauses x |E|)"
+        )
 
 
 class TestNaiveGenerate:

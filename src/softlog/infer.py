@@ -24,9 +24,15 @@ smooth-or coefficients of the stacked rows with the clamp mask folded in.
 The backward sweep reads only the tape and never re-runs a step: coef[0]
 carries the gradient to the previous valuation and coef[1:] to the
 mixtures.  Over n atoms, a step keeps O(|C|·n·B) floats in multi mode, B the
-body length, and three arrays of shape (|C|, |C|, n) in pair mode.  Training
-passes the tensor of one batch's dependency cone, so n is the cone size, not
-|G|, and a recorded pair-mode pass holds about 3·T·|C|²·|cone| floats.
+body length, and three arrays of shape (|C|, |C|, n) in pair mode.
+
+``infer`` can compute a shrinking prefix of the atoms at each step (its
+``widths``), and the tape is then kept per prefix: step k's record covers
+only the atoms that step computed, and the backward sweep scatters each
+step's gradient into the previous step's prefix.  Training passes one
+batch's dependency cone ordered by hop distance, so step k's prefix holds
+the atoms within T - k hops of the batch, and a recorded pair-mode pass
+holds at most 3·T·|C|²·|cone| floats.
 """
 from __future__ import annotations
 
@@ -159,22 +165,25 @@ class WeightSet:
 
 @dataclass
 class Tape:
-    x: np.ndarray
     mode: str
     dist: np.ndarray
-    steps: list  # per step: (_prod_except of the gather, mixture terms, coef)
+    # per step, over the atoms it computed: (its index tensor, _prod_except
+    # of the gather, mixture terms, coef)
+    steps: list
 
 
 def _step(
     v: np.ndarray, x: np.ndarray, dist: np.ndarray, mode: str, gamma: float, clamp: bool
 ) -> tuple:
-    """One inference step: the next valuation and what its gradient needs.
+    """One inference step over the atoms of ``x``'s rows, the first
+    ``x.shape[1]`` of ``v``: their next valuation and what its gradient needs.
 
     The mixture terms are the clause outputs in multi mode and (pairwise
     smooth-ors, coefficient of each side) in pair mode; coef holds the
     smooth-or coefficients of the stacked rows, v first.
     """
     gv = v[x]
+    v = v[: x.shape[1]]
     cm = gv[..., 0]
     for k in range(1, gv.shape[2]):
         cm = cm * gv[..., k]
@@ -203,48 +212,68 @@ def infer(
     gamma: float = 1e-5,
     clamp: bool = False,
     record: bool = False,
+    widths: Sequence[int] | None = None,
 ):
     """Run ``steps`` rounds of differentiable forward chaining.
+
+    With ``widths`` (one per step, non-increasing), step k computes only the
+    first ``widths[k]`` atoms, from the first ``widths[k - 1]`` valuations of
+    the step before (all of ``v0`` at step 0).  The caller orders the atoms so
+    that each prefix's subgoals lie in the previous prefix.  The returned
+    valuation then covers the first ``widths[-1]`` atoms.
 
     Returns the final valuation, or (valuation, tape) when ``record`` so the
     caller can run :func:`backward`.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
+    if widths is not None and len(widths) != steps:
+        raise ValueError(f"need one width per step ({steps}), got {len(widths)}")
     v = np.asarray(v0, dtype=np.float64)
     dist = weights.distribution()
     recs = []
-    for _ in range(steps):
-        v, rec = _step(v, x, dist, weights.mode, gamma, clamp)
+    for k in range(steps):
+        # a gather reads a contiguous index array two to three times faster
+        xk = x if widths is None else np.ascontiguousarray(x[:, : widths[k]])
+        v, rec = _step(v, xk, dist, weights.mode, gamma, clamp)
         if record:
-            recs.append(rec)
+            recs.append((xk, *rec))
     if record:
-        return v, Tape(x, weights.mode, dist, recs)
+        return v, Tape(weights.mode, dist, recs)
     return v
 
 
 def backward(tape: Tape, grad_out: np.ndarray) -> np.ndarray:
-    """Reverse-mode gradient of sum(grad_out * v_T) w.r.t. the weights."""
-    x, dist = tape.x, tape.dist
-    subgoals, n = x.ravel(), x.shape[1]
+    """Reverse-mode gradient of sum(grad_out * v_T) w.r.t. the weights.
+
+    v0 is a constant, so the first step's gradient stops at the weights and
+    is not scattered to its subgoals."""
+    dist = tape.dist
     g_dist = np.zeros_like(dist)
     g = np.asarray(grad_out, dtype=np.float64)
 
-    for others, mix, coef in reversed(tape.steps):
+    for k in range(len(tape.steps) - 1, -1, -1):
+        x, others, mix, coef = tape.steps[k]
         g_rows = coef * g
         if tape.mode == MULTI:
             g_h = g_rows[1:]
             g_dist += g_h @ mix.T
-            g_cm = dist.T @ g_h
         else:
             s, ca, cb = mix
             g_r = g_rows[1]
             g_dist += np.tensordot(s, g_r, axes=([2], [0]))
+        if k == 0:
+            break
+        if tape.mode == MULTI:
+            g_cm = dist.T @ g_h
+        else:
             g_s = dist[:, :, None] * g_r
             g_cm = (g_s * ca).sum(axis=1) + (g_s * cb).sum(axis=0)
 
         g_gv = g_cm if others is None else g_cm[:, :, None] * others
-        g = g_rows[0] + np.bincount(subgoals, weights=g_gv.ravel(), minlength=n)
+        n_in = tape.steps[k - 1][3].shape[1]
+        g = np.bincount(x.ravel(), weights=g_gv.ravel(), minlength=n_in)
+        g[: x.shape[1]] += g_rows[0]
 
     # through softmax: J^T u = p * (u - <u, p>) per distribution
     axis = 1 if tape.mode == MULTI else None

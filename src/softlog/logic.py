@@ -146,9 +146,12 @@ RESERVED_PREDS = frozenset({"true", "false"})
 
 
 class Clause:
-    """Definite clause ``head :- body``; a fact pattern when the body is empty."""
+    """Definite clause ``head :- body``; a fact pattern when the body is empty.
 
-    __slots__ = ("head", "body", "_hash")
+    ``_canon`` holds the clause's canonical form once :func:`canonical` has
+    computed it."""
+
+    __slots__ = ("head", "body", "_hash", "_canon")
 
     def __init__(self, head: Atom, body: Iterable[Atom] = ()):
         body = tuple(body)
@@ -469,9 +472,16 @@ def canonical(c: Clause) -> Clause:
     """Rename variables by first occurrence (head first, left to right).
 
     Two clauses are alpha-equivalent iff their canonical forms are equal.
+    Computed once per clause object and kept on it.
     """
+    try:
+        return c._canon
+    except AttributeError:
+        pass
     ren = {v: Var(_canon_name(i)) for i, v in enumerate(clause_vars(c))}
-    return apply_subst(c, ren)
+    canon = apply_subst(c, ren)
+    object.__setattr__(c, "_canon", canon)
+    return canon
 
 
 def canonical_text(c: Clause) -> str:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -53,6 +53,8 @@ class RunRecord:
     test_auc: float
     runtime_s: float
     program: list
+    # softmax confidence of each extracted clause, aligned with ``program``
+    confidences: list = field(default_factory=list)
 
     def summary(self) -> dict:
         return {
@@ -145,14 +147,16 @@ def run_problem(
     train_atoms = [a for a, _ in make_labels(train_problem)]
     train_y = [y for _, y in make_labels(train_problem)]
     train_scores = predictions(
-        train_atoms, ctx, v0, weights, train_cfg.steps, train_cfg.gamma
+        train_atoms, ctx, v0, weights, train_cfg.steps, train_cfg.gamma,
+        clamp=train_cfg.clamp,
     )
     train_m = metrics(train_scores, train_y)
 
     test_m = {"auc": float("nan"), "mse": float("nan")}
     if test_labels:
         test_m = evaluate(
-            train_problem, clauses, weights, test_labels, train_cfg.steps, train_cfg.gamma
+            train_problem, clauses, weights, test_labels, train_cfg.steps,
+            train_cfg.gamma, clamp=train_cfg.clamp,
         )
 
     program = extract_program(weights, clauses)
@@ -196,6 +200,7 @@ def run_problem(
         test_auc=test_m["auc"],
         runtime_s=time.perf_counter() - t0,
         program=[print_clause(c, lang) for c in program],
+        confidences=list(program.confidences),
     )
     log.info("run %s", json.dumps(record.summary()))
     return RunResult(record, weights, list(clauses), problem, test_labels)
@@ -208,6 +213,7 @@ def evaluate(
     test_labels: Sequence,
     steps: int,
     gamma: float,
+    clamp: bool = False,
 ) -> dict:
     """Metrics on held-out atoms.  They are grounded as the only examples: a
     seed's valuation after ``steps`` rounds depends only on atoms the
@@ -217,7 +223,7 @@ def evaluate(
     pos, neg = ([a for a, y in test_labels if y == k] for k in (1, 0))
     ctx = ground_context(train_problem.with_examples(pos, neg), clauses, steps)
     v0 = convert_background(train_problem.background, ctx.atoms)
-    scores = predictions(atoms, ctx, v0, weights, steps, gamma)
+    scores = predictions(atoms, ctx, v0, weights, steps, gamma, clamp=clamp)
     return metrics(scores, ys)
 
 
@@ -233,6 +239,7 @@ def save_weights(path, result: RunResult) -> None:
         "clauses": [print_clause(c, lang) for c in result.clauses],
         "steps": result.record.config["steps"],
         "gamma": result.record.config["gamma"],
+        "clamp": result.record.config["clamp"],
         "split_frac": result.record.config["split_frac"],
         "noise": result.record.config["noise"],
         "seed": result.record.seed,
@@ -253,8 +260,10 @@ def evaluate_saved(problem: ILPProblem, weights_path) -> dict:
     train_problem, test_labels = split(problem, payload["split_frac"], payload["seed"])
     if payload["noise"]:
         train_problem = inject_noise(train_problem, payload["noise"], payload["seed"])
+    # files written before the clamp was saved come from unclamped runs
     return evaluate(
-        train_problem, clauses, weights, test_labels, payload["steps"], payload["gamma"]
+        train_problem, clauses, weights, test_labels, payload["steps"], payload["gamma"],
+        clamp=payload.get("clamp", False),
     )
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -85,8 +86,9 @@ def predictions(
     weights: WeightSet,
     steps: int,
     gamma: float = 1e-5,
+    clamp: bool = False,
 ) -> np.ndarray:
-    v = infer(ctx.x, v0, weights, steps, gamma)
+    v = infer(ctx.x, v0, weights, steps, gamma, clamp=clamp)
     return np.array([v[ctx.index_of(a)] for a in atoms])
 
 
@@ -95,14 +97,16 @@ def cross_entropy(p: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(-(y * np.log(pc) + (1 - y) * np.log(1 - pc))))
 
 
-def _loss_and_grad(x, v0, weights, idx, y, cfg):
-    """Mean cross-entropy over one batch plus its weight gradient."""
+def _loss_and_grad(x, v0, weights, idx, y, cfg, widths=None):
+    """Mean cross-entropy over one batch plus its weight gradient; ``widths``
+    as in :func:`infer`."""
     v_t, tape = infer(
-        x, v0, weights, cfg.steps, cfg.gamma, clamp=cfg.clamp, record=True
+        x, v0, weights, cfg.steps, cfg.gamma, clamp=cfg.clamp, record=True,
+        widths=widths,
     )
     p = v_t[idx]
     pc = np.clip(p, PRED_CLIP, 1.0 - PRED_CLIP)
-    loss = float(np.mean(-(y * np.log(pc) + (1 - y) * np.log(1 - pc))))
+    loss = float(np.mean(-np.log(np.where(y == 1, pc, 1 - pc))))
     # exact gradient of the clipped loss: flat (zero) outside the clip range
     inside = (p > PRED_CLIP) & (p < 1.0 - PRED_CLIP)
     dp = np.where(inside, (pc - y) / (pc * (1 - pc)) / len(idx), 0.0)
@@ -110,37 +114,53 @@ def _loss_and_grad(x, v0, weights, idx, y, cfg):
     return loss, backward(tape, grad_out)
 
 
-def _cones(x: np.ndarray, roots: np.ndarray, steps: int) -> np.ndarray:
-    """Boolean matrix, one row per root over all atoms: the atoms within
-    ``steps`` subgoal hops of the root, with false and true (so they sit at
-    positions 0 and 1 of any cone).
+def _hops(x: np.ndarray, roots: np.ndarray, steps: int) -> np.ndarray:
+    """Hop distances, one row per root over all atoms: the fewest subgoal
+    hops from the root to each atom, ``steps + 1`` beyond ``steps`` hops.
+    False and true are at distance 0 from every root.
 
-    v_T at a root reads v_{T-d} at an atom d hops away, so the cone holds every
-    valuation the root's v_T depends on; an atom exactly ``steps`` hops away
-    is read only at step 0, where its valuation is its v0.
+    v_T at a root reads v_{T-d} at an atom d hops away, so step k (1..T)
+    needs exactly the atoms within T - k hops, and v0 those within T.
     """
     subgoals = x.transpose(1, 0, 2).reshape(x.shape[1], -1)
-    out = np.zeros((len(roots), x.shape[1]), dtype=bool)
-    for seen, root in zip(out, roots):
-        seen[[FALSE_INDEX, TRUE_INDEX, root]] = True
+    dtype = np.min_scalar_type(steps + 1)  # one byte up to T = 254
+    out = np.full((len(roots), x.shape[1]), steps + 1, dtype=dtype)
+    out[:, [FALSE_INDEX, TRUE_INDEX]] = 0
+    for hops, root in zip(out, roots):
+        hops[root] = 0
         frontier = np.array([root])
-        for _ in range(steps):
-            fresh = np.zeros_like(seen)
-            fresh[subgoals[frontier]] = True
-            fresh &= ~seen
-            seen |= fresh
-            frontier = np.flatnonzero(fresh)
+        for d in range(1, steps + 1):
+            reached = np.zeros(len(hops), dtype=bool)
+            reached[subgoals[frontier]] = True
+            frontier = np.flatnonzero(reached & (hops > d))
+            if not len(frontier):
+                break
+            hops[frontier] = d
     return out
 
 
-def _on_cone(x: np.ndarray, v0: np.ndarray, idx: np.ndarray, inside: np.ndarray):
-    """Restrict a batch to the union of its atoms' cones (a boolean mask over
-    all atoms): the tensor over the cone with subgoals outside it sent to
-    false, v0 and the batch indexes."""
-    cone = np.flatnonzero(inside)
-    remap = np.zeros(x.shape[1], dtype=np.int64)  # outside the cone: false
-    remap[cone] = np.arange(len(cone))
-    return remap[x[:, cone, :]], v0[cone], remap[idx]
+def _on_cone(
+    x: np.ndarray, v0: np.ndarray, idx: np.ndarray, near: np.ndarray, steps: int
+):
+    """Restrict a batch to its dependency cone, layered by ``near``, each
+    atom's hop distance to the nearest batch atom (see ``_hops``).
+
+    The cone's atoms are ordered by that distance (false, true and the batch
+    atoms first), so the atoms step k computes, those within T - k hops, are
+    a prefix whose subgoals lie in the prefix of step k - 1.  Returns the
+    tensor rows of step 1's prefix with subgoals renumbered, v0 over the cone,
+    the batch indexes and the per-step widths for :func:`infer`.
+    """
+    order = np.argsort(near, kind="stable")
+    # within[d]: the atoms within d hops (on a few Python ints, faster than
+    # np.cumsum)
+    counts = np.bincount(near, minlength=steps + 1)[: steps + 1].tolist()
+    within = list(accumulate(counts))
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    widths = within[-2::-1]  # step k: the atoms within T - k hops
+    x_cone = position[x[:, order[: widths[0]]]]
+    return x_cone, v0[order[: within[-1]]], position[idx], widths
 
 
 def train(
@@ -152,10 +172,11 @@ def train(
     """RMSProp over mini-batches sampled without replacement each epoch.
 
     Each epoch infers and back-propagates over the batch's dependency cone
-    only: the atoms within T subgoal hops of a batch atom (see ``_cones``).
-    The result equals a pass over all of G in real arithmetic, and the
-    recorded pass holds per-step arrays over the cone, not over |G|: about
-    3·T·|C|²·|cone| floats in pair mode.
+    only, in layers: step k computes only the atoms within T - k subgoal hops
+    of a batch atom (see ``_hops`` and ``_on_cone``), the atoms whose step-k
+    valuations can still reach a label.  The result equals a pass over all of
+    G in real arithmetic, and the recorded pass holds per-step arrays over
+    those prefixes, not over |G|: at most 3·T·|C|²·|cone| floats in pair mode.
 
     Returns the trained weights and the per-epoch loss history.  Identical
     seeds and inputs give bit-identical histories.
@@ -167,10 +188,11 @@ def train(
     idx_all = np.array([ctx.index_of(a) for a, _ in labels])
     y_all = np.array([y for _, y in labels], dtype=np.float64)
     batch = int(np.ceil(cfg.batch_frac * len(labels)))  # 1..len(labels)
-    cones = _cones(ctx.x, idx_all, cfg.steps)
+    hops = _hops(ctx.x, idx_all, cfg.steps)
     if cfg.weight_mode == PAIR:
         # the largest cone any draw of `batch` labels can have
-        widest = min(len(ctx), int(np.sort(cones.sum(axis=1))[-batch:].sum()))
+        cones = (hops <= cfg.steps).sum(axis=1)
+        widest = min(len(ctx), int(np.sort(cones)[-batch:].sum()))
         floats = 3 * cfg.steps * len(clauses) ** 2 * widest
         if floats > PAIR_TAPE_FLOATS:
             raise ValueError(
@@ -185,11 +207,15 @@ def train(
     cache = np.zeros_like(weights.w)
     history: list[float] = []
     sizes: list[int] = []
+    work: list[int] = []
     for epoch in range(cfg.epochs):
         pick = rng.choice(len(labels), size=batch, replace=False)
-        x, v0_cone, idx = _on_cone(ctx.x, v0, idx_all[pick], cones[pick].any(axis=0))
+        x, v0_cone, idx, widths = _on_cone(
+            ctx.x, v0, idx_all[pick], hops[pick].min(axis=0), cfg.steps
+        )
         sizes.append(len(v0_cone))
-        loss, grad = _loss_and_grad(x, v0_cone, weights, idx, y_all[pick], cfg)
+        work.append(sum(widths))
+        loss, grad = _loss_and_grad(x, v0_cone, weights, idx, y_all[pick], cfg, widths)
         if not np.isfinite(loss):
             raise TrainingDiverged(
                 f"non-finite loss at epoch {epoch}; retry with a different seed"
@@ -199,8 +225,10 @@ def train(
         history.append(loss)
     if sizes:
         log.info(
-            "training: |G|=%d, %d labelled atoms, batch cone median %d, max %d",
+            "training: |G|=%d, %d labelled atoms, batch cone median %d, max %d; "
+            "atoms computed per epoch median %d of T·|cone| %d",
             len(ctx), len(labels), int(np.median(sizes)), max(sizes),
+            int(np.median(work)), cfg.steps * int(np.median(sizes)),
         )
     return weights, history
 

@@ -1,12 +1,13 @@
 import logging
 import random
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import pytest
 
 from softlog.grounding import FALSE_INDEX, TRUE_INDEX, GroundContext
-from softlog.infer import MULTI, Tape, WeightSet, _softor2, infer
+from softlog.infer import MULTI, WeightSet, _softor2, infer
 from softlog.logic import (
     FALSE,
     TRUE,
@@ -366,6 +367,14 @@ def _reference_step(
     return v_next, (_reference_prod_except(gv), mix, coef_v, coef_r)
 
 
+@dataclass
+class ReferenceTape:
+    x: np.ndarray
+    mode: str
+    dist: np.ndarray
+    steps: list  # per step: (_reference_prod_except, mix, coef_v, coef_r)
+
+
 def reference_infer(
     x: np.ndarray,
     v0: np.ndarray,
@@ -385,11 +394,11 @@ def reference_infer(
         if record:
             recs.append(rec)
     if record:
-        return v, Tape(x, weights.mode, dist, recs)
+        return v, ReferenceTape(x, weights.mode, dist, recs)
     return v
 
 
-def reference_backward(tape: Tape, grad_out: np.ndarray) -> np.ndarray:
+def reference_backward(tape: ReferenceTape, grad_out: np.ndarray) -> np.ndarray:
     x, dist = tape.x, tape.dist
     g_dist = np.zeros_like(dist)
     g = np.asarray(grad_out, dtype=np.float64)

@@ -37,7 +37,7 @@ from softlog.logic import (
 )
 from softlog.problem import ILPProblem
 from softlog.prover import ProofConfig, entails, eval_counts, forward_closure
-from softlog.training import _cones
+from softlog.training import _hops
 
 
 def ground_terms(lang):
@@ -226,14 +226,17 @@ def test_held_out_seeds_need_no_training_seeds(pq_lang, nat_lang, data):
 @settings(max_examples=150, **DRAWN)
 @given(data=st.data())
 def test_cones_match_breadth_first_search(pq_lang, nat_lang, data):
-    """Each example's training cone is the set a breadth-first search over
-    the index tensor reaches within the given number of hops."""
+    """Each example's hop distances give, for every k in 0..T, the cone a
+    breadth-first search over the index tensor reaches within k hops, and
+    every atom beyond T hops is at T + 1."""
     program, problem, steps = data.draw(instances(pq_lang, nat_lang))
     ctx = ground_context(problem, program, steps)
     roots = [ctx.index_of(a) for a in problem.examples]
-    for hops in range(steps + 2):
-        cones = _cones(ctx.x, np.array(roots), hops)
-        assert [np.flatnonzero(c).tolist() for c in cones] == [
-            reference_cone(ctx.x, r, hops) for r in roots
+    hops = _hops(ctx.x, np.array(roots), steps)
+    assert hops.shape == (len(roots), len(ctx))
+    for k in range(steps + 1):
+        assert [np.flatnonzero(h <= k).tolist() for h in hops] == [
+            reference_cone(ctx.x, r, k) for r in roots
         ]
-    target(float(cones.sum(axis=1).max()), label="cone size")
+    assert hops.max() <= steps + 1
+    target(float((hops <= steps).sum(axis=1).max()), label="cone size")

@@ -351,6 +351,27 @@ class TestWeightSet:
         assert v[2] > 0.5 and v[4] > 0.5
 
 
+class TestWidths:
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("mode", [MULTI, PAIR])
+    def test_full_widths_equal_no_widths(self, mode, clamp):
+        rng = np.random.default_rng(3)
+        xt = rng.integers(0, 40, size=(5, 40, 2))
+        v0 = rng.random(40)
+        w = WeightSet.random(2, 5, seed=3, mode=mode, scale=1.0)
+        grad_out = rng.random(40)
+        v, tape = infer(xt, v0, w, 3, 1e-2, clamp=clamp, record=True)
+        v_w, tape_w = infer(xt, v0, w, 3, 1e-2, clamp=clamp, record=True, widths=[40] * 3)
+        assert np.array_equal(v_w, v)
+        assert np.array_equal(backward(tape_w, grad_out), backward(tape, grad_out))
+
+    def test_one_width_per_step(self, ctx6):
+        v0 = convert_background([e(0)], ATOMS6)
+        w = WeightSet.random(1, 2, seed=0)
+        with pytest.raises(ValueError, match="one width per step"):
+            infer(ctx6.x, v0, w, 3, GAMMA, widths=[6, 6])
+
+
 @pytest.mark.parametrize("shift", range(1, 9))
 def test_pair_valuations_ignore_column_position(shift):
     """Prepending atoms moves every original atom ``shift`` columns along the

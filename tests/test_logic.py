@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from softlog import logic
 from softlog.logic import (
     Atom,
     Clause,
@@ -145,6 +146,18 @@ class TestCanonical:
     def test_idempotent(self):
         c = Clause(Atom("p", (z, Func("f", (y,)))), (Atom("q", (y, z)),))
         assert canonical(canonical(c)) == canonical(c)
+
+    def test_computed_once_per_clause(self, monkeypatch):
+        c = Clause(Atom("p", (z, Func("f", (y,)))), (Atom("q", (y, z)),))
+        first = canonical(c)
+        # the kept form is returned without renaming again
+        monkeypatch.setattr(logic, "apply_subst", None)
+        assert canonical(c) is first
+        twin = Clause(c.head, c.body)
+        with pytest.raises(TypeError):
+            canonical(twin)  # an equal clause object computes its own
+        monkeypatch.undo()
+        assert canonical(twin) == first and canonical(twin) is not first
 
     def test_distinguishes_structure(self):
         assert not alpha_equal(

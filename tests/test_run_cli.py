@@ -7,7 +7,7 @@ import pytest
 
 from softlog.cli import main
 from softlog.datasets import TaskSpec, generate, load_problem
-from softlog.grounding import convert_background
+from softlog.grounding import convert_background, ground_context
 from softlog.run import (
     default_beam_config,
     default_train_config,
@@ -100,6 +100,40 @@ class TestRunProblem:
         m = evaluate_saved(member_result.problem, wpath)
         assert m["mse"] == member_result.record.test_mse
         assert m["auc"] == member_result.record.test_auc
+
+    def test_clamped_run_reports_clamped_metrics(self, tmp_path):
+        from softlog.datasets import split
+        from softlog.run import evaluate
+        from softlog.training import make_labels, metrics, predictions
+
+        problem = generate(TaskSpec("member", n_per_class=12, seed=0))
+        tc = default_train_config("member", seed=0, clamp=True, **FAST)
+        res = run_problem(problem, tc, default_beam_config("member"))
+        train_p, test_labels = split(problem, 0.7, 0)
+        ctx = ground_context(train_p, res.clauses, tc.steps)
+        v0 = convert_background(train_p.background, ctx.atoms)
+        atoms, ys = zip(*make_labels(train_p))
+
+        def train_mse(clamp):
+            scores = predictions(atoms, ctx, v0, res.weights, tc.steps, tc.gamma, clamp)
+            return metrics(scores, ys)["mse"]
+
+        # the clamp changes the valuations of this model, so the check bites
+        assert train_mse(True) != train_mse(False)
+        assert res.record.train_mse == train_mse(True)
+        recorded = {"auc": res.record.test_auc, "mse": res.record.test_mse}
+        args = (train_p, res.clauses, res.weights, test_labels, tc.steps, tc.gamma)
+        assert evaluate(*args, clamp=True) == recorded
+        assert evaluate(*args) != recorded
+
+        wpath = tmp_path / "weights.json"
+        save_weights(wpath, res)
+        assert evaluate_saved(problem, wpath) == recorded
+        # a file saved before the clamp was stored loads as unclamped
+        payload = json.loads(wpath.read_text())
+        del payload["clamp"]
+        wpath.write_text(json.dumps(payload))
+        assert evaluate_saved(problem, wpath) == evaluate(*args)
 
     def test_naive_generation_mode(self):
         problem = generate(TaskSpec("member", n_per_class=12, seed=0))
@@ -291,6 +325,14 @@ class TestCli:
         changed = config("--clamp", "--neg-penalty", "0.5", "--proof-depth", "3")
         assert (changed["clamp"], changed["neg_penalty"]) == (True, 0.5)
         assert changed["proof_depth"] == 3
+
+    def test_run_json_records_the_confidences(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--task", "member", "--n", "5", "--epochs", "5",
+                     "--out", str(out)]) == 0
+        rec = json.loads((out / "run.json").read_text())
+        assert len(rec["confidences"]) == len(rec["program"]) >= 1
+        assert all(0 < c <= 1 for c in rec["confidences"])
 
     def test_extension_flags_accepted(self, capsys):
         code = main(["train", "--task", "member", "--n", "8", "--seed", "0",

@@ -225,7 +225,7 @@ class TestConfigValidation:
 
 def _task_batches(task, steps):
     """A task's grounding with its reference program among the clauses, and
-    the per-label cones, indexes and labels."""
+    the per-label hop distances, indexes and labels."""
     problem = generate(TaskSpec(task, n_per_class=10, seed=0))
     clauses = [*TASKS[task].ground_truth, *problem.initial_clauses]
     ctx = ground_context(problem, clauses, steps)
@@ -233,7 +233,7 @@ def _task_batches(task, steps):
     labels = make_labels(problem)
     idx_all = np.array([ctx.index_of(a) for a, _ in labels])
     y_all = np.array([y for _, y in labels], dtype=np.float64)
-    return clauses, ctx, v0, idx_all, y_all, training._cones(ctx.x, idx_all, steps)
+    return clauses, ctx, v0, idx_all, y_all, training._hops(ctx.x, idx_all, steps)
 
 
 class TestCone:
@@ -241,37 +241,56 @@ class TestCone:
     @pytest.mark.parametrize("mode", [MULTI, PAIR])
     @pytest.mark.parametrize("task", sorted(TASKS))
     def test_cone_loss_and_grad_match_full_grounding(self, task, mode, clamp):
-        # Equal in real arithmetic.  BLAS groups the sums over atoms by column
-        # position, so a gradient entry that is zero in real arithmetic can
-        # come out as a rounding residue (about 1e-17 of the largest entry)
-        # on one side and 0.0 on the other: atol is rtol times that entry.
+        # The layered epoch path (each step computes only the atoms within
+        # T - k hops of the batch) against a full pass over G.  Equal in real
+        # arithmetic.  BLAS groups the sums over atoms by column position, so
+        # a gradient entry that is zero in real arithmetic can come out as a
+        # rounding residue (about 1e-17 of the largest entry) on one side and
+        # 0.0 on the other: atol is rtol times that entry.
         rng = np.random.default_rng(0)
         for steps in (2, 3):
-            clauses, ctx, v0, idx_all, y_all, cones = _task_batches(task, steps)
+            clauses, ctx, v0, idx_all, y_all, hops = _task_batches(task, steps)
             for trial, gamma in enumerate((1e-5, 1e-5, 0.1, 0.1)):
                 cfg = TrainConfig(steps=steps, gamma=gamma, weight_mode=mode, clamp=clamp)
                 w = WeightSet.random(2, len(clauses), trial, mode=mode)
                 pick = rng.choice(len(idx_all), size=4, replace=False)
                 idx, y = idx_all[pick], y_all[pick]
                 loss, grad = training._loss_and_grad(ctx.x, v0, w, idx, y, cfg)
-                x, v0_cone, idx_cone = training._on_cone(
-                    ctx.x, v0, idx, cones[pick].any(axis=0)
+                x, v0_cone, idx_cone, widths = training._on_cone(
+                    ctx.x, v0, idx, hops[pick].min(axis=0), steps
                 )
                 assert len(v0_cone) < len(ctx)
-                loss_c, grad_c = training._loss_and_grad(x, v0_cone, w, idx_cone, y, cfg)
+                assert len(widths) == steps
+                loss_c, grad_c = training._loss_and_grad(
+                    x, v0_cone, w, idx_cone, y, cfg, widths
+                )
                 assert np.allclose(loss_c, loss, rtol=1e-12, atol=0)
                 assert np.allclose(
                     grad_c, grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max()
                 )
 
-    def test_training_logs_the_batch_cone(self, caplog):
+    def test_training_logs_the_batch_cone(self, caplog, monkeypatch):
         problem = generate(TaskSpec("member", n_per_class=10, seed=0))
         clauses = [*TASKS["member"].ground_truth, *problem.initial_clauses]
         ctx = ground_context(problem, clauses, steps=3)
+        layered, on_cone = [], training._on_cone
+
+        def spy(*args):
+            out = on_cone(*args)
+            layered.append((len(out[1]), sum(out[3])))
+            return out
+
+        monkeypatch.setattr(training, "_on_cone", spy)
         with caplog.at_level("INFO", logger="softlog.training"):
             train(problem, clauses, ctx, TrainConfig(steps=3, epochs=5))
         (line,) = [r.getMessage() for r in caplog.records if r.name == "softlog.training"]
+        sizes, work = zip(*layered)
         assert f"|G|={len(ctx)}, 20 labelled atoms, batch cone median" in line
+        assert line.endswith(
+            f"atoms computed per epoch median {int(np.median(work))} "
+            f"of T·|cone| {3 * int(np.median(sizes))}"
+        )
+        assert np.median(work) < 3 * np.median(sizes)
 
 
 class TestExtraction:

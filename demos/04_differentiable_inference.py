@@ -9,7 +9,7 @@ from softlog import ILPProblem, Language, parse_atom, parse_clause
 from softlog.grounding import convert_background, ground_context
 from softlog.infer import WeightSet, backward, infer, softor
 from softlog.parser import print_atom
-from softlog.prover import forward_closure
+from softlog.prover import ProofConfig, entails
 
 lang = Language(
     predicates=[("e", 1)], functions=[("s", 1)], constants=["0"],
@@ -37,11 +37,11 @@ for t in range(4):
     shown = {print_atom(a, lang): round(float(x), 4) for a, x in zip(ctx.atoms, v) if x > 0.01}
     print(f"t={t}: {shown}")
 
-print("\n== rounding the final valuation equals the symbolic closure ==")
-closure = forward_closure([step], problem.background, ctx.atoms, 3)
+print("\n== rounding the final valuation equals proving within depth 3 ==")
 v = infer(ctx.x, v0, w, 3)
 soft = {a for a, x in zip(ctx.atoms, v) if x >= 0.5}
-print("agree:", soft == closure)
+proved = {a for a in ctx.atoms if entails([step], problem.background, a, ProofConfig(3))}
+print("agree:", soft == proved)
 
 print("\n== gradients flow to the weights that matter ==")
 # a smoother gamma makes the gradient landscape visible; training itself

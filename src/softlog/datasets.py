@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .logic import Atom, Clause, Const, Func, Language, Term, Var
-from .parser import parse_problem, problem_to_text
+from .parser import parse_clause, parse_problem, problem_to_text
 from .problem import ILPProblem
 from .prover import ProofConfig, entails
 
@@ -241,8 +241,6 @@ def _subtree_neg(rng: random.Random, size: int) -> Atom:
 
 
 def _clauses(lang: Language, *texts: str) -> tuple[Clause, ...]:
-    from .parser import parse_clause
-
     return tuple(parse_clause(t, lang) for t in texts)
 
 
@@ -395,34 +393,25 @@ def generate(spec: TaskSpec) -> ILPProblem:
     size = spec.max_size if spec.max_size is not None else td.default_size
     rng = random.Random(spec.seed)
     oracle_cfg = ProofConfig(max_depth=ORACLE_DEPTH)
-    bg = set(td.background)
 
     pos: list[Atom] = []
-    seen = set()
-    guard = 0
-    while len(pos) < spec.n_per_class:
-        a = td.sample_pos(rng, size)
-        guard += 1
-        if guard > 10000 * spec.n_per_class:
-            raise RuntimeError(f"positive sampling stalled for task {spec.task}")
-        if a in seen or a in bg:
-            continue
-        seen.add(a)
-        pos.append(a)
-
     neg: list[Atom] = []
-    guard = 0
-    while len(neg) < spec.n_per_class:
-        a = td.sample_neg_shape(rng, size)
-        guard += 1
-        if guard > 10000 * spec.n_per_class:
-            raise RuntimeError(f"negative sampling stalled for task {spec.task}")
-        if a in seen or a in bg:
-            continue
-        if entails(td.ground_truth, td.background, a, oracle_cfg):
-            continue
-        seen.add(a)
-        neg.append(a)
+    seen = set(td.background)
+    for out, sample, kind in (
+        (pos, td.sample_pos, "positive"), (neg, td.sample_neg_shape, "negative")
+    ):
+        tries = 0
+        while len(out) < spec.n_per_class:
+            tries += 1
+            if tries > 10000 * spec.n_per_class:
+                raise RuntimeError(f"{kind} sampling stalled for task {spec.task}")
+            a = sample(rng, size)
+            if a in seen or (
+                out is neg and entails(td.ground_truth, td.background, a, oracle_cfg)
+            ):
+                continue
+            seen.add(a)
+            out.append(a)
 
     return ILPProblem(
         pos=tuple(pos),

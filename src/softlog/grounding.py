@@ -48,7 +48,6 @@ class GroundContext:
 
     atoms: tuple[Atom, ...]
     index: dict
-    clauses: tuple[Clause, ...]
     x: np.ndarray
 
     def index_of(self, atom: Atom) -> int:
@@ -106,7 +105,7 @@ def _ground(clauses: Sequence[Clause], seeds: Iterable[Atom], rounds: int) -> Gr
     x[:, TRUE_INDEX, :] = TRUE_INDEX
     x[rows_i, rows_j] = np.array(cells, dtype=np.int64).reshape(-1, b)
     log.info("grounding: |G|=%d", len(atoms))
-    return GroundContext(atoms=tuple(atoms), index=index, clauses=clauses, x=x)
+    return GroundContext(atoms=tuple(atoms), index=index, x=x)
 
 
 def ground_context(

@@ -32,7 +32,7 @@ only the atoms that step computed, and the backward sweep scatters each
 step's gradient into the previous step's prefix.  Training passes one
 batch's dependency cone ordered by hop distance, so step k's prefix holds
 the atoms within T - k hops of the batch, and a recorded pair-mode pass
-holds at most 3·T·|C|²·|cone| floats.
+holds 3·|C|²·Σ widths floats.
 """
 from __future__ import annotations
 
@@ -56,16 +56,6 @@ def _softor_n(xs: np.ndarray, gamma: float):
     e = np.exp((xs - m) / gamma)
     s = e.sum(axis=0)
     return m + gamma * np.log(s), e / s
-
-
-def _softor2(a: np.ndarray, b: np.ndarray, gamma: float):
-    """Smooth maximum of two broadcastable arrays and its coefficients with
-    respect to each."""
-    m = np.maximum(a, b)
-    ea = np.exp((a - m) / gamma)
-    eb = np.exp((b - m) / gamma)
-    s = ea + eb
-    return m + gamma * np.log(s), ea / s, eb / s
 
 
 def softor(xs: np.ndarray, gamma: float, axis: int = 0) -> np.ndarray:
@@ -110,6 +100,16 @@ class WeightSet:
 
     mode: str
     w: np.ndarray
+
+    def __post_init__(self):
+        if self.mode not in (MULTI, PAIR):
+            raise ValueError(
+                f"weight mode must be {MULTI!r} or {PAIR!r}, got {self.mode!r}"
+            )
+        if self.w.ndim != 2:
+            raise ValueError(f"weights must be a matrix, got shape {self.w.shape}")
+        if self.mode == PAIR and self.w.shape[0] != self.w.shape[1]:
+            raise ValueError(f"pair weights must be square, got shape {self.w.shape}")
 
     @classmethod
     def random(
@@ -191,7 +191,8 @@ def _step(
         rows = np.concatenate((v[None], dist @ cm))
         mix = cm
     else:
-        s, ca, cb = _softor2(cm[:, None, :], cm[None, :, :], gamma)
+        pairs = np.broadcast_arrays(cm[:, None, :], cm[None, :, :])
+        s, (ca, cb) = _softor_n(np.stack(pairs), gamma)
         # einsum sums each column in the same order wherever it sits; BLAS
         # (tensordot) would round an atom's score by its column position
         rows = np.stack((v, np.einsum("ij,ijg->g", dist, s)))

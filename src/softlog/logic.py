@@ -478,8 +478,7 @@ def canonical(c: Clause) -> Clause:
         return c._canon
     except AttributeError:
         pass
-    ren = {v: Var(_canon_name(i)) for i, v in enumerate(clause_vars(c))}
-    canon = apply_subst(c, ren)
+    canon = canonical_in(c, CANON_VARS)
     object.__setattr__(c, "_canon", canon)
     return canon
 

@@ -22,6 +22,7 @@ from .logic import (
     check_range_restricted,
     is_ground,
 )
+from .problem import ILPProblem
 
 DEFAULT_VARIABLES = ("x", "y", "z", "v", "w")
 
@@ -35,81 +36,81 @@ class ParseError(ValueError):
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
+    (?P<nl>\n)
+  | (?P<ws>[^\S\n]+)
   | (?P<comment>\#[^\n]*)
   | (?P<arrow>:-)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*|[0-9]+|\*)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<literal>[0-9]+|\*)
   | (?P<punct>[()\[\],.|/])
     """,
     re.VERBOSE,
 )
-
-
-def _advance(line: int, col: int, text: str) -> tuple[int, int]:
-    """The position just after ``text`` when it starts at (line, col)."""
-    nl = text.count("\n")
-    return (line + nl, len(text) - text.rfind("\n")) if nl else (line, col + len(text))
+# an ``ident`` can name anything, a ``literal`` only a constant or an arity
+_NAME_KINDS = ("ident", "literal")
 
 
 class _Tokens:
-    """Tokens with their positions; ``text`` starts at (line, col)."""
+    """The tokens of a text as (value, kind, line, col); parsing reads the
+    window from ``i`` up to ``end``."""
 
-    def __init__(self, text: str, line: int = 1, col: int = 1):
-        self.toks: list[tuple[str, int, int]] = []
-        self.start = (line, col)
-        pos = 0
+    def __init__(self, text: str):
+        self.toks: list[tuple[str, str, int, int]] = []
+        line, line_start, pos = 1, 0, 0
         while pos < len(text):
             m = _TOKEN_RE.match(text, pos)
             if m is None:
-                raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-            val = m.group()
-            if m.lastgroup not in ("ws", "comment"):
-                self.toks.append((val, line, col))
-            line, col = _advance(line, col, val)
+                raise ParseError(
+                    f"unexpected character {text[pos]!r}", line, pos - line_start + 1
+                )
+            if m.lastgroup == "nl":
+                line, line_start = line + 1, m.end()
+            elif m.lastgroup not in ("ws", "comment"):
+                self.toks.append((m.group(), m.lastgroup, line, pos - line_start + 1))
             pos = m.end()
-        self.i = 0
+        self.i, self.end = 0, len(self.toks)
 
     def peek(self) -> Optional[str]:
-        return self.toks[self.i][0] if self.i < len(self.toks) else None
+        return self.toks[self.i][0] if self.i < self.end else None
 
-    def next(self) -> tuple[str, int, int]:
-        if self.i >= len(self.toks):
-            last = self.toks[-1] if self.toks else ("", *self.start)
-            raise ParseError("unexpected end of input", last[1], last[2])
-        t = self.toks[self.i]
+    def next(self) -> tuple[str, str, int, int]:
+        if self.i >= self.end:
+            raise self.error("unexpected end of input")
         self.i += 1
-        return t
+        return self.toks[self.i - 1]
 
     def expect(self, tok: str) -> None:
-        val, line, col = self.next()
+        val, _, line, col = self.next()
         if val != tok:
             raise ParseError(f"expected {tok!r}, found {val!r}", line, col)
 
     def error(self, msg: str) -> ParseError:
-        if self.i < len(self.toks):
-            _, line, col = self.toks[self.i]
-        elif self.toks:
-            _, line, col = self.toks[-1]
-        else:
-            line, col = self.start
-        return ParseError(msg, line, col)
+        """An error at the next token, else at the window's last one."""
+        k = min(self.i, self.end - 1)
+        return ParseError(msg, *(self.toks[k][2:] if k >= 0 else (1, 1)))
+
+
+def _items(parse, ts: _Tokens, lang: Language) -> list:
+    """One or more comma-separated items."""
+    out = [parse(ts, lang)]
+    while ts.peek() == ",":
+        ts.next()
+        out.append(parse(ts, lang))
+    return out
 
 
 def _parse_term(ts: _Tokens, lang: Language) -> Term:
-    val, line, col = ts.next()
+    val, kind, line, col = ts.next()
     if val == "[":
         return _parse_list(ts, lang, line, col)
-    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|\*", val):
+    if kind not in _NAME_KINDS:
         raise ParseError(f"expected a term, found {val!r}", line, col)
     if ts.peek() == "(":
         arity = lang.func_arity(val)
         if arity is None:
             raise ParseError(f"undeclared function symbol {val!r}", line, col)
         ts.expect("(")
-        args = [_parse_term(ts, lang)]
-        while ts.peek() == ",":
-            ts.next()
-            args.append(_parse_term(ts, lang))
+        args = _items(_parse_term, ts, lang)
         ts.expect(")")
         if len(args) != arity:
             raise ParseError(
@@ -134,10 +135,7 @@ def _parse_list(ts: _Tokens, lang: Language, line: int, col: int) -> Term:
     if ts.peek() == "]":
         ts.next()
         return nil
-    elems = [_parse_term(ts, lang)]
-    while ts.peek() == ",":
-        ts.next()
-        elems.append(_parse_term(ts, lang))
+    elems = _items(_parse_term, ts, lang)
     tail = nil
     if ts.peek() == "|":
         ts.next()
@@ -149,8 +147,8 @@ def _parse_list(ts: _Tokens, lang: Language, line: int, col: int) -> Term:
 
 
 def _parse_atom(ts: _Tokens, lang: Language) -> Atom:
-    val, line, col = ts.next()
-    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", val):
+    val, kind, line, col = ts.next()
+    if kind != "ident":
         raise ParseError(f"expected a predicate name, found {val!r}", line, col)
     if val in RESERVED_PREDS:
         if ts.peek() == "(":
@@ -162,10 +160,7 @@ def _parse_atom(ts: _Tokens, lang: Language) -> Atom:
     args: list[Term] = []
     if ts.peek() == "(":
         ts.next()
-        args.append(_parse_term(ts, lang))
-        while ts.peek() == ",":
-            ts.next()
-            args.append(_parse_term(ts, lang))
+        args = _items(_parse_term, ts, lang)
         ts.expect(")")
     if len(args) != arity:
         raise ParseError(
@@ -176,27 +171,24 @@ def _parse_atom(ts: _Tokens, lang: Language) -> Atom:
 
 def _parse_clause(ts: _Tokens, lang: Language) -> Clause:
     """A range-restricted clause with at most one terminating period."""
+    start = ts.i
     head = _parse_atom(ts, lang)
     body: list[Atom] = []
     if ts.peek() == ":-":
         ts.next()
-        body.append(_parse_atom(ts, lang))
-        while ts.peek() == ",":
-            ts.next()
-            body.append(_parse_atom(ts, lang))
+        body = _items(_parse_atom, ts, lang)
     if ts.peek() == ".":
         ts.next()
     c = Clause(head, body)
     try:
         check_range_restricted(c)
     except ValueError as e:
-        raise ParseError(str(e), *ts.toks[0][1:]) from None
+        raise ParseError(str(e), *ts.toks[start][2:]) from None
     return c
 
 
-def _parse_all(parse, what: str, text: str, lang: Language, line=1, col=1):
-    """Parse all of ``text``, which starts at (line, col) of its file."""
-    ts = _Tokens(text, line, col)
+def _parse_all(parse, what: str, ts: _Tokens, lang: Language):
+    """Parse the whole token window."""
     out = parse(ts, lang)
     if ts.peek() is not None:
         raise ts.error(f"trailing input after {what}")
@@ -204,17 +196,17 @@ def _parse_all(parse, what: str, text: str, lang: Language, line=1, col=1):
 
 
 def parse_term(text: str, lang: Language) -> Term:
-    return _parse_all(_parse_term, "term", text, lang)
+    return _parse_all(_parse_term, "term", _Tokens(text), lang)
 
 
 def parse_atom(text: str, lang: Language) -> Atom:
-    return _parse_all(_parse_atom, "atom", text, lang)
+    return _parse_all(_parse_atom, "atom", _Tokens(text), lang)
 
 
 def parse_clause(text: str, lang: Language) -> Clause:
     """Parse one clause, with at most one terminating period; it must be
     range-restricted."""
-    return _parse_all(_parse_clause, "clause", text, lang)
+    return _parse_all(_parse_clause, "clause", _Tokens(text), lang)
 
 
 # ---------------------------------------------------------------------------
@@ -257,115 +249,91 @@ def print_clause(c: Clause, lang: Optional[Language] = None) -> str:
 # Problem files
 # ---------------------------------------------------------------------------
 
-def _split_statements(text: str) -> list[tuple[str, int, int]]:
-    """Split into period-terminated statements, each with the line and column
-    of its first character.  Comments are dropped; each runs to the end of
-    its line, so no later position moves."""
-    out = []
-    buf: list[str] = []
-    line, col = 1, 1
-    start = (1, 1)
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if ch == ".":
-            stmt = "".join(buf).rstrip()
-            if stmt:
-                out.append((stmt, *start))
-            buf = []
-        elif buf or not ch.isspace():
-            if not buf:
-                start = (line, col)
-            buf.append(ch)
-        line, col = _advance(line, col, ch)
-        i += 1
-    if "".join(buf).strip():
-        raise ParseError("statement missing terminating '.'", *start)
-    return out
-
-
-def parse_problem(text: str):
+def parse_problem(text: str) -> ILPProblem:
     """Parse a problem file into an ILPProblem (declarations may appear in any
     order but must precede their first use)."""
-    from .problem import ILPProblem
+    ts = _Tokens(text)
+    toks = ts.toks
+    statements, lo = [], 0
+    for hi, tok in enumerate(toks):
+        if tok[0] == ".":
+            if hi > lo:
+                statements.append((lo, hi))
+            lo = hi + 1
+    if lo < len(toks):
+        raise ParseError("statement missing terminating '.'", *toks[lo][2:])
 
     preds: list[tuple[str, int]] = []
     funcs: list[tuple[str, int]] = []
     consts: list[str] = []
     variables = list(DEFAULT_VARIABLES)
-    initial: list[tuple[str, int, int]] = []
-    bg: list[tuple[str, int, int]] = []
-    pos: list[tuple[str, int, int]] = []
-    neg: list[tuple[str, int, int]] = []
+    windows = {kw: [] for kw in ("init", "bg", "pos", "neg")}  # body token spans
     task = ""
-
-    def name_arity(rest: str, at: tuple[int, int]) -> tuple[str, int]:
-        m = re.fullmatch(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*/\s*([0-9]+)\s*", rest)
-        if m is None:
-            raise ParseError(f"expected name/arity, found {rest!r}", *at)
-        return m.group(1), int(m.group(2))
-
-    for stmt, line, col in _split_statements(text):
-        kw, _, rest = stmt.partition(" ")
-        rest = rest.lstrip()
-        # file position of the statement body
-        at = _advance(line, col, stmt[: len(stmt) - len(rest)])
-        if kw == "task":
+    for lo, hi in statements:
+        kw, _, line, col = toks[lo]
+        body = toks[lo + 1 : hi]
+        vals, kinds = [t[0] for t in body], [t[1] for t in body]
+        name = "".join(vals)
+        at = body[0][2:] if body else (line, col)
+        if kw in windows:
+            windows[kw].append((lo + 1, hi))
+        elif kw == "task":
             if task:
                 raise ParseError("duplicate task statement", line, col)
-            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", rest):
-                raise ParseError(f"bad task name {rest!r}", *at)
-            task = rest
-        elif kw == "pred":
-            name, ar = name_arity(rest, at)
-            if name in RESERVED_PREDS:
-                raise ParseError(f"{name!r} is a reserved atom name", *at)
-            preds.append((name, ar))
-        elif kw == "func":
-            funcs.append(name_arity(rest, at))
+            if kinds != ["ident"]:
+                raise ParseError(f"bad task name {name!r}", *at)
+            task = name
+        elif kw in ("pred", "func"):
+            if not (len(vals) == 3 and kinds[0] == "ident" and vals[1] == "/"
+                    and vals[2].isdigit()):
+                raise ParseError(f"expected name/arity, found {name!r}", *at)
+            if kw == "pred" and vals[0] in RESERVED_PREDS:
+                raise ParseError(f"{vals[0]!r} is a reserved atom name", *at)
+            (preds if kw == "pred" else funcs).append((vals[0], int(vals[2])))
         elif kw == "const":
-            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|\*", rest):
-                raise ParseError(f"bad constant name {rest!r}", *at)
-            if rest in variables:
+            if len(kinds) != 1 or kinds[0] not in _NAME_KINDS:
+                raise ParseError(f"bad constant name {name!r}", *at)
+            if name in variables:
                 raise ParseError(
-                    f"{rest!r} is a variable name and cannot be a constant", *at
+                    f"{name!r} is a variable name and cannot be a constant", *at
                 )
-            consts.append(rest)
+            consts.append(name)
         elif kw == "var":
-            if not re.fullmatch(r"[a-z][A-Za-z0-9_]*", rest):
-                raise ParseError(f"bad variable name {rest!r}", *at)
-            if rest not in variables:
-                variables.append(rest)
-        elif kw in ("init", "bg", "pos", "neg"):
-            {"init": initial, "bg": bg, "pos": pos, "neg": neg}[kw].append((rest, *at))
+            if kinds != ["ident"] or not "a" <= name[0] <= "z":
+                raise ParseError(f"bad variable name {name!r}", *at)
+            if name not in variables:
+                variables.append(name)
         else:
-            raise ParseError(f"unknown statement {stmt!r}", line, col)
+            raise ParseError(f"unknown statement {kw!r}", line, col)
 
     lang = Language(preds, funcs, consts, variables)
 
-    def ground_atom_at(src: str, line: int, col: int, role: str) -> Atom:
-        a = _parse_all(_parse_atom, "atom", src, lang, line, col)
-        if not is_ground(a):
-            raise ParseError(f"{role} atoms must be ground: {src}", line, col)
-        return a
+    def parsed(kw: str) -> tuple:
+        out = []
+        for lo, hi in windows[kw]:
+            ts.i, ts.end = lo, hi
+            if kw == "init":
+                out.append(_parse_all(_parse_clause, "clause", ts, lang))
+                continue
+            a = _parse_all(_parse_atom, "atom", ts, lang)
+            if not is_ground(a):
+                raise ParseError(
+                    f"{kw} atoms must be ground: {print_atom(a, lang)}", *toks[lo][2:]
+                )
+            out.append(a)
+        return tuple(out)
 
     return ILPProblem(
-        pos=tuple(ground_atom_at(*s, "pos") for s in pos),
-        neg=tuple(ground_atom_at(*s, "neg") for s in neg),
-        background=tuple(ground_atom_at(*s, "bg") for s in bg),
+        pos=parsed("pos"),
+        neg=parsed("neg"),
+        background=parsed("bg"),
         language=lang,
-        initial_clauses=tuple(
-            _parse_all(_parse_clause, "clause", s, lang, ln, c) for s, ln, c in initial
-        ),
+        initial_clauses=parsed("init"),
         name=task,
     )
 
 
-def problem_to_text(problem) -> str:
+def problem_to_text(problem: ILPProblem) -> str:
     """Serialize a problem; load(save(p)) round-trips."""
     lang = problem.language
     lines = [f"task {problem.name}."] if problem.name else []

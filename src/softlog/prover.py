@@ -106,35 +106,3 @@ def eval_counts(
     neg = tuple(i for i in neg_idx if prover.provable(problem.neg[i], depth))
     return pos, neg
 
-
-def forward_closure(
-    program: Iterable[Clause],
-    background: Iterable[Atom],
-    universe: Sequence[Atom],
-    steps: int,
-) -> set[Atom]:
-    """Atoms of ``universe`` derivable in at most ``steps`` forward-chaining
-    rounds, where each round applies every clause to everything currently
-    true.  Subgoals that are neither background nor in the universe count as
-    false; the result is the true set (background included) plus ``true``."""
-    program = tuple(program)
-    for c in program:
-        check_range_restricted(c)
-    true: set[Atom] = {TRUE} | set(background)
-    candidates = [a for a in universe if a not in (TRUE, FALSE)]
-    for _ in range(steps):
-        new: list[Atom] = []
-        for g in candidates:
-            if g in true:
-                continue
-            for c in program:
-                theta = unify(c.head, g)
-                if theta is not None and all(
-                    apply_subst(b, theta) in true for b in c.body
-                ):
-                    new.append(g)
-                    break
-        if not new:
-            break
-        true.update(new)
-    return true

@@ -165,25 +165,14 @@ def run_problem(
         task=problem.name or "custom",
         seed=seed,
         config={
-            "m": train_cfg.m,
-            "steps": train_cfg.steps,
-            "gamma": train_cfg.gamma,
-            "lr": train_cfg.lr,
-            "epochs": train_cfg.epochs,
-            "batch_frac": train_cfg.batch_frac,
-            "weight_mode": train_cfg.weight_mode,
-            "beam_size": beam_cfg.beam_size,
-            "beam_steps": beam_cfg.beam_steps,
-            "prune_zero": beam_cfg.prune_zero,
-            "n_body": refine_cfg.n_body,
-            "n_nest": refine_cfg.n_nest,
+            **{k: v for k, v in asdict(train_cfg).items() if k != "seed"},
+            **asdict(beam_cfg),
+            **asdict(refine_cfg),
             "noise": noise,
             "split_frac": split_frac,
             "naive_n": naive_n,
             "clause_cap": clause_cap,
             "proof_depth": proof_cfg.max_depth,
-            "neg_penalty": beam_cfg.neg_penalty,
-            "clamp": train_cfg.clamp,
         },
         dataset_hash=problem_hash(problem),
         n_clauses=len(clauses),
@@ -251,6 +240,11 @@ def load_weights(path, problem: ILPProblem):
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     weights = WeightSet(payload["mode"], np.array(payload["w"], dtype=np.float64))
     clauses = [parse_clause(t, problem.language) for t in payload["clauses"]]
+    if weights.n_clauses != len(clauses):
+        raise ValueError(
+            f"{path}: {weights.mode} weights of shape {weights.w.shape} do not "
+            f"fit the file's {len(clauses)} clauses"
+        )
     return weights, clauses, payload
 
 

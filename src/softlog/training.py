@@ -17,7 +17,8 @@ from .problem import ILPProblem
 log = logging.getLogger(__name__)
 
 PRED_CLIP = 1e-7
-# A recorded pair-mode pass keeps about 3·T·|C|²·|cone| floats; 2**27 is 1 GiB.
+# A recorded pair-mode pass keeps 3·|C|² floats per atom and step it computes,
+# 3·|C|²·Σ widths in all (see ``_on_cone``); 2**27 is 1 GiB.
 PAIR_TAPE_FLOATS = 2**27
 # RMSProp internals; fixed here because no standard values exist upstream
 RMS_DECAY = 0.99
@@ -176,7 +177,7 @@ def train(
     of a batch atom (see ``_hops`` and ``_on_cone``), the atoms whose step-k
     valuations can still reach a label.  The result equals a pass over all of
     G in real arithmetic, and the recorded pass holds per-step arrays over
-    those prefixes, not over |G|: at most 3·T·|C|²·|cone| floats in pair mode.
+    those prefixes, not over |G|: 3·|C|²·Σ widths floats in pair mode.
 
     Returns the trained weights and the per-epoch loss history.  Identical
     seeds and inputs give bit-identical histories.
@@ -190,15 +191,16 @@ def train(
     batch = int(np.ceil(cfg.batch_frac * len(labels)))  # 1..len(labels)
     hops = _hops(ctx.x, idx_all, cfg.steps)
     if cfg.weight_mode == PAIR:
-        # the largest cone any draw of `batch` labels can have
-        cones = (hops <= cfg.steps).sum(axis=1)
-        widest = min(len(ctx), int(np.sort(cones)[-batch:].sum()))
-        floats = 3 * cfg.steps * len(clauses) ** 2 * widest
+        # the most atom-steps any draw of `batch` labels can compute: a label
+        # alone computes an atom h hops away at max(0, T - h) steps
+        work = np.maximum(0, cfg.steps - hops.astype(np.int64)).sum(axis=1)
+        most = min(cfg.steps * len(ctx), int(np.sort(work)[-batch:].sum()))
+        floats = 3 * len(clauses) ** 2 * most
         if floats > PAIR_TAPE_FLOATS:
             raise ValueError(
                 f"pair mode would record up to {floats:,} floats per epoch "
-                f"(3·T·|C|²·|cone|, T={cfg.steps}, |C|={len(clauses)}, "
-                f"|cone| <= {widest} of |G|={len(ctx)}); "
+                f"(3·|C|²·Σ widths, |C|={len(clauses)}, Σ widths <= {most} "
+                f"atom-steps of T·|G|={cfg.steps * len(ctx)}); "
                 f"the limit is {PAIR_TAPE_FLOATS:,} (1 GiB). Use multi weight mode"
             )
 

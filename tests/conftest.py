@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from softlog.grounding import FALSE_INDEX, TRUE_INDEX, GroundContext
-from softlog.infer import MULTI, WeightSet, _softor2, infer
+from softlog.infer import MULTI, WeightSet, infer
 from softlog.logic import (
     FALSE,
     TRUE,
@@ -204,6 +204,44 @@ def _pattern_only(theta: Subst, specific: Clause) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Forward chaining: the symbolic oracle that the prover and the tensor
+# inference are checked against
+# ---------------------------------------------------------------------------
+
+def forward_closure(
+    program: Iterable[Clause],
+    background: Iterable[Atom],
+    universe: Sequence[Atom],
+    steps: int,
+) -> set[Atom]:
+    """Atoms of ``universe`` derivable in at most ``steps`` forward-chaining
+    rounds, where each round applies every clause to everything currently
+    true.  Subgoals that are neither background nor in the universe count as
+    false; the result is the true set (background included) plus ``true``."""
+    program = tuple(program)
+    for c in program:
+        check_range_restricted(c)
+    true: set[Atom] = {TRUE} | set(background)
+    candidates = [a for a in universe if a not in (TRUE, FALSE)]
+    for _ in range(steps):
+        new: list[Atom] = []
+        for g in candidates:
+            if g in true:
+                continue
+            for c in program:
+                theta = unify(c.head, g)
+                if theta is not None and all(
+                    apply_subst(b, theta) in true for b in c.body
+                ):
+                    new.append(g)
+                    break
+        if not new:
+            break
+        true.update(new)
+    return true
+
+
+# ---------------------------------------------------------------------------
 # Two-pass grounding: the oracle the one-pass softlog.grounding is checked
 # against (enumeration, then a second match of every clause on every atom)
 # ---------------------------------------------------------------------------
@@ -335,6 +373,16 @@ def _reference_softor_n(xs: np.ndarray, gamma: float, axis: int = 0):
     return np.squeeze(m + gamma * np.log(s), axis=axis), e / s
 
 
+def reference_softor2(a: np.ndarray, b: np.ndarray, gamma: float):
+    """Smooth maximum of two broadcastable arrays and its coefficients with
+    respect to each."""
+    m = np.maximum(a, b)
+    ea = np.exp((a - m) / gamma)
+    eb = np.exp((b - m) / gamma)
+    s = ea + eb
+    return m + gamma * np.log(s), ea / s, eb / s
+
+
 def _reference_prod_except(gv: np.ndarray) -> np.ndarray:
     b = gv.shape[-1]
     if b == 1:
@@ -355,10 +403,10 @@ def _reference_step(
         r, q = _reference_softor_n(dist @ cm, gamma)
         mix = (cm, q)
     else:
-        s, ca, cb = _softor2(cm[:, None, :], cm[None, :, :], gamma)
+        s, ca, cb = reference_softor2(cm[:, None, :], cm[None, :, :], gamma)
         r = np.tensordot(dist, s, axes=([0, 1], [0, 1]))
         mix = (s, ca, cb)
-    v_next, coef_v, coef_r = _softor2(v, r, gamma)
+    v_next, coef_v, coef_r = reference_softor2(v, r, gamma)
     if clamp:
         inside = v_next <= 1.0
         coef_v = coef_v * inside

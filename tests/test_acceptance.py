@@ -32,12 +32,12 @@ from softlog.logic import (
 )
 from softlog.parser import parse_atom, parse_clause
 from softlog.problem import ILPProblem
-from softlog.prover import ProofConfig, forward_closure
+from softlog.prover import ProofConfig
 from softlog.refine import refine
 from softlog.run import default_beam_config, default_train_config, run_problem
 from softlog.search import BeamConfig, beam_search
 from softlog.training import TrainConfig, extract_program, train
-from conftest import subsumes
+from conftest import forward_closure, subsumes
 
 pytestmark = pytest.mark.acceptance
 

@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st, target
 
 from conftest import (
+    forward_closure,
     reference_build_index_tensor,
     reference_cone,
     reference_enumerate_atoms,
@@ -36,7 +37,7 @@ from softlog.logic import (
     unify,
 )
 from softlog.problem import ILPProblem
-from softlog.prover import ProofConfig, entails, eval_counts, forward_closure
+from softlog.prover import ProofConfig, entails, eval_counts
 from softlog.training import _hops
 
 

@@ -17,6 +17,15 @@ from softlog.parser import parse_problem, print_atom, problem_to_text
 from softlog.prover import ProofConfig, entails
 
 ORACLE = ProofConfig(max_depth=12)
+# problem_hash of each task's 50-per-class instance at data seed 0, the
+# instances the benchmark's learning workloads run on
+SEED0_HASHES = {
+    "append": "359b1d706ba9ae3f",
+    "delete": "f3705e68660fe7dd",
+    "member": "db3fc291b3802223",
+    "plus": "2da8f51032c2bd0d",
+    "subtree": "04a83748b2b577ad",
+}
 
 
 class TestTermBuilders:
@@ -61,6 +70,10 @@ class TestGenerate:
         a = generate(TaskSpec(task, n_per_class=10, seed=5))
         b = generate(TaskSpec(task, n_per_class=10, seed=5))
         assert a.pos == b.pos and a.neg == b.neg
+
+    def test_seed0_instance_unchanged(self, task):
+        problem = generate(TaskSpec(task, n_per_class=50, seed=0))
+        assert problem_hash(problem) == SEED0_HASHES[task]
 
     def test_matches_declared_language(self, task):
         problem = generate(TaskSpec(task, n_per_class=5, seed=3))

@@ -17,6 +17,9 @@ DEMOS = (
     "04_differentiable_inference.py",
     "05_learn_member.py",
 )
+# a line a demo must print: demo 04 checks the tensor inference against the
+# prover
+EXPECTED = {"04_differentiable_inference.py": "agree: True"}
 
 
 @pytest.mark.parametrize("demo", DEMOS)
@@ -31,3 +34,5 @@ def test_demo_exits_cleanly(demo):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    if demo in EXPECTED:
+        assert EXPECTED[demo] in proc.stdout.splitlines()

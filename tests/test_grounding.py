@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import forward_closure
 from softlog import grounding
 from softlog.grounding import (
     FALSE_INDEX,
@@ -14,7 +15,7 @@ from softlog.infer import WeightSet, infer
 from softlog.logic import Atom, Clause, Const, FALSE, Func, TRUE, Var, unify
 from softlog.parser import ParseError, parse_atom, parse_clause
 from softlog.problem import ILPProblem
-from softlog.prover import ProofConfig, eval_counts, forward_closure
+from softlog.prover import ProofConfig, eval_counts
 
 x = Var("x")
 

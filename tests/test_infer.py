@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import clause_outputs, reference_backward, reference_infer
+from conftest import (
+    clause_outputs,
+    forward_closure,
+    reference_backward,
+    reference_softor2,
+    reference_infer,
+)
 from softlog.grounding import context_from_atoms, convert_background
 from softlog.infer import (
     MULTI,
@@ -14,7 +20,6 @@ from softlog.infer import (
     softor,
 )
 from softlog.logic import Atom, Clause, Const, FALSE, Func, TRUE, Var
-from softlog.prover import forward_closure
 
 x = Var("x")
 GAMMA = 1e-5
@@ -343,6 +348,17 @@ class TestWeightSet:
         d = pair.distribution()
         assert d.shape == (5, 5) and d.sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "mode, shape, message",
+        [("Multi", (2, 3), "weight mode must be 'multi' or 'pair'"),
+         ("multi", (3,), "weights must be a matrix"),
+         ("pair", (3, 3, 1), "weights must be a matrix"),
+         ("pair", (2, 3), "pair weights must be square")],
+    )
+    def test_malformed_weights_refused(self, mode, shape, message):
+        with pytest.raises(ValueError, match=message):
+            WeightSet(mode, np.zeros(shape))
+
     def test_pair_mode_runs_and_differs(self, ctx6):
         v0 = convert_background([e(0)], ATOMS6)
         w = WeightSet.one_hot([(0, 1)], 2, mode=PAIR)
@@ -390,3 +406,26 @@ def test_pair_valuations_ignore_column_position(shift):
     v0_shifted = np.concatenate((rng.random(shift), v0))
     v_shifted = infer(shifted, v0_shifted, w, steps, 1e-2)
     assert np.array_equal(v_shifted[shift:], v)
+
+
+@pytest.mark.parametrize("gamma", [1e-5, 1e-2, 1.0])
+@pytest.mark.parametrize("body", [1, 2, 3])
+def test_pair_softor_equals_two_operand_softor(body, gamma):
+    """Pair mode takes each clause pair's smooth-or as the n-row smooth-or of
+    the two operands stacked; on two rows that does the same float
+    operations as the two-operand form, so it must agree to the last bit
+    (ties included: 0/1 valuations make many equal clause outputs)."""
+    rng = np.random.default_rng(body)
+    xt = rng.integers(0, 50, size=(6, 50, body))
+    v0 = rng.random(50)
+    v0[rng.random(50) < 0.3] = 0.0
+    v0[rng.random(50) < 0.3] = 1.0
+    w = WeightSet.random(1, 6, seed=body, mode=PAIR, scale=1.0)
+    _, tape = infer(xt, v0, w, 1, gamma, record=True)
+    gv = v0[xt]
+    cm = gv[..., 0]
+    for k in range(1, body):
+        cm = cm * gv[..., k]
+    want = reference_softor2(cm[:, None, :], cm[None, :, :], gamma)
+    for got, ref in zip(tape.steps[0][2], want):
+        assert np.array_equal(got, ref)

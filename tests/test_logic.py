@@ -15,6 +15,7 @@ from softlog.logic import (
     Var,
     apply_subst,
     canonical,
+    canonical_in,
     clause_vars,
     distinct_var_tuples,
     is_ground,
@@ -158,6 +159,15 @@ class TestCanonical:
             canonical(twin)  # an equal clause object computes its own
         monkeypatch.undo()
         assert canonical(twin) == first and canonical(twin) is not first
+
+    def test_names_beyond_the_pool(self):
+        # a pool shorter than the clause's variables continues with the
+        # canonical names from the sixth on: u, then v7, v8, ...
+        c = Clause(Atom("p", tuple(Var(f"a{i}") for i in range(7))))
+        assert [t.name for t in canonical(c).head.args] == [*"xyzvwu", "v7"]
+        for pool in ("xyzvw", "abcde"):
+            renamed = canonical_in(c, pool)
+            assert [t.name for t in renamed.head.args] == [*pool, "u", "v7"]
 
     def test_distinguishes_structure(self):
         assert not alpha_equal(

@@ -103,6 +103,13 @@ def test_parse_problem_roundtrip():
     assert problem_to_text(again) == text
 
 
+def test_empty_statements_skipped():
+    problem = parse_problem(". pred p/1.. const a. # c.\n.\npos p(a).")
+    assert problem.language.predicates == (("p", 1),)
+    assert problem.language.constants == ("a",)
+    assert problem.pos == (Atom("p", (Const("a"),)),)
+
+
 def test_problem_rejects_bad_arity():
     bad = PROBLEM_TEXT.replace("pos mem(a,[a,c]).", "pos mem(a).")
     with pytest.raises(ParseError, match="applied to 1"):

@@ -1,16 +1,11 @@
 import pytest
 
-from conftest import eval_clause
+from conftest import eval_clause, forward_closure
 from softlog.grounding import build_index_tensor
 from softlog.logic import Atom, Clause, Const, FALSE, Func, Language, TRUE, Var
 from softlog.parser import parse_atom, parse_clause
 from softlog.problem import ILPProblem
-from softlog.prover import (
-    ProofConfig,
-    entails,
-    eval_counts,
-    forward_closure,
-)
+from softlog.prover import ProofConfig, entails, eval_counts
 
 x, y = Var("x"), Var("y")
 a, b, c = Const("a"), Const("b"), Const("c")

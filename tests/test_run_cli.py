@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from softlog.cli import main
 from softlog.datasets import TaskSpec, generate, load_problem
 from softlog.grounding import convert_background, ground_context
+from softlog.refine import RefinementConfig
 from softlog.run import (
     default_beam_config,
     default_train_config,
@@ -16,6 +18,8 @@ from softlog.run import (
     save_weights,
     sweep,
 )
+from softlog.search import BeamConfig
+from softlog.training import TrainConfig
 
 FAST = dict(epochs=120)
 
@@ -215,6 +219,27 @@ class TestCli:
         code = main(["eval", str(prob), "--weights", str(tmp_path / "nope.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("mode", ["multi", "pair"])
+    def test_mismatched_weight_file_exits_2(self, mode, tmp_path, capsys):
+        prob, outdir = tmp_path / "p.pl", tmp_path / "run"
+        main(["gen", "--task", "member", "--n", "5", "--out", str(prob)])
+        assert main(["train", str(prob), "--epochs", "5", "--weight-mode", mode,
+                     "--out", str(outdir)]) == 0
+        saved = json.loads((outdir / "weights.json").read_text())
+        n = len(saved["clauses"])
+        cases = {
+            "mode": ({**saved, "mode": mode.title()},
+                     f"weight mode must be 'multi' or 'pair', got '{mode.title()}'"),
+            "dropped": ({**saved, "clauses": saved["clauses"][1:]},
+                        f"do not fit the file's {n - 1} clauses"),
+        }
+        for name, (payload, message) in cases.items():
+            bad = tmp_path / f"{name}.json"
+            bad.write_text(json.dumps(payload))
+            capsys.readouterr()
+            assert main(["eval", str(prob), "--weights", str(bad)]) == 2
+            assert message in capsys.readouterr().err
+
     def test_no_problem_is_config_error(self, capsys):
         assert main(["train"]) == 2
 
@@ -319,6 +344,10 @@ class TestCli:
             return json.loads((out / "run.json").read_text())["config"]
 
         plain = config()
+        run_args = {"noise", "split_frac", "naive_n", "clause_cap", "proof_depth"}
+        settings = {f.name for c in (TrainConfig, BeamConfig, RefinementConfig)
+                    for f in fields(c)} - {"seed"}
+        assert set(plain) == settings | run_args
         assert (plain["clamp"], plain["neg_penalty"]) == (False, 0.0)
         assert plain["proof_depth"] == plain["steps"]
         assert plain["clause_cap"] is None

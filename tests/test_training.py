@@ -185,28 +185,43 @@ class TestTrain:
         assert w.param_count == len(clauses) ** 2
 
     def test_pair_tape_over_budget_refused(self, monkeypatch):
-        # the budget holds any draw: the `batch` largest label cones, at most
-        # |G| (which binds when every label is in the batch)
-        problem = generate(TaskSpec("member", n_per_class=5, seed=0))
-        clauses = list(problem.initial_clauses) * 3
-        ctx = ground_context(problem, clauses, steps=2)
+        # a layered pass computes, at step k, the atoms within T - k hops of
+        # the batch, so one label alone computes sum over d < T of its d-hop
+        # cone; the budget holds any draw: the `batch` largest such sums, at
+        # most T·|G| (which binds when every label is in the batch)
+        steps = 3
+        problem = generate(TaskSpec("delete", n_per_class=5, seed=0))
+        clauses = [*TASKS["delete"].ground_truth, *problem.initial_clauses]
+        ctx = ground_context(problem, clauses, steps)
         labels = make_labels(problem)
-        cones = sorted(
-            len(reference_cone(ctx.x, ctx.index_of(a), 2)) for a, _ in labels
+        work = sorted(
+            sum(len(reference_cone(ctx.x, ctx.index_of(a), d)) for d in range(steps))
+            for a, _ in labels
         )
+        layered, on_cone = [], training._on_cone
+
+        def spy(*args):
+            out = on_cone(*args)
+            layered.append(sum(out[3]))
+            return out
+
+        monkeypatch.setattr(training, "_on_cone", spy)
         for batch_frac in (0.3, 1.0):
             batch = int(np.ceil(batch_frac * len(labels)))
-            widest = min(len(ctx), sum(cones[-batch:]))
-            floats = 3 * 2 * len(clauses) ** 2 * widest
+            most = min(steps * len(ctx), sum(work[-batch:]))
+            floats = 3 * len(clauses) ** 2 * most
             cfg = TrainConfig(
-                m=2, steps=2, epochs=1, seed=0, weight_mode=PAIR, batch_frac=batch_frac
+                m=2, steps=steps, epochs=20, seed=0, weight_mode=PAIR,
+                batch_frac=batch_frac,
             )
             monkeypatch.setattr(training, "PAIR_TAPE_FLOATS", floats - 1)
             with pytest.raises(ValueError, match=f"{floats:,} floats"):
                 train(problem, clauses, ctx, cfg)
             monkeypatch.setattr(training, "PAIR_TAPE_FLOATS", floats)
+            layered.clear()
             w, _ = train(problem, clauses, ctx, cfg)
             assert w.param_count == len(clauses) ** 2
+            assert len(layered) == 20 and max(layered) <= most
 
 
 class TestConfigValidation:

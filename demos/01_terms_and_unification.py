@@ -1,4 +1,5 @@
-"""First-order terms with function symbols, list sugar, and unification.
+"""First-order terms with function symbols, list sugar, and one-way matching
+of a clause head against a ground atom.
 
 Run: python demos/01_terms_and_unification.py
 """
@@ -18,19 +19,17 @@ print("parse('[a,b]')      ->", repr(t), "   printed back:", print_term(t, lang)
 print("parse('[x|y]')      ->", repr(parse_term("[x|y]", lang)))
 print("parse('[]')         ->", repr(parse_term("[]", lang)))
 
-print("\n== unification finds the most general unifier ==")
+print("\n== a clause head matched one way against a ground atom ==")
 pattern = parse_atom("mem(x,[y|z])", lang)
 ground = parse_atom("mem(a,[b,a])", lang)
 theta = unify(pattern, ground)
 print(f"unify({print_atom(pattern, lang)}, {print_atom(ground, lang)}):")
-for var, term in theta.items():
-    print(f"   {var} = {print_term(term, lang)}")
+print("substitution:", ", ".join(f"{v} = {print_term(t, lang)}" for v, t in theta.items()))
 print("applied:", print_atom(apply_subst(pattern, theta), lang))
 
-print("\n== occurs check rejects cyclic bindings ==")
-left = parse_atom("mem(x,x)", lang)
-right = parse_atom("mem(y,[a|y])", lang)
-print(f"unify({print_atom(left, lang)}, {print_atom(right, lang)}) ->", unify(left, right))
+print("\n== a repeated variable must match equal subterms ==")
+clash = parse_atom("mem(x,[x|y])", lang)
+print(f"unify({print_atom(clash, lang)}, {print_atom(ground, lang)}) ->", unify(clash, ground))
 
 print("\n== clauses ==")
 c = parse_clause("mem(x,[y|z]) :- mem(x,z)", lang)

@@ -42,12 +42,12 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--batch-frac", type=float)
     p.add_argument("--beam-size", type=int)
     p.add_argument("--beam-steps", type=int)
-    p.add_argument("--n-body", type=int, default=1)
-    p.add_argument("--n-nest", type=int, default=1)
+    p.add_argument("--n-body", type=int)
+    p.add_argument("--n-nest", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--split-frac", type=float, default=0.7)
-    p.add_argument("--weight-mode", choices=["multi", "pair"], default="multi")
+    p.add_argument("--noise", type=float)
+    p.add_argument("--split-frac", type=float)
+    p.add_argument("--weight-mode", choices=["multi", "pair"])
     p.add_argument(
         "--naive-gen",
         type=int,
@@ -55,7 +55,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
         metavar="N_CLAUSE",
         help="replace beam search with unscored breadth-first generation",
     )
-    p.add_argument("--prune-zero", choices=["on", "off"], default="on")
+    p.add_argument("--prune-zero", choices=["on", "off"])
     p.add_argument(
         "--proof-depth",
         type=int,
@@ -65,8 +65,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--neg-penalty",
         type=float,
-        default=0.0,
-        help="extension: beam score = pos - lambda * neg (default 0, off)",
+        help="extension: beam score = pos - lambda * neg (off by default)",
     )
     p.add_argument(
         "--clamp",
@@ -89,29 +88,27 @@ def _resolve_problem(args) -> tuple:
     return problem, task
 
 
+def _given(args, *keys) -> dict:
+    """The flags among ``keys`` that were set; the others keep the defaults
+    of the config or function they are passed to."""
+    return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+
+
 def _configs(args, task: str):
-    overrides = {}
-    for key in ("m", "steps", "gamma", "lr", "epochs", "batch_frac"):
-        val = getattr(args, key)
-        if val is not None:
-            overrides[key] = val
-    overrides["weight_mode"] = args.weight_mode
+    overrides = _given(
+        args, "m", "steps", "gamma", "lr", "epochs", "batch_frac", "weight_mode"
+    )
     overrides["clamp"] = args.clamp
-    beam_over = {
-        "prune_zero": args.prune_zero == "on",
-        "neg_penalty": args.neg_penalty,
-    }
-    if args.beam_size is not None:
-        beam_over["beam_size"] = args.beam_size
-    if args.beam_steps is not None:
-        beam_over["beam_steps"] = args.beam_steps
+    beam_over = _given(args, "beam_size", "beam_steps", "neg_penalty")
+    if args.prune_zero is not None:
+        beam_over["prune_zero"] = args.prune_zero == "on"
     if task in TASKS:
         tc = default_train_config(task, seed=args.seed, **overrides)
         bc = default_beam_config(task, **beam_over)
     else:
         tc = TrainConfig(seed=args.seed, **overrides)
         bc = BeamConfig(**beam_over)
-    rc = RefinementConfig(n_body=args.n_body, n_nest=args.n_nest)
+    rc = RefinementConfig(**_given(args, "n_body", "n_nest"))
     return tc, bc, rc
 
 
@@ -131,10 +128,9 @@ def cmd_train(args) -> int:
         tc,
         bc,
         rc,
-        noise=args.noise,
-        split_frac=args.split_frac,
         naive_n=args.naive_gen,
         proof_depth=args.proof_depth,
+        **_given(args, "noise", "split_frac"),
     )
     rec = result.record
     print(json.dumps(rec.summary(), indent=2))

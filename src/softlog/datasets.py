@@ -5,11 +5,11 @@ program, and per-task hyperparameter defaults.  Examples are sampled from the
 ground-truth relation (positives) or rejection-sampled against the symbolic
 oracle (negatives), so labels are sound by construction.
 
-The variable pools include a sixth name ``u``: the recursive append and
-delete clauses bind four distinct variables through two function
-applications, which is impossible to reach under the freshness rule of the
-function-refinement operator with only five names (each application consumes
-one live variable and needs two unused ones).
+The tasks' variable pool, ``logic.CANON_VARS``, includes a sixth name
+``u``: the recursive append and delete clauses bind four distinct variables
+through two function applications, which is impossible to reach under the
+freshness rule of the function-refinement operator with only five names
+(each application consumes one live variable and needs two unused ones).
 """
 from __future__ import annotations
 
@@ -19,12 +19,11 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .logic import Atom, Clause, Const, Func, Language, Term, Var
+from .logic import CANON_VARS, Atom, Clause, Const, Func, Language, Term, Var
 from .parser import parse_clause, parse_problem, problem_to_text
 from .problem import ILPProblem
 from .prover import ProofConfig, entails
 
-TASK_VARIABLES = ("x", "y", "z", "v", "w", "u")
 ORACLE_DEPTH = 12
 
 _x, _y, _z, _v, _w = Var("x"), Var("y"), Var("z"), Var("v"), Var("w")
@@ -249,31 +248,31 @@ def _build_tasks() -> dict[str, TaskDef]:
         predicates=[("mem", 2)],
         functions=[("f", 2)],
         constants=["a", "b", "c", "*"],
-        variables=TASK_VARIABLES,
+        variables=CANON_VARS,
     )
     plus_lang = Language(
         predicates=[("plus", 3)],
         functions=[("s", 1)],
         constants=["0"],
-        variables=TASK_VARIABLES,
+        variables=CANON_VARS,
     )
     app_lang = Language(
         predicates=[("app", 3)],
         functions=[("f", 2)],
         constants=["a", "b", "c", "*"],
-        variables=TASK_VARIABLES,
+        variables=CANON_VARS,
     )
     del_lang = Language(
         predicates=[("del", 3)],
         functions=[("f", 2)],
         constants=["a", "b", "c", "*"],
-        variables=TASK_VARIABLES,
+        variables=CANON_VARS,
     )
     sub_lang = Language(
         predicates=[("sub", 2)],
         functions=[("f", 2)],
         constants=["a", "b", "c"],
-        variables=TASK_VARIABLES,
+        variables=CANON_VARS,
     )
     tasks = {
         "member": TaskDef(

@@ -1,10 +1,10 @@
-"""First-order syntax with function symbols: terms, atoms, clauses, unification.
+"""First-order syntax with function symbols: terms, atoms, clauses, matching.
 
 Everything here is an immutable value that caches its hash, so instances are
 safe to share across workers and usable as dict keys in the hot paths
 (grounding, memoized proving).  Terms also cache their groundness: a
-compound term computes it once at construction, so substitution and the
-occurs check pass over ground subterms without looking inside, and
+compound term computes it once at construction, so substitution and
+matching pass over ground subterms without looking inside, and
 substituting into a ground term returns that same term, shared.
 """
 from __future__ import annotations
@@ -12,10 +12,13 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Iterable, Optional, Union
 
-# Canonical variable alphabet used for alpha-renaming.  The leading names
-# match the fixed pool used by the benchmark tasks; overflow names only
-# appear for clauses with more than six variables.
+# Canonical variable alphabet used for alpha-renaming, and the variable pool
+# of the benchmark tasks; overflow names only appear for clauses with more
+# than six variables.
 CANON_VARS = ("x", "y", "z", "v", "w", "u")
+# Variable pool of a language that declares none; problem files list only
+# the variables beyond it.
+DEFAULT_VARIABLES = CANON_VARS[:5]
 
 
 class Term:
@@ -194,7 +197,7 @@ class Language:
         predicates: Iterable[tuple[str, int]] = (),
         functions: Iterable[tuple[str, int]] = (),
         constants: Iterable[str] = (),
-        variables: Iterable[str] = ("x", "y", "z", "v", "w"),
+        variables: Iterable[str] = DEFAULT_VARIABLES,
     ):
         self.predicates = tuple(predicates)
         self.functions = tuple(functions)
@@ -321,7 +324,7 @@ def distinct_var_tuples(c: Clause, n: int) -> list[tuple[Var, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# Substitution and unification
+# Substitution and matching
 # ---------------------------------------------------------------------------
 
 def apply_subst(e: Expr, theta: Subst) -> Expr:
@@ -345,73 +348,11 @@ def apply_subst(e: Expr, theta: Subst) -> Expr:
     )
 
 
-def _walk(t: Term, theta: Subst) -> Term:
-    """Follow bindings from ``t`` to an unbound variable or a non-variable."""
-    while type(t) is Var:
-        u = theta.get(t)
-        if u is None:
-            return t
-        t = u
-    return t
-
-
-def _occurs(v: Var, t: Term, theta: Subst) -> bool:
-    """Whether ``v`` occurs in ``t`` once the bindings in ``theta`` are followed."""
-    t = _walk(t, theta)
-    if type(t) is Var:
-        return t == v
-    if type(t) is Func and not t.ground:
-        return any(_occurs(v, a, theta) for a in t.args)
-    return False
-
-
-def _unify_terms(a: Term, b: Term, theta: Subst) -> bool:
-    """Extend the triangular ``theta`` in place so that it unifies ``a`` and
-    ``b``; False when they do not unify (``theta`` is then partly extended)."""
-    if type(a) is Var:
-        a = _walk(a, theta)
-    if type(b) is Var:
-        b = _walk(b, theta)
-    if a == b:
-        return True
-    if type(a) is Var:
-        if not b.ground and _occurs(a, b, theta):
-            return False
-        theta[a] = b
-        return True
-    if type(b) is Var:
-        if not a.ground and _occurs(b, a, theta):
-            return False
-        theta[b] = a
-        return True
-    if (
-        type(a) is not Func
-        or type(b) is not Func
-        or (a.ground and b.ground)
-        or a.name != b.name
-        or len(a.args) != len(b.args)
-    ):
-        return False
-    for x, y in zip(a.args, b.args):
-        if not _unify_terms(x, y, theta):
-            return False
-    return True
-
-
-def _resolve(t: Term, theta: Subst) -> Term:
-    """``t`` with every bound variable replaced, through chains, by its value."""
-    t = _walk(t, theta)
-    if type(t) is Func and not t.ground:
-        return Func(t.name, tuple(_resolve(a, theta) for a in t.args))
-    return t
-
-
 def _match(p: Term, g: Term, theta: Subst) -> bool:
     """Extend ``theta`` in place so that ``p`` under it equals the ground
     ``g``; False when no substitution does (``theta`` is then partly
     extended).  Every value bound is ground, so a variable met again is
-    checked by equality and nothing needs walking, an occurs check or
-    resolving."""
+    checked by equality."""
     if type(p) is Var:
         t = theta.setdefault(p, g)
         return t is g or t == g
@@ -426,35 +367,22 @@ def _match(p: Term, g: Term, theta: Subst) -> bool:
 
 
 def unify(a: Atom, b: Atom) -> Optional[Subst]:
-    """Most general unifier of two atoms, or None when not unifiable.
+    """One-way matching: the substitution θ with aθ = b, or None when there
+    is none.  Raises ValueError unless ``b`` is ground.
 
-    Occurs check is on.  When a variable of ``a`` meets a variable of ``b``,
-    the variable of ``a`` becomes the key, so binding order is deterministic.
-    Bindings are kept triangular while the atoms are walked (a value may
-    mention other bound variables) and resolved once before returning, so
-    the result is idempotent: no variable it binds occurs in its values.
-
-    When ``b`` is ground, which is every call the prover and the grounding
-    make, unification is one-way matching: ``a``'s variables are bound in a
-    single pass with the same result.
+    Every head match softlog makes is a clause head against a ground atom
+    (the prover's goals and the grounding's atoms), so ``a``'s variables are
+    bound in a single pass.
     """
+    for y in b.args:
+        if not y.ground:
+            raise ValueError(f"unify matches against a ground atom, got {b!r}")
     if a.pred != b.pred or len(a.args) != len(b.args):
         return None
     theta: Subst = {}
-    for y in b.args:
-        if not y.ground:
-            break
-    else:
-        for x, y in zip(a.args, b.args):
-            if not _match(x, y, theta):
-                return None
-        return theta
     for x, y in zip(a.args, b.args):
-        if not _unify_terms(x, y, theta):
+        if not _match(x, y, theta):
             return None
-    for v, t in theta.items():  # only values change, so iterating is safe
-        if not t.ground:
-            theta[v] = _resolve(t, theta)
     return theta
 
 

@@ -14,6 +14,7 @@ from .logic import (
     Atom,
     Clause,
     Const,
+    DEFAULT_VARIABLES,
     Func,
     Language,
     RESERVED_PREDS,
@@ -23,8 +24,6 @@ from .logic import (
     is_ground,
 )
 from .problem import ILPProblem
-
-DEFAULT_VARIABLES = ("x", "y", "z", "v", "w")
 
 
 class ParseError(ValueError):

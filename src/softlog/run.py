@@ -33,6 +33,9 @@ log = logging.getLogger(__name__)
 
 # Every this-many epochs one loss value goes into RunRecord.loss_samples.
 LOSS_SAMPLE_EVERY = 50
+# The entries of a weight file that evaluate_saved needs ("clamp" may be
+# missing).
+WEIGHT_KEYS = ("mode", "w", "clauses", "steps", "gamma", "split_frac", "noise", "seed")
 
 
 @dataclass
@@ -238,6 +241,11 @@ def save_weights(path, result: RunResult) -> None:
 
 def load_weights(path, problem: ILPProblem):
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: a weight file holds a JSON object")
+    for key in WEIGHT_KEYS:
+        if key not in payload:
+            raise ValueError(f"{path}: weight file has no {key!r} entry")
     weights = WeightSet(payload["mode"], np.array(payload["w"], dtype=np.float64))
     clauses = [parse_clause(t, problem.language) for t in payload["clauses"]]
     if weights.n_clauses != len(clauses):

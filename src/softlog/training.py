@@ -93,11 +93,6 @@ def predictions(
     return np.array([v[ctx.index_of(a)] for a in atoms])
 
 
-def cross_entropy(p: np.ndarray, y: np.ndarray) -> float:
-    pc = np.clip(p, PRED_CLIP, 1.0 - PRED_CLIP)
-    return float(np.mean(-(y * np.log(pc) + (1 - y) * np.log(1 - pc))))
-
-
 def _loss_and_grad(x, v0, weights, idx, y, cfg, widths=None):
     """Mean cross-entropy over one batch plus its weight gradient; ``widths``
     as in :func:`infer`."""
@@ -268,30 +263,18 @@ def extract_program(weights: WeightSet, clauses: Sequence[Clause]) -> LearnedPro
 # Metrics
 # ---------------------------------------------------------------------------
 
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
-
-
 def auc(scores: Sequence[float], labels: Sequence[int]) -> float:
-    """Rank-based (Mann-Whitney) AUC; ties count one half."""
+    """Mann-Whitney AUC: the share of (positive, negative) pairs whose
+    positive scores higher; ties count one half."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    n_pos = int((labels == 1).sum())
-    n_neg = int((labels == 0).sum())
-    if n_pos == 0 or n_neg == 0:
+    pos = scores[labels == 1]
+    neg = np.sort(scores[labels == 0])
+    if not len(pos) or not len(neg):
         raise ValueError("AUC needs both classes")
-    ranks = _average_ranks(scores)
-    u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+    # per positive: twice the negatives below it, plus those tied with it
+    u = (np.searchsorted(neg, pos, "left") + np.searchsorted(neg, pos, "right")).sum()
+    return float(u / 2 / (len(pos) * len(neg)))
 
 
 def mse(scores: Sequence[float], labels: Sequence[int]) -> float:

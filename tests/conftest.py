@@ -28,6 +28,7 @@ from softlog.logic import (
 from softlog.parser import print_term
 from softlog.problem import ILPProblem
 from softlog.prover import ProofConfig, eval_counts
+from softlog.training import PRED_CLIP
 
 log = logging.getLogger(__name__)
 
@@ -139,7 +140,8 @@ def _reference_unify_terms(a: Term, b: Term, theta: Subst) -> Optional[Subst]:
 
 def reference_unify(a: Atom, b: Atom) -> Optional[Subst]:
     """Most general unifier by applying and composing the substitution at
-    every binding: the oracle that ``softlog.logic.unify`` is checked against.
+    every binding: the tests' general unifier, and the oracle that the
+    one-way ``softlog.logic.unify`` is checked against on ground targets.
 
     Occurs check is on.  When a variable of ``a`` meets a variable of ``b``,
     the variable of ``a`` becomes the key, so binding order is deterministic.
@@ -185,13 +187,13 @@ def subsumes(general: Clause, specific: Clause) -> bool:
             return True
         first = apply_subst(goals[0], theta)
         for cand in specific.body:
-            sigma = unify(first, cand)
+            sigma = reference_unify(first, cand)
             if sigma is not None and _pattern_only(sigma, specific):
                 if extend(compose(theta, sigma), goals[1:]):
                     return True
         return False
 
-    theta = unify(g.head, specific.head)
+    theta = reference_unify(g.head, specific.head)
     if theta is None or not _pattern_only(theta, specific):
         return False
     return extend(theta, g.body)
@@ -319,6 +321,13 @@ def reference_build_index_tensor(
 # ---------------------------------------------------------------------------
 # Inference helpers that only tests use
 # ---------------------------------------------------------------------------
+
+def reference_cross_entropy(p: np.ndarray, y: np.ndarray) -> float:
+    """Mean binary cross-entropy of the clipped predictions, both terms
+    written out."""
+    pc = np.clip(p, PRED_CLIP, 1.0 - PRED_CLIP)
+    return float(np.mean(-(y * np.log(pc) + (1 - y) * np.log(1 - pc))))
+
 
 def clause_outputs(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """All clause functions at once: row i is the soft conjunction of clause

@@ -37,7 +37,13 @@ from softlog.refine import refine
 from softlog.run import default_beam_config, default_train_config, run_problem
 from softlog.search import BeamConfig, beam_search
 from softlog.training import TrainConfig, extract_program, train
-from conftest import forward_closure, subsumes
+from conftest import (
+    forward_closure,
+    random_atom,
+    random_ground_atom,
+    reference_unify,
+    subsumes,
+)
 
 pytestmark = pytest.mark.acceptance
 
@@ -360,14 +366,20 @@ def test_criterion_9_property_suite():
         constants=["a", "b"],
         variables=["x", "y", "z"],
     )
-    from conftest import random_atom
-
-    # unification laws
+    # unification laws: the general ones on the tests' unifier, and the
+    # library's one-way matching against ground atoms (drawn apart, so the
+    # checks below see the same draws)
+    ground_rng = random.Random(1)
     for _ in range(200):
         left, right = random_atom(rng, lang), random_atom(rng, lang)
-        theta = unify(left, right)
+        theta = reference_unify(left, right)
         if theta is not None:
             assert apply_subst(left, theta) == apply_subst(right, theta)
+        ground = random_ground_atom(ground_rng, lang)
+        theta = unify(left, ground)
+        assert theta == reference_unify(left, ground)
+        if theta is not None:
+            assert apply_subst(left, theta) == ground
 
     # refinement subsumption
     seed_clause = parse_clause("p(x,y)", lang)

@@ -17,9 +17,12 @@ DEMOS = (
     "04_differentiable_inference.py",
     "05_learn_member.py",
 )
-# a line a demo must print: demo 04 checks the tensor inference against the
-# prover
-EXPECTED = {"04_differentiable_inference.py": "agree: True"}
+# a line a demo must print: demo 01's substitution, and demo 04's check of
+# the tensor inference against the prover
+EXPECTED = {
+    "01_terms_and_unification.py": "substitution: x = a, y = b, z = [a]",
+    "04_differentiable_inference.py": "agree: True",
+}
 
 
 @pytest.mark.parametrize("demo", DEMOS)

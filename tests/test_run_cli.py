@@ -232,6 +232,12 @@ class TestCli:
                      f"weight mode must be 'multi' or 'pair', got '{mode.title()}'"),
             "dropped": ({**saved, "clauses": saved["clauses"][1:]},
                         f"do not fit the file's {n - 1} clauses"),
+            "list": ([saved], "list.json: a weight file holds a JSON object"),
+            **{
+                f"no-{key}": ({k: v for k, v in saved.items() if k != key},
+                              f"no-{key}.json: weight file has no {key!r} entry")
+                for key in ("clauses", "mode", "seed", "split_frac")
+            },
         }
         for name, (payload, message) in cases.items():
             bad = tmp_path / f"{name}.json"

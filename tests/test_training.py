@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import predict, reference_cone
+from conftest import predict, reference_cone, reference_cross_entropy
 from softlog import training
 from softlog.datasets import TASKS, TaskSpec, generate, split
 from softlog.grounding import convert_background, ground_context
@@ -11,8 +11,8 @@ from softlog.parser import parse_atom
 from softlog.problem import ILPProblem
 from softlog.training import (
     TrainConfig,
+    _loss_and_grad,
     auc,
-    cross_entropy,
     extract_program,
     make_labels,
     metrics,
@@ -99,24 +99,31 @@ class TestPredict:
 
 
 class TestLoss:
+    """The loss of ``_loss_and_grad`` against ``reference_cross_entropy``."""
+
+    @staticmethod
+    def _loss(v_g, subgoal, y):
+        # atoms false, true and g; one clause derives g from the subgoal
+        xt = np.array([[[0], [1], [subgoal]]])
+        v0 = np.array([0.0, 1.0, v_g])
+        w = WeightSet.one_hot([0], 1)
+        cfg = TrainConfig(m=1, steps=1)
+        idx, y = np.full(len(y), 2), np.asarray(y, dtype=float)
+        loss, _ = _loss_and_grad(xt, v0, w, idx, y, cfg)
+        p = infer(xt, v0, w, cfg.steps, cfg.gamma)[idx]
+        assert loss == pytest.approx(reference_cross_entropy(p, y), rel=1e-12)
+        return loss
+
     def test_perfect_prediction_zero(self):
-        assert cross_entropy(np.array([1.0]), np.array([1.0])) == pytest.approx(
-            0.0, abs=1e-6
-        )
+        assert self._loss(0.0, 1, [1]) == pytest.approx(0.0, abs=1e-6)
 
     def test_half_is_log2(self):
-        assert cross_entropy(np.array([0.5]), np.array([1.0])) == pytest.approx(
-            np.log(2)
-        )
-        assert cross_entropy(np.array([0.5]), np.array([0.0])) == pytest.approx(
-            np.log(2)
-        )
+        assert self._loss(0.5, 0, [1]) == pytest.approx(np.log(2))
+        assert self._loss(0.5, 0, [0, 1]) == pytest.approx(np.log(2))
 
     def test_gradient_step_decreases_loss(self):
         # statistical check: a small step along the negative gradient reduces
         # the batch loss on random instances
-        from softlog.training import _loss_and_grad
-
         rng = np.random.default_rng(0)
         wins = 0
         for trial in range(20):
@@ -131,6 +138,8 @@ class TestLoss:
             y = rng.integers(0, 2, size=6).astype(float)
             cfg = TrainConfig(m=2, steps=2, gamma=0.1, seed=trial)
             loss0, grad = _loss_and_grad(xt, v0, w, idx, y, cfg)
+            p = infer(xt, v0, w, cfg.steps, cfg.gamma)[idx]
+            assert loss0 == pytest.approx(reference_cross_entropy(p, y), rel=1e-12)
             w2 = WeightSet(MULTI, w.w - 1e-3 * grad)
             loss1, _ = _loss_and_grad(xt, v0, w2, idx, y, cfg)
             wins += loss1 < loss0 + 1e-12
@@ -352,6 +361,9 @@ class TestMetrics:
 
     def test_ties_count_half(self):
         assert auc([0.7, 0.7, 0.1], [1, 0, 0]) == pytest.approx(0.75)
+        # every score tied within its class
+        assert auc([0.3, 0.9, 0.3, 0.9, 0.3], [1, 0, 1, 0, 1]) == 0.0
+        assert auc([0.9, 0.3, 0.9, 0.3, 0.9], [1, 0, 1, 0, 1]) == 1.0
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):

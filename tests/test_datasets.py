@@ -13,7 +13,8 @@ from softlog.datasets import (
     split,
 )
 from softlog.logic import Const, Func, is_ground
-from softlog.parser import parse_problem, print_atom, problem_to_text
+from softlog.parser import parse_problem, print_atom, print_clause, problem_to_text
+from softlog.problem import ILPProblem
 from softlog.prover import ProofConfig, entails
 
 ORACLE = ProofConfig(max_depth=12)
@@ -173,7 +174,51 @@ class TestTaskDefaults:
             assert TASKS[task].steps == 4
 
     def test_ground_truth_programs_parse(self):
-        for td in TASKS.values():
-            assert td.ground_truth
-            for c in td.ground_truth:
-                assert c.head.pred == td.name[:3] or True  # shape sanity
+        # each task's example-free problem file, its printed reference
+        # program, and (default_size, m, steps, beam_size, beam_steps)
+        lists = "func f/2.\nconst a. const b. const c. const *.\nvar u.\n"
+        pins = {
+            "member": (
+                "task member.\npred mem/2.\n" + lists + "init mem(x,y).\n"
+                "bg mem(a,[a]).\nbg mem(b,[b]).\nbg mem(c,[c]).\n",
+                ["mem(x,[y|z]) :- mem(x,z)", "mem(x,[x|y])"],
+                (5, 2, 4, 3, 3),
+            ),
+            "plus": (
+                "task plus.\npred plus/3.\nfunc s/1.\nconst 0.\nvar u.\n"
+                "init plus(x,y,z).\nbg plus(0,0,0).\n",
+                ["plus(0,x,x)", "plus(x,s(y),s(z)) :- plus(x,y,z)",
+                 "plus(s(x),y,s(z)) :- plus(y,x,z)"],
+                (9, 3, 8, 10, 5),
+            ),
+            "append": (
+                "task append.\npred app/3.\n" + lists + "init app(x,y,z).\n"
+                "bg app([],[],[]).\n",
+                ["app([],x,x)", "app(x,[],x)", "app([x|y],z,[x|v]) :- app(y,z,v)"],
+                (5, 3, 4, 10, 5),
+            ),
+            "delete": (
+                "task delete.\npred del/3.\n" + lists + "init del(x,y,z).\n"
+                "bg del(a,[a],[]).\nbg del(b,[b],[]).\nbg del(c,[c],[]).\n",
+                ["del(x,[x|y],y)", "del(x,[y|z],[y|v]) :- del(x,z,v)"],
+                (5, 2, 4, 10, 5),
+            ),
+            "subtree": (
+                "task subtree.\npred sub/2.\nfunc f/2.\nconst a. const b. const c.\n"
+                "var u.\ninit sub(x,y).\nbg sub(a,a).\nbg sub(b,b).\nbg sub(c,c).\n",
+                ["sub(f(x,y),f(x,y))", "sub(x,f(y,z)) :- sub(x,z)",
+                 "sub(x,f(y,z)) :- sub(x,y)", "sub(x,f(y,x))"],
+                (3, 4, 4, 15, 3),
+            ),
+        }
+        assert list(TASKS) == list(pins)
+        for name, (header, program, table) in pins.items():
+            td = TASKS[name]
+            assert td.name == name
+            bare = ILPProblem(
+                (), (), td.background, td.language, td.initial_clauses, name
+            )
+            assert problem_to_text(bare) == header
+            assert [print_clause(c, td.language) for c in td.ground_truth] == program
+            assert (td.default_size, td.m, td.steps, td.beam_size,
+                    td.beam_steps) == table

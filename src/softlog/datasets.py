@@ -1,15 +1,10 @@
 """Benchmark task generators, label noise, train/test splitting, file IO.
 
-Each task ships its language, background facts, initial clause, ground-truth
-program, and per-task hyperparameter defaults.  Examples are sampled from the
-ground-truth relation (positives) or rejection-sampled against the symbolic
-oracle (negatives), so labels are sound by construction.
-
-The tasks' variable pool, ``logic.CANON_VARS``, includes a sixth name
-``u``: the recursive append and delete clauses bind four distinct variables
-through two function applications, which is impossible to reach under the
-freshness rule of the function-refinement operator with only five names
-(each application consumes one live variable and needs two unused ones).
+Each task is declared in the problem-file syntax that ``softlog gen`` writes:
+a header with its language, background facts and initial clause, and its
+ground-truth program, next to per-task hyperparameter defaults.  Examples are
+sampled from the ground-truth relation (positives) or rejection-sampled
+against the symbolic oracle (negatives), so labels are sound by construction.
 """
 from __future__ import annotations
 
@@ -19,14 +14,13 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .logic import CANON_VARS, Atom, Clause, Const, Func, Language, Term, Var
+from .logic import Atom, Clause, Const, Func, Language, Term
 from .parser import parse_clause, parse_problem, problem_to_text
 from .problem import ILPProblem
 from .prover import ProofConfig, entails
 
 ORACLE_DEPTH = 12
 
-_x, _y, _z, _v, _w = Var("x"), Var("y"), Var("z"), Var("v"), Var("w")
 NIL = Const("*")
 
 
@@ -183,15 +177,6 @@ def _random_tree(rng: random.Random, depth: int, alphabet: Sequence[str] = "abc"
     )
 
 
-def _proper_subtrees(t: Term) -> list[Term]:
-    out = []
-    if type(t) is Func:
-        for a in t.args:
-            out.append(a)
-            out.extend(_proper_subtrees(a))
-    return out
-
-
 def _subtree_pos(rng: random.Random, size: int) -> Atom:
     # The occurrence is drawn by random descent rather than uniformly over
     # proper subtrees: direct children and spine leaves (the base cases of
@@ -239,52 +224,33 @@ def _subtree_neg(rng: random.Random, size: int) -> Atom:
     return Atom("sub", (t1, t2))
 
 
-def _clauses(lang: Language, *texts: str) -> tuple[Clause, ...]:
-    return tuple(parse_clause(t, lang) for t in texts)
+def _task(header: str, program: Sequence[str], **fields) -> TaskDef:
+    """A task from its problem-file header and its reference program, parsed
+    in the header's language.
+
+    ``var u.`` makes the pool ``logic.CANON_VARS``: the recursive append
+    and delete clauses bind four distinct variables through two function
+    applications, which is impossible to reach under the freshness rule of
+    the function-refinement operator with only five names (each
+    application consumes one live variable and needs two unused ones)."""
+    p = parse_problem(header + " var u.")
+    return TaskDef(
+        name=p.name,
+        language=p.language,
+        background=p.background,
+        initial_clauses=p.initial_clauses,
+        ground_truth=tuple(parse_clause(t, p.language) for t in program),
+        **fields,
+    )
 
 
-def _build_tasks() -> dict[str, TaskDef]:
-    mem_lang = Language(
-        predicates=[("mem", 2)],
-        functions=[("f", 2)],
-        constants=["a", "b", "c", "*"],
-        variables=CANON_VARS,
-    )
-    plus_lang = Language(
-        predicates=[("plus", 3)],
-        functions=[("s", 1)],
-        constants=["0"],
-        variables=CANON_VARS,
-    )
-    app_lang = Language(
-        predicates=[("app", 3)],
-        functions=[("f", 2)],
-        constants=["a", "b", "c", "*"],
-        variables=CANON_VARS,
-    )
-    del_lang = Language(
-        predicates=[("del", 3)],
-        functions=[("f", 2)],
-        constants=["a", "b", "c", "*"],
-        variables=CANON_VARS,
-    )
-    sub_lang = Language(
-        predicates=[("sub", 2)],
-        functions=[("f", 2)],
-        constants=["a", "b", "c"],
-        variables=CANON_VARS,
-    )
-    tasks = {
-        "member": TaskDef(
-            name="member",
-            language=mem_lang,
-            background=tuple(
-                Atom("mem", (Const(e), make_list([e]))) for e in "abc"
-            ),
-            initial_clauses=_clauses(mem_lang, "mem(x,y)"),
-            ground_truth=_clauses(
-                mem_lang, "mem(x,[y|z]) :- mem(x,z)", "mem(x,[x|y])"
-            ),
+TASKS = {
+    td.name: td
+    for td in (
+        _task(
+            "task member. pred mem/2. func f/2. const a. const b. const c. const *."
+            " init mem(x,y). bg mem(a,[a]). bg mem(b,[b]). bg mem(c,[c]).",
+            ("mem(x,[y|z]) :- mem(x,z)", "mem(x,[x|y])"),
             default_size=5,
             m=2,
             steps=4,
@@ -293,13 +259,10 @@ def _build_tasks() -> dict[str, TaskDef]:
             sample_pos=_member_pos,
             sample_neg_shape=_member_neg,
         ),
-        "plus": TaskDef(
-            name="plus",
-            language=plus_lang,
-            background=(Atom("plus", (Const("0"), Const("0"), Const("0"))),),
-            initial_clauses=_clauses(plus_lang, "plus(x,y,z)"),
-            ground_truth=_clauses(
-                plus_lang,
+        _task(
+            "task plus. pred plus/3. func s/1. const 0."
+            " init plus(x,y,z). bg plus(0,0,0).",
+            (
                 "plus(0,x,x)",
                 "plus(x,s(y),s(z)) :- plus(x,y,z)",
                 "plus(s(x),y,s(z)) :- plus(y,x,z)",
@@ -312,17 +275,10 @@ def _build_tasks() -> dict[str, TaskDef]:
             sample_pos=_plus_pos,
             sample_neg_shape=_plus_neg,
         ),
-        "append": TaskDef(
-            name="append",
-            language=app_lang,
-            background=(Atom("app", (NIL, NIL, NIL)),),
-            initial_clauses=_clauses(app_lang, "app(x,y,z)"),
-            ground_truth=_clauses(
-                app_lang,
-                "app([],x,x)",
-                "app(x,[],x)",
-                "app([x|y],z,[x|v]) :- app(y,z,v)",
-            ),
+        _task(
+            "task append. pred app/3. func f/2. const a. const b. const c. const *."
+            " init app(x,y,z). bg app([],[],[]).",
+            ("app([],x,x)", "app(x,[],x)", "app([x|y],z,[x|v]) :- app(y,z,v)"),
             default_size=5,
             m=3,
             steps=4,
@@ -331,18 +287,10 @@ def _build_tasks() -> dict[str, TaskDef]:
             sample_pos=_append_pos,
             sample_neg_shape=_append_neg,
         ),
-        "delete": TaskDef(
-            name="delete",
-            language=del_lang,
-            background=tuple(
-                Atom("del", (Const(e), make_list([e]), NIL)) for e in "abc"
-            ),
-            initial_clauses=_clauses(del_lang, "del(x,y,z)"),
-            ground_truth=_clauses(
-                del_lang,
-                "del(x,[x|y],y)",
-                "del(x,[y|z],[y|v]) :- del(x,z,v)",
-            ),
+        _task(
+            "task delete. pred del/3. func f/2. const a. const b. const c. const *."
+            " init del(x,y,z). bg del(a,[a],[]). bg del(b,[b],[]). bg del(c,[c],[]).",
+            ("del(x,[x|y],y)", "del(x,[y|z],[y|v]) :- del(x,z,v)"),
             default_size=5,
             m=2,
             steps=4,
@@ -351,13 +299,10 @@ def _build_tasks() -> dict[str, TaskDef]:
             sample_pos=_delete_pos,
             sample_neg_shape=_delete_neg,
         ),
-        "subtree": TaskDef(
-            name="subtree",
-            language=sub_lang,
-            background=tuple(Atom("sub", (Const(e), Const(e))) for e in "abc"),
-            initial_clauses=_clauses(sub_lang, "sub(x,y)"),
-            ground_truth=_clauses(
-                sub_lang,
+        _task(
+            "task subtree. pred sub/2. func f/2. const a. const b. const c."
+            " init sub(x,y). bg sub(a,a). bg sub(b,b). bg sub(c,c).",
+            (
                 "sub(f(x,y),f(x,y))",
                 "sub(x,f(y,z)) :- sub(x,z)",
                 "sub(x,f(y,z)) :- sub(x,y)",
@@ -371,11 +316,8 @@ def _build_tasks() -> dict[str, TaskDef]:
             sample_pos=_subtree_pos,
             sample_neg_shape=_subtree_neg,
         ),
-    }
-    return tasks
-
-
-TASKS = _build_tasks()
+    )
+}
 
 
 # ---------------------------------------------------------------------------

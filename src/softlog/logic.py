@@ -1,11 +1,12 @@
 """First-order syntax with function symbols: terms, atoms, clauses, matching.
 
 Everything here is an immutable value that caches its hash, so instances are
-safe to share across workers and usable as dict keys in the hot paths
-(grounding, memoized proving).  Terms also cache their groundness: a
-compound term computes it once at construction, so substitution and
-matching pass over ground subterms without looking inside, and
-substituting into a ground term returns that same term, shared.
+usable as dict keys in the hot paths (grounding, memoized proving) and safe
+to share across workers: ``__reduce__`` rebuilds a pickled value through its
+constructor, which hashes it anew in the loading process.  Terms also cache
+their groundness: a compound term computes it once at construction, so
+substitution and matching pass over ground subterms without looking inside,
+and substituting into a ground term returns that same term, shared.
 """
 from __future__ import annotations
 
@@ -21,7 +22,25 @@ CANON_VARS = ("x", "y", "z", "v", "w", "u")
 DEFAULT_VARIABLES = CANON_VARS[:5]
 
 
-class Term:
+class _Value:
+    """Immutable value that caches its hash.  Pickling and copying rebuild
+    it through its constructor from the attributes named in ``_fields``, so
+    a value loaded in another process recomputes its hash there (string
+    hashes differ between processes)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+class Term(_Value):
     """Base class for constants, variables, and compound terms.
 
     ``ground`` is True when the term contains no variable.
@@ -30,52 +49,42 @@ class Term:
     __slots__ = ()
 
 
-class Const(Term):
+class _Symbol(Term):
+    """A constant or a variable; ``_tag`` keeps their hashes apart."""
+
     __slots__ = ("name", "_hash")
+    _fields = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_hash", hash((self._tag, name)))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.name == self.name
+
+    __hash__ = _Value.__hash__
+
+    def __repr__(self):
+        return self.name
+
+
+class Const(_Symbol):
+    __slots__ = ()
     ground = True
-
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash(("c", name)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Const is immutable")
-
-    def __eq__(self, other):
-        return type(other) is Const and other.name == self.name
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return self.name
+    _tag = "c"
 
 
-class Var(Term):
-    __slots__ = ("name", "_hash")
+class Var(_Symbol):
+    __slots__ = ()
     ground = False
-
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash(("v", name)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Var is immutable")
-
-    def __eq__(self, other):
-        return type(other) is Var and other.name == self.name
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return self.name
+    _tag = "v"
 
 
 class Func(Term):
     """Application of a function symbol to argument terms (arity >= 1)."""
 
     __slots__ = ("name", "args", "ground", "_hash")
+    _fields = ("name", "args")
 
     def __init__(self, name: str, args: Iterable[Term]):
         args = tuple(args)
@@ -85,9 +94,6 @@ class Func(Term):
         object.__setattr__(self, "args", args)
         object.__setattr__(self, "ground", all(a.ground for a in args))
         object.__setattr__(self, "_hash", hash(("f", name, args)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Func is immutable")
 
     @property
     def arity(self) -> int:
@@ -101,26 +107,23 @@ class Func(Term):
             and other.args == self.args
         )
 
-    def __hash__(self):
-        return self._hash
+    __hash__ = _Value.__hash__
 
     def __repr__(self):
         return f"{self.name}({','.join(map(repr, self.args))})"
 
 
-class Atom:
+class Atom(_Value):
     """Predicate applied to terms.  ``true``/``false`` are reserved nullary atoms."""
 
     __slots__ = ("pred", "args", "_hash")
+    _fields = ("pred", "args")
 
     def __init__(self, pred: str, args: Iterable[Term] = ()):
         args = tuple(args)
         object.__setattr__(self, "pred", pred)
         object.__setattr__(self, "args", args)
         object.__setattr__(self, "_hash", hash(("a", pred, args)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Atom is immutable")
 
     @property
     def arity(self) -> int:
@@ -134,8 +137,7 @@ class Atom:
             and other.args == self.args
         )
 
-    def __hash__(self):
-        return self._hash
+    __hash__ = _Value.__hash__
 
     def __repr__(self):
         if not self.args:
@@ -148,22 +150,20 @@ FALSE = Atom("false")
 RESERVED_PREDS = frozenset({"true", "false"})
 
 
-class Clause:
+class Clause(_Value):
     """Definite clause ``head :- body``; a fact pattern when the body is empty.
 
     ``_canon`` holds the clause's canonical form once :func:`canonical` has
     computed it."""
 
     __slots__ = ("head", "body", "_hash", "_canon")
+    _fields = ("head", "body")
 
     def __init__(self, head: Atom, body: Iterable[Atom] = ()):
         body = tuple(body)
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "body", body)
         object.__setattr__(self, "_hash", hash(("cl", head, body)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Clause is immutable")
 
     def __eq__(self, other):
         return (
@@ -173,8 +173,7 @@ class Clause:
             and other.body == self.body
         )
 
-    def __hash__(self):
-        return self._hash
+    __hash__ = _Value.__hash__
 
     def __repr__(self):
         if not self.body:

@@ -33,9 +33,14 @@ log = logging.getLogger(__name__)
 
 # Every this-many epochs one loss value goes into RunRecord.loss_samples.
 LOSS_SAMPLE_EVERY = 50
-# The entries of a weight file that evaluate_saved needs ("clamp" may be
-# missing).
-WEIGHT_KEYS = ("mode", "w", "clauses", "steps", "gamma", "split_frac", "noise", "seed")
+# The entries of a weight file that evaluate_saved reads and the JSON types
+# each may hold, compared exactly so that a bool is not an int.
+_NUMBER = (int, float)
+WEIGHT_KEYS = {
+    "mode": (str,), "w": (list,), "clauses": (list,), "steps": (int,),
+    "gamma": _NUMBER, "split_frac": _NUMBER, "noise": _NUMBER, "seed": (int,),
+    "clamp": (bool,),
+}
 
 
 @dataclass
@@ -243,9 +248,19 @@ def load_weights(path, problem: ILPProblem):
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: a weight file holds a JSON object")
-    for key in WEIGHT_KEYS:
+    # files written before the clamp was saved come from unclamped runs
+    payload.setdefault("clamp", False)
+    for key, types in WEIGHT_KEYS.items():
         if key not in payload:
             raise ValueError(f"{path}: weight file has no {key!r} entry")
+        value = payload[key]
+        if type(value) not in types:
+            want = " or ".join(t.__name__ for t in types)
+            raise ValueError(
+                f"{path}: weight file entry {key!r} must be {want}, got {value!r:.40}"
+            )
+    if not all(type(t) is str for t in payload["clauses"]):
+        raise ValueError(f"{path}: weight file entry 'clauses' must hold strings")
     weights = WeightSet(payload["mode"], np.array(payload["w"], dtype=np.float64))
     clauses = [parse_clause(t, problem.language) for t in payload["clauses"]]
     if weights.n_clauses != len(clauses):
@@ -262,10 +277,9 @@ def evaluate_saved(problem: ILPProblem, weights_path) -> dict:
     train_problem, test_labels = split(problem, payload["split_frac"], payload["seed"])
     if payload["noise"]:
         train_problem = inject_noise(train_problem, payload["noise"], payload["seed"])
-    # files written before the clamp was saved come from unclamped runs
     return evaluate(
         train_problem, clauses, weights, test_labels, payload["steps"], payload["gamma"],
-        clamp=payload.get("clamp", False),
+        clamp=payload["clamp"],
     )
 
 

@@ -52,6 +52,8 @@ class TrainConfig:
             raise ValueError(f"TrainConfig.lr must be positive, got {self.lr}")
         if self.epochs < 0:
             raise ValueError(f"TrainConfig.epochs must be >= 0, got {self.epochs}")
+        if self.seed < 0:
+            raise ValueError(f"TrainConfig.seed must be >= 0, got {self.seed}")
         if not 0 < self.batch_frac <= 1:
             raise ValueError(
                 f"TrainConfig.batch_frac must be in (0, 1], got {self.batch_frac}"

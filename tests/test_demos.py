@@ -1,6 +1,8 @@
 """Demos 01-05 run to completion, each as its own process from the
-repository root with ``PYTHONPATH=src``; together they take a few seconds.  ``06_noise_robustness.py`` is left out because its noise sweep
-takes about two minutes.
+repository root with ``PYTHONPATH=src``; together they take a few seconds.
+``06_noise_robustness.py`` is left out: its 18 training runs (about 20 s)
+repeat the noise sweep of ``test_acceptance.py``'s criterion 5, which
+asserts the same trend on member and subtree.
 """
 import os
 import subprocess

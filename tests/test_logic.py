@@ -1,4 +1,10 @@
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -239,6 +245,67 @@ class TestStructure:
         specific = Clause(Atom("p", (a, y)), (Atom("q", (y, y)),))
         assert subsumes(general, specific)
         assert not subsumes(specific, general)
+
+
+class TestPickle:
+    """Values cross process boundaries: pickling and copying rebuild them
+    through their constructors, so a load re-hashes them."""
+
+    COPIES = {
+        "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+    }
+
+    @pytest.mark.parametrize("how", sorted(COPIES))
+    def test_values_and_problems_round_trip(self, how):
+        from softlog.datasets import TaskSpec, generate
+
+        again = self.COPIES[how]
+        f = Func("f", (a, Func("g", (x,))))
+        values = [a, x, f, Atom("p", (f, b)), Clause(Atom("p", (x,)), (Atom("q", (x, a)),))]
+        for v in values:
+            w = again(v)
+            assert type(w) is type(v) and w == v and hash(w) == hash(v)
+            with pytest.raises(AttributeError, match=f"{type(v).__name__} is immutable"):
+                w._hash = 0
+        problem = generate(TaskSpec("append", n_per_class=5, seed=0))
+        loaded = again(problem)
+        fields = ("pos", "neg", "background", "initial_clauses", "name")
+        assert [getattr(loaded, k) for k in fields] == [getattr(problem, k) for k in fields]
+        lang = ("predicates", "functions", "constants", "variables")
+        assert [getattr(loaded.language, k) for k in lang] == [
+            getattr(problem.language, k) for k in lang
+        ]
+
+    def test_problem_from_another_hash_seed(self, tmp_path):
+        from softlog.datasets import TaskSpec, generate
+
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        src = str(Path(logic.__file__).resolve().parents[1])
+        path = tmp_path / "problem.pkl"
+        script = (
+            "import pickle, sys\n"
+            "from softlog.datasets import TaskSpec, generate\n"
+            "from softlog.logic import Const\n"
+            "problem = generate(TaskSpec('member', n_per_class=10, seed=0))\n"
+            "open(sys.argv[1], 'wb').write(pickle.dumps(problem))\n"
+            "print(hash(Const('a')))\n"
+        )
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) != hash(a)  # the two processes hash differently
+        loaded = pickle.loads(path.read_bytes())
+        local = generate(TaskSpec("member", n_per_class=10, seed=0))
+        index = {atom: i for i, atom in enumerate(local.examples + local.background)}
+        assert [index[atom] for atom in loaded.examples + loaded.background] == list(
+            range(len(index))
+        )
+        assert loaded.initial_clauses[0] in set(local.initial_clauses)
 
 
 # two unary symbols, so that a name clash is not also an arity clash

@@ -234,6 +234,21 @@ class TestCli:
                         f"do not fit the file's {n - 1} clauses"),
             "list": ([saved], "list.json: a weight file holds a JSON object"),
             **{
+                f"{key}-{type(value).__name__}": (
+                    {**saved, key: value},
+                    f"{key}-{type(value).__name__}.json: weight file entry {key!r} "
+                    f"must be {want}, got {value!r}",
+                )
+                for key, value, want in (
+                    ("clauses", 5, "list"), ("steps", "4", "int"), ("seed", "x", "int"),
+                    ("seed", True, "int"), ("mode", 1, "str"), ("w", {}, "list"),
+                    ("gamma", "0.1", "int or float"), ("noise", None, "int or float"),
+                    ("split_frac", False, "int or float"), ("clamp", "no", "bool"),
+                )
+            },
+            "clause-types": ({**saved, "clauses": [1] * n},
+                             "weight file entry 'clauses' must hold strings"),
+            **{
                 f"no-{key}": ({k: v for k, v in saved.items() if k != key},
                               f"no-{key}.json: weight file has no {key!r} entry")
                 for key in ("clauses", "mode", "seed", "split_frac")
@@ -298,7 +313,8 @@ class TestCli:
         "flag, value, field",
         [("--m", "0", "m"), ("--epochs", "-5", "epochs"),
          ("--batch-frac", "0", "batch_frac"), ("--batch-frac", "-1", "batch_frac"),
-         ("--lr", "-1", "lr"), ("--gamma", "0", "gamma"), ("--T", "0", "steps")],
+         ("--lr", "-1", "lr"), ("--gamma", "0", "gamma"), ("--T", "0", "steps"),
+         ("--seed", "-1", "seed")],
     )
     def test_bad_train_config_exits_2(self, flag, value, field, monkeypatch, capsys):
         import softlog.run

@@ -147,17 +147,40 @@ class TestRunProblem:
         assert res.record.n_clauses == 6
 
 
+def _cell(seed, metric, **kw):
+    """One sweep cell run directly: the sweep's problem, default configs and
+    epochs=60."""
+    problem = generate(TaskSpec("member", n_per_class=10, seed=seed))
+    tc = default_train_config("member", seed=seed, epochs=60)
+    record = run_problem(problem, tc, default_beam_config("member"), **kw).record
+    return getattr(record, metric)
+
+
 class TestSweep:
     def test_nclause_axis_rows(self):
         rows = sweep("member", "nclause", [5, 10], [0], n_per_class=10, epochs=60)
         assert len(rows) == 2
         assert [r[0] for r in rows] == [5.0, 10.0]
         assert all(0.0 <= r[2] <= 1.0 for r in rows)
+        assert [r[2] for r in rows] == [
+            _cell(0, "test_auc", naive_n=n) for n in (5, 10)
+        ]
+
+    def test_nclause_beam_axis_rows(self):
+        rows = sweep("member", "nclause", [2, 4], [0, 1], n_per_class=10,
+                     method="beam", epochs=60)
+        assert [r[:2] for r in rows] == [(2.0, 0), (2.0, 1), (4.0, 0), (4.0, 1)]
+        assert [r[2] for r in rows] == [
+            _cell(seed, "test_auc", clause_cap=cap) for cap in (2, 4) for seed in (0, 1)
+        ]
 
     def test_noise_axis_rows(self):
         rows = sweep("member", "noise", [0.0, 0.2], [0, 1], n_per_class=10, epochs=60)
         assert len(rows) == 4
         assert rows == sorted(rows, key=lambda r: (r[0], r[1]))
+        assert [r[2] for r in rows] == [
+            _cell(seed, "test_mse", noise=noise) for noise in (0.0, 0.2) for seed in (0, 1)
+        ]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -77,15 +77,11 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 def _resolve_problem(args) -> tuple:
     if args.problem is not None:
         problem = load_problem(args.problem)
-        task = problem.name or "custom"
-        if args.task:
-            task = args.task
     elif args.task:
         problem = generate(TaskSpec(args.task, n_per_class=args.n, seed=args.seed))
-        task = args.task
     else:
         raise ConfigError("provide a problem file or --task")
-    return problem, task
+    return problem, args.task or problem.name or "custom"
 
 
 def _given(args, *keys) -> dict:
@@ -155,8 +151,6 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
-    if not seeds:
-        raise ConfigError("empty seed list")
     if args.values:
         values = [float(v) for v in args.values.split(",")]
     elif args.axis == "noise":

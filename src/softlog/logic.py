@@ -23,18 +23,17 @@ DEFAULT_VARIABLES = CANON_VARS[:5]
 
 
 class _Value:
-    """Immutable value that caches its hash.  Pickling and copying rebuild
-    it through its constructor from the attributes named in ``_fields``, so
-    a value loaded in another process recomputes its hash there (string
-    hashes differ between processes)."""
+    """Immutable value that caches its hash in ``_hash``.  Pickling and
+    copying rebuild it through its constructor from the attributes named in
+    ``_fields``, so a value loaded in another process recomputes its hash
+    there (string hashes differ between processes).  Each class defines its
+    own ``__hash__`` and ``__eq__``: CPython 3.11 specialises an attribute
+    read for one type at a time, and one shared method made the beam slower."""
 
     __slots__ = ()
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __hash__(self):
-        return self._hash
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self._fields)
@@ -59,11 +58,6 @@ class _Symbol(Term):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_hash", hash((self._tag, name)))
 
-    def __eq__(self, other):
-        return type(other) is type(self) and other.name == self.name
-
-    __hash__ = _Value.__hash__
-
     def __repr__(self):
         return self.name
 
@@ -73,11 +67,23 @@ class Const(_Symbol):
     ground = True
     _tag = "c"
 
+    def __eq__(self, other):
+        return type(other) is Const and other.name == self.name
+
+    def __hash__(self):
+        return self._hash
+
 
 class Var(_Symbol):
     __slots__ = ()
     ground = False
     _tag = "v"
+
+    def __eq__(self, other):
+        return type(other) is Var and other.name == self.name
+
+    def __hash__(self):
+        return self._hash
 
 
 class Func(Term):
@@ -95,10 +101,6 @@ class Func(Term):
         object.__setattr__(self, "ground", all(a.ground for a in args))
         object.__setattr__(self, "_hash", hash(("f", name, args)))
 
-    @property
-    def arity(self) -> int:
-        return len(self.args)
-
     def __eq__(self, other):
         return (
             type(other) is Func
@@ -107,7 +109,8 @@ class Func(Term):
             and other.args == self.args
         )
 
-    __hash__ = _Value.__hash__
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"{self.name}({','.join(map(repr, self.args))})"
@@ -125,10 +128,6 @@ class Atom(_Value):
         object.__setattr__(self, "args", args)
         object.__setattr__(self, "_hash", hash(("a", pred, args)))
 
-    @property
-    def arity(self) -> int:
-        return len(self.args)
-
     def __eq__(self, other):
         return (
             type(other) is Atom
@@ -137,7 +136,8 @@ class Atom(_Value):
             and other.args == self.args
         )
 
-    __hash__ = _Value.__hash__
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         if not self.args:
@@ -173,7 +173,8 @@ class Clause(_Value):
             and other.body == self.body
         )
 
-    __hash__ = _Value.__hash__
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         if not self.body:
@@ -225,12 +226,6 @@ class Language:
             if f == name:
                 return n
         return None
-
-    def is_constant(self, name: str) -> bool:
-        return name in self.constants
-
-    def is_variable(self, name: str) -> bool:
-        return name in self.variables
 
     @property
     def has_list_sugar(self) -> bool:

@@ -118,9 +118,9 @@ def _parse_term(ts: _Tokens, lang: Language) -> Term:
                 col,
             )
         return Func(val, args)
-    if lang.is_variable(val):
+    if val in lang.variables:
         return Var(val)
-    if lang.is_constant(val):
+    if val in lang.constants:
         return Const(val)
     raise ParseError(f"undeclared symbol {val!r}", line, col)
 

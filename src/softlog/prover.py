@@ -28,13 +28,18 @@ from .logic import (
 from .problem import ILPProblem
 
 
+# Largest proof depth and horizon T: the prover recurses once per level, far
+# below Python's recursion limit, and training's hop distances fit one byte.
+MAX_HORIZON = 254
+
+
 @dataclass(frozen=True)
 class ProofConfig:
     max_depth: int = 4
 
     def __post_init__(self):
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+        if not 1 <= self.max_depth <= MAX_HORIZON:
+            raise ValueError(f"max_depth must be >= 1 and <= {MAX_HORIZON}")
 
 
 class _Prover:
@@ -43,7 +48,7 @@ class _Prover:
         self.clauses_by_pred = defaultdict(list)
         for c in program:
             check_range_restricted(c)
-            self.clauses_by_pred[(c.head.pred, c.head.arity)].append(c)
+            self.clauses_by_pred[(c.head.pred, len(c.head.args))].append(c)
         self.memo: dict[tuple[Atom, int], bool] = {}
 
     def provable(self, goal: Atom, depth: int) -> bool:

@@ -130,8 +130,7 @@ def run_problem(
     t0 = time.perf_counter()
     seed = train_cfg.seed
     train_problem, test_labels = split(problem, split_frac, seed)
-    if noise:
-        train_problem = inject_noise(train_problem, noise, seed)
+    train_problem = inject_noise(train_problem, noise, seed)
 
     # clause scoring defaults to the same horizon the differentiable
     # inference uses
@@ -150,15 +149,10 @@ def run_problem(
 
     ctx = ground_context(train_problem, clauses, train_cfg.steps)
     weights, history = train(train_problem, clauses, ctx, train_cfg)
-
-    v0 = convert_background(train_problem.background, ctx.atoms)
-    train_atoms = [a for a, _ in make_labels(train_problem)]
-    train_y = [y for _, y in make_labels(train_problem)]
-    train_scores = predictions(
-        train_atoms, ctx, v0, weights, train_cfg.steps, train_cfg.gamma,
-        clamp=train_cfg.clamp,
+    train_m = _score(
+        train_problem, make_labels(train_problem), ctx, weights, train_cfg.steps,
+        train_cfg.gamma, train_cfg.clamp,
     )
-    train_m = metrics(train_scores, train_y)
 
     test_m = {"auc": float("nan"), "mse": float("nan")}
     if test_labels:
@@ -215,13 +209,19 @@ def evaluate(
     """Metrics on held-out atoms.  They are grounded as the only examples: a
     seed's valuation after ``steps`` rounds depends only on atoms the
     grounding reaches from it, so the training examples are not needed."""
-    atoms = [a for a, _ in test_labels]
-    ys = [y for _, y in test_labels]
     pos, neg = ([a for a, y in test_labels if y == k] for k in (1, 0))
     ctx = ground_context(train_problem.with_examples(pos, neg), clauses, steps)
-    v0 = convert_background(train_problem.background, ctx.atoms)
-    scores = predictions(atoms, ctx, v0, weights, steps, gamma, clamp=clamp)
-    return metrics(scores, ys)
+    return _score(train_problem, test_labels, ctx, weights, steps, gamma, clamp)
+
+
+def _score(problem, labels, ctx, weights, steps, gamma, clamp) -> dict:
+    """Metrics of the labelled atoms after ``steps`` rounds from the
+    problem's background, on the grounding ``ctx``."""
+    v0 = convert_background(problem.background, ctx.atoms)
+    scores = predictions(
+        [a for a, _ in labels], ctx, v0, weights, steps, gamma, clamp=clamp
+    )
+    return metrics(scores, [y for _, y in labels])
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +261,10 @@ def load_weights(path, problem: ILPProblem):
             )
     if not all(type(t) is str for t in payload["clauses"]):
         raise ValueError(f"{path}: weight file entry 'clauses' must hold strings")
+    try:  # seed, steps and gamma obey the saved run's TrainConfig rules
+        TrainConfig(steps=payload["steps"], gamma=payload["gamma"], seed=payload["seed"])
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     weights = WeightSet(payload["mode"], np.array(payload["w"], dtype=np.float64))
     clauses = [parse_clause(t, problem.language) for t in payload["clauses"]]
     if weights.n_clauses != len(clauses):
@@ -275,8 +279,7 @@ def evaluate_saved(problem: ILPProblem, weights_path) -> dict:
     """Recreate the recorded split and recompute held-out metrics."""
     weights, clauses, payload = load_weights(weights_path, problem)
     train_problem, test_labels = split(problem, payload["split_frac"], payload["seed"])
-    if payload["noise"]:
-        train_problem = inject_noise(train_problem, payload["noise"], payload["seed"])
+    train_problem = inject_noise(train_problem, payload["noise"], payload["seed"])
     return evaluate(
         train_problem, clauses, weights, test_labels, payload["steps"], payload["gamma"],
         clamp=payload["clamp"],
@@ -298,30 +301,26 @@ def sweep(
 ) -> list[tuple[float, int, float]]:
     """Grid of runs: noise sweeps report test MSE, clause-count sweeps report
     test AUC.  On the clause-count axis ``method`` selects unscored generation
-    ("naive") or the budget-capped beam ("beam").  Rows come back sorted by
-    (axis value, seed)."""
+    ("naive") or the budget-capped beam ("beam").  Each run is seeded and
+    shares nothing with the others; rows come back sorted by (axis value, seed)."""
     if axis not in ("noise", "nclause"):
         raise ValueError("axis must be 'noise' or 'nclause'")
     if method not in ("naive", "beam"):
         raise ValueError("method must be 'naive' or 'beam'")
     if not seeds:
         raise ValueError("at least one seed is required")
+    if axis == "noise":
+        key, cast, metric = "noise", float, "test_mse"
+    else:
+        key = "naive_n" if method == "naive" else "clause_cap"
+        cast, metric = int, "test_auc"
     rows = []
-    for value in values:
-        for seed in seeds:
-            problem = generate(TaskSpec(task, n_per_class=n_per_class, seed=seed))
-            tc = default_train_config(task, seed=seed, **config_overrides)
-            bc = default_beam_config(task)
-            if axis == "noise":
-                res = run_problem(problem, tc, bc, noise=float(value))
-                rows.append((float(value), seed, res.record.test_mse))
-            else:
-                kw = (
-                    {"naive_n": int(value)}
-                    if method == "naive"
-                    else {"clause_cap": int(value)}
-                )
-                res = run_problem(problem, tc, bc, **kw)
-                rows.append((float(value), seed, res.record.test_auc))
+    for seed in seeds:
+        problem = generate(TaskSpec(task, n_per_class=n_per_class, seed=seed))
+        tc = default_train_config(task, seed=seed, **config_overrides)
+        bc = default_beam_config(task)
+        for value in values:
+            record = run_problem(problem, tc, bc, **{key: cast(value)}).record
+            rows.append((float(value), seed, getattr(record, metric)))
     rows.sort(key=lambda r: (r[0], r[1]))
     return rows

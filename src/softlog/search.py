@@ -31,13 +31,6 @@ class BeamConfig:
             raise ValueError("neg_penalty must be >= 0")
 
 
-def _rank_key(pos: float, neg: int, clause: Clause) -> tuple:
-    # Equal scores are broken toward clauses entailing fewer negatives
-    # (promising = many positives, few negatives), then toward shorter
-    # bodies (more general), then canonical text for determinism.
-    return (-pos, neg, len(clause.body), canonical_text(clause))
-
-
 def beam_search(
     initial: list[Clause],
     problem: ILPProblem,
@@ -79,8 +72,11 @@ def beam_search(
         return covers[key]
 
     def ranked(cover: tuple, c: Clause) -> tuple:
+        # Equal scores are broken toward clauses entailing fewer negatives
+        # (promising = many positives, few negatives), then toward shorter
+        # bodies (more general), then canonical text for determinism.
         p, n = len(cover[0]), len(cover[1])
-        return _rank_key(p - cfg.neg_penalty * n, n, c)
+        return (-(p - cfg.neg_penalty * n), n, len(c.body), canonical_text(c))
 
     to_open = list(dict.fromkeys(initial))
     full = False

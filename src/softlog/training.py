@@ -13,6 +13,7 @@ from .grounding import FALSE_INDEX, TRUE_INDEX, GroundContext, convert_backgroun
 from .infer import MULTI, PAIR, WeightSet, backward, infer
 from .logic import Atom, Clause, canonical
 from .problem import ILPProblem
+from .prover import MAX_HORIZON
 
 log = logging.getLogger(__name__)
 
@@ -44,8 +45,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"TrainConfig.m must be >= 1, got {self.m}")
-        if self.steps < 1:
-            raise ValueError(f"TrainConfig.steps must be >= 1, got {self.steps}")
+        if not 1 <= self.steps <= MAX_HORIZON:
+            raise ValueError(
+                f"TrainConfig.steps must be >= 1 and <= {MAX_HORIZON}, got {self.steps}"
+            )
         if not self.gamma > 0:
             raise ValueError(f"TrainConfig.gamma must be positive, got {self.gamma}")
         if not self.lr > 0:
@@ -121,7 +124,7 @@ def _hops(x: np.ndarray, roots: np.ndarray, steps: int) -> np.ndarray:
     needs exactly the atoms within T - k hops, and v0 those within T.
     """
     subgoals = x.transpose(1, 0, 2).reshape(x.shape[1], -1)
-    dtype = np.min_scalar_type(steps + 1)  # one byte up to T = 254
+    dtype = np.min_scalar_type(steps + 1)  # one byte up to T = MAX_HORIZON
     out = np.full((len(roots), x.shape[1]), steps + 1, dtype=dtype)
     out[:, [FALSE_INDEX, TRUE_INDEX]] = 0
     for hops, root in zip(out, roots):

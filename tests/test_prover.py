@@ -5,7 +5,7 @@ from softlog.grounding import build_index_tensor
 from softlog.logic import Atom, Clause, Const, FALSE, Func, Language, TRUE, Var
 from softlog.parser import parse_atom, parse_clause
 from softlog.problem import ILPProblem
-from softlog.prover import ProofConfig, entails, eval_counts
+from softlog.prover import MAX_HORIZON, ProofConfig, entails, eval_counts
 
 x, y = Var("x"), Var("y")
 a, b, c = Const("a"), Const("b"), Const("c")
@@ -52,6 +52,14 @@ class TestEntails:
     def test_self_loop_terminates(self):
         loop = Clause(Atom("p", (x,)), (Atom("p", (x,)),))
         assert not entails([loop], [], Atom("p", (a,)), ProofConfig(30))
+
+    def test_self_loop_at_horizon_limit(self):
+        # the member beam scores mem(x,y) :- mem(x,y); at the deepest proof a
+        # config accepts, the prover's recursion stays below Python's limit
+        loop = Clause(Atom("mem", (x, y)), (Atom("mem", (x, y)),))
+        assert not entails([loop], [], Atom("mem", (a, b)), ProofConfig(MAX_HORIZON))
+        with pytest.raises(ValueError, match=f"max_depth must be >= 1 and <= {MAX_HORIZON}"):
+            ProofConfig(MAX_HORIZON + 1)
 
     def test_nonground_goal_rejected(self):
         with pytest.raises(ValueError):

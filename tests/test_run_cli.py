@@ -271,6 +271,9 @@ class TestCli:
             },
             "clause-types": ({**saved, "clauses": [1] * n},
                              "weight file entry 'clauses' must hold strings"),
+            "seed": ({**saved, "seed": -1}, "TrainConfig.seed must be >= 0, got -1"),
+            "steps": ({**saved, "steps": 255},
+                      "TrainConfig.steps must be >= 1 and <= 254, got 255"),
             **{
                 f"no-{key}": ({k: v for k, v in saved.items() if k != key},
                               f"no-{key}.json: weight file has no {key!r} entry")
@@ -337,7 +340,7 @@ class TestCli:
         [("--m", "0", "m"), ("--epochs", "-5", "epochs"),
          ("--batch-frac", "0", "batch_frac"), ("--batch-frac", "-1", "batch_frac"),
          ("--lr", "-1", "lr"), ("--gamma", "0", "gamma"), ("--T", "0", "steps"),
-         ("--seed", "-1", "seed")],
+         ("--T", "255", "steps"), ("--seed", "-1", "seed")],
     )
     def test_bad_train_config_exits_2(self, flag, value, field, monkeypatch, capsys):
         import softlog.run
@@ -350,7 +353,7 @@ class TestCli:
         assert code == 2
         assert f"TrainConfig.{field} must" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("depth", ["0", "-1"])
+    @pytest.mark.parametrize("depth", ["0", "-1", "255"])
     def test_bad_proof_depth_exits_2(self, depth, monkeypatch, capsys):
         # 0 is a given depth, not a missing one: it must not fall back to T
         import softlog.run

@@ -12,7 +12,6 @@ from .logic import (
     Var,
     apply_subst,
     canonical,
-    distinct_var_tuples,
     unify,
 )
 from .parser import (

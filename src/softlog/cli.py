@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import logging
 import sys
 from pathlib import Path
@@ -14,11 +13,13 @@ from pathlib import Path
 from .datasets import TASKS, TaskSpec, generate, load_problem, save_problem
 from .refine import RefinementConfig
 from .run import (
+    SWEEP_METRICS,
     default_beam_config,
     default_train_config,
     evaluate_saved,
     run_problem,
     save_weights,
+    strict_json,
     sweep,
 )
 from .search import BeamConfig
@@ -27,10 +28,6 @@ from .training import TrainConfig, TrainingDiverged
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -80,7 +77,7 @@ def _resolve_problem(args) -> tuple:
     elif args.task:
         problem = generate(TaskSpec(args.task, n_per_class=args.n, seed=args.seed))
     else:
-        raise ConfigError("provide a problem file or --task")
+        raise ValueError("provide a problem file or --task")
     return problem, args.task or problem.name or "custom"
 
 
@@ -129,7 +126,7 @@ def cmd_train(args) -> int:
         **_given(args, "noise", "split_frac"),
     )
     rec = result.record
-    print(json.dumps(rec.summary(), indent=2))
+    print(strict_json(rec.summary(), indent=2))
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -141,11 +138,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     problem = load_problem(args.problem)
-    wpath = Path(args.weights)
-    if not wpath.exists():
-        raise ConfigError(f"weight file not found: {wpath}")
-    m = evaluate_saved(problem, wpath)
-    print(json.dumps(m, indent=2))
+    print(strict_json(evaluate_saved(problem, args.weights), indent=2))
     return EXIT_OK
 
 
@@ -159,10 +152,9 @@ def cmd_sweep(args) -> int:
         values = [10, 20, 30, 40]
     rows = sweep(args.task, args.axis, values, seeds, n_per_class=args.n,
                  method=args.method)
-    metric = "test_mse" if args.axis == "noise" else "test_auc"
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([args.axis, "seed", metric])
+        writer.writerow([args.axis, "seed", SWEEP_METRICS[args.axis]])
         writer.writerows(rows)
     print(f"wrote {args.out}: {len(rows)} rows")
     return EXIT_OK
@@ -198,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sweep", help="grid of runs over noise or clause count")
     s.add_argument("--task", required=True, choices=sorted(TASKS))
-    s.add_argument("--axis", required=True, choices=["noise", "nclause"])
+    s.add_argument("--axis", required=True, choices=list(SWEEP_METRICS))
     s.add_argument("--values", help="comma-separated axis values")
     s.add_argument("--seeds", default="0,1,2,3,4")
     s.add_argument("--n", type=int, default=50)
@@ -225,7 +217,7 @@ def main(argv=None) -> int:
     except TrainingDiverged as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ConfigError, ValueError, FileNotFoundError) as e:
+    except (ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -12,7 +12,7 @@ import hashlib
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .logic import Atom, Clause, Const, Func, Language, Term
 from .parser import parse_clause, parse_problem, problem_to_text
@@ -42,7 +42,6 @@ def make_nat(n: int) -> Term:
 class TaskSpec:
     task: str
     n_per_class: int = 50
-    max_size: Optional[int] = None  # task-specific structure cap
     seed: int = 0
 
 
@@ -331,7 +330,6 @@ def generate(spec: TaskSpec) -> ILPProblem:
     if spec.task not in TASKS:
         raise ValueError(f"unknown task {spec.task!r}; choose from {sorted(TASKS)}")
     td = TASKS[spec.task]
-    size = spec.max_size if spec.max_size is not None else td.default_size
     rng = random.Random(spec.seed)
     oracle_cfg = ProofConfig(max_depth=ORACLE_DEPTH)
 
@@ -346,7 +344,7 @@ def generate(spec: TaskSpec) -> ILPProblem:
             tries += 1
             if tries > 10000 * spec.n_per_class:
                 raise RuntimeError(f"{kind} sampling stalled for task {spec.task}")
-            a = sample(rng, size)
+            a = sample(rng, td.default_size)
             if a in seen or (
                 out is neg and entails(td.ground_truth, td.background, a, oracle_cfg)
             ):

@@ -43,6 +43,7 @@ import numpy as np
 
 MULTI = "multi"
 PAIR = "pair"
+ONE_HOT_LOGIT = 200.0  # WeightSet.one_hot: the rest of a row gets mass < e**-200
 
 
 # ---------------------------------------------------------------------------
@@ -130,18 +131,17 @@ class WeightSet:
         slots: Sequence,
         n_clauses: int,
         mode: str = MULTI,
-        logit: float = 200.0,
     ) -> "WeightSet":
         """Near-delta weights selecting the given clause index per slot (multi)
-        or the given (i, j) pairs (pair)."""
+        or the given (i, j) pairs (pair): logit ONE_HOT_LOGIT, 0 elsewhere."""
         if mode == MULTI:
             w = np.zeros((len(slots), n_clauses))
             for l, i in enumerate(slots):
-                w[l, i] = logit
+                w[l, i] = ONE_HOT_LOGIT
         else:
             w = np.zeros((n_clauses, n_clauses))
             for i, j in slots:
-                w[i, j] = logit
+                w[i, j] = ONE_HOT_LOGIT
         return cls(mode, w)
 
     @property

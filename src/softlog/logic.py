@@ -10,7 +10,6 @@ and substituting into a ground term returns that same term, shared.
 """
 from __future__ import annotations
 
-from itertools import permutations
 from typing import Iterable, Optional, Union
 
 # Canonical variable alphabet used for alpha-renaming, and the variable pool
@@ -306,17 +305,6 @@ def nest_depth(e: Expr) -> int:
     return d
 
 
-def distinct_var_tuples(c: Clause, n: int) -> list[tuple[Var, ...]]:
-    """All ordered n-tuples of pairwise-distinct variables of ``c``.
-
-    Tuples come out in the deterministic order induced by first occurrence.
-    Empty when the clause has fewer than ``n`` variables.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return list(permutations(clause_vars(c), n))
-
-
 # ---------------------------------------------------------------------------
 # Substitution and matching
 # ---------------------------------------------------------------------------
@@ -403,12 +391,6 @@ def canonical(c: Clause) -> Clause:
     canon = canonical_in(c, CANON_VARS)
     object.__setattr__(c, "_canon", canon)
     return canon
-
-
-def canonical_text(c: Clause) -> str:
-    """Deterministic textual key; lexicographic order on these strings is the
-    total order used wherever an ordered set of clauses is required."""
-    return repr(canonical(c))
 
 
 def canonical_in(c: Clause, variables: Iterable[str]) -> Clause:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Optional
 
 from .logic import (
@@ -14,7 +15,6 @@ from .logic import (
     apply_subst,
     canonical,
     clause_vars,
-    distinct_var_tuples,
     nest_depth,
 )
 
@@ -78,10 +78,11 @@ def rho_rep(c: Clause, lang: Language) -> list[Clause]:
 
 def rho_add(c: Clause, lang: Language) -> list[Clause]:
     """Append one body atom over each ordered tuple of distinct clause
-    variables, for every predicate."""
+    variables, for every predicate, in the order of first occurrence."""
     out = []
+    vs = clause_vars(c)
     for pname, arity in lang.predicates:
-        for tup in distinct_var_tuples(c, arity) if arity >= 1 else [()]:
+        for tup in permutations(vs, arity):
             out.append(Clause(c.head, c.body + (Atom(pname, tup),)))
     return out
 

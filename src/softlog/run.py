@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -41,6 +42,16 @@ WEIGHT_KEYS = {
     "gamma": _NUMBER, "split_frac": _NUMBER, "noise": _NUMBER, "seed": (int,),
     "clamp": (bool,),
 }
+# The metric each sweep axis reports, by its RunRecord field name.
+SWEEP_METRICS = {"noise": "test_mse", "nclause": "test_auc"}
+
+
+def strict_json(fields: dict, **kwargs) -> str:
+    """RFC 8259 JSON, which has no NaN: a NaN field (a metric with no atoms to
+    score) is written as null, and a non-finite float anywhere else raises."""
+    fields = {k: None if isinstance(v, float) and math.isnan(v) else v
+              for k, v in fields.items()}
+    return json.dumps(fields, allow_nan=False, **kwargs)
 
 
 @dataclass
@@ -81,7 +92,7 @@ class RunRecord:
         }
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        return strict_json(asdict(self), indent=2, sort_keys=True)
 
 
 @dataclass
@@ -127,10 +138,18 @@ def run_problem(
     ``clause_cap`` instead keeps the beam but stops it at the given clause
     budget.
     """
+    if naive_n is not None and clause_cap is not None:
+        raise ValueError("give naive_n (no beam) or clause_cap (a capped beam), not both")
     t0 = time.perf_counter()
     seed = train_cfg.seed
     train_problem, test_labels = split(problem, split_frac, seed)
     train_problem = inject_noise(train_problem, noise, seed)
+    for cls, examples in (("positive", train_problem.pos), ("negative", train_problem.neg)):
+        if not examples:
+            raise ValueError(
+                f"the training split holds no {cls} example (split fraction "
+                f"{split_frac}, noise {noise}); training needs both classes"
+            )
 
     # clause scoring defaults to the same horizon the differentiable
     # inference uses
@@ -148,18 +167,16 @@ def run_problem(
         )
 
     ctx = ground_context(train_problem, clauses, train_cfg.steps)
-    weights, history = train(train_problem, clauses, ctx, train_cfg)
+    weights, history = train(train_problem, ctx, train_cfg)
     train_m = _score(
         train_problem, make_labels(train_problem), ctx, weights, train_cfg.steps,
         train_cfg.gamma, train_cfg.clamp,
     )
 
-    test_m = {"auc": float("nan"), "mse": float("nan")}
-    if test_labels:
-        test_m = evaluate(
-            train_problem, clauses, weights, test_labels, train_cfg.steps,
-            train_cfg.gamma, clamp=train_cfg.clamp,
-        )
+    test_m = evaluate(
+        train_problem, clauses, weights, test_labels, train_cfg.steps,
+        train_cfg.gamma, clamp=train_cfg.clamp,
+    )
 
     program = extract_program(weights, clauses)
     lang = problem.language
@@ -193,7 +210,7 @@ def run_problem(
         program=[print_clause(c, lang) for c in program],
         confidences=list(program.confidences),
     )
-    log.info("run %s", json.dumps(record.summary()))
+    log.info("run %s", strict_json(record.summary()))
     return RunResult(record, weights, list(clauses), problem, test_labels)
 
 
@@ -206,9 +223,11 @@ def evaluate(
     gamma: float,
     clamp: bool = False,
 ) -> dict:
-    """Metrics on held-out atoms.  They are grounded as the only examples: a
-    seed's valuation after ``steps`` rounds depends only on atoms the
-    grounding reaches from it, so the training examples are not needed."""
+    """Metrics on held-out atoms, NaN if none.  They are grounded as the only
+    examples: a seed's valuation after ``steps`` rounds depends only on atoms
+    the grounding reaches from it, so the training examples are not needed."""
+    if not test_labels:
+        return {"auc": float("nan"), "mse": float("nan")}
     pos, neg = ([a for a, y in test_labels if y == k] for k in (1, 0))
     ctx = ground_context(train_problem.with_examples(pos, neg), clauses, steps)
     return _score(train_problem, test_labels, ctx, weights, steps, gamma, clamp)
@@ -241,7 +260,7 @@ def save_weights(path, result: RunResult) -> None:
         "noise": result.record.config["noise"],
         "seed": result.record.seed,
     }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    Path(path).write_text(json.dumps(payload, allow_nan=False), encoding="utf-8")
 
 
 def load_weights(path, problem: ILPProblem):
@@ -303,17 +322,16 @@ def sweep(
     test AUC.  On the clause-count axis ``method`` selects unscored generation
     ("naive") or the budget-capped beam ("beam").  Each run is seeded and
     shares nothing with the others; rows come back sorted by (axis value, seed)."""
-    if axis not in ("noise", "nclause"):
-        raise ValueError("axis must be 'noise' or 'nclause'")
+    if axis not in SWEEP_METRICS:
+        raise ValueError(f"axis must be {' or '.join(map(repr, SWEEP_METRICS))}")
     if method not in ("naive", "beam"):
         raise ValueError("method must be 'naive' or 'beam'")
     if not seeds:
         raise ValueError("at least one seed is required")
     if axis == "noise":
-        key, cast, metric = "noise", float, "test_mse"
+        key, cast = "noise", float
     else:
-        key = "naive_n" if method == "naive" else "clause_cap"
-        cast, metric = int, "test_auc"
+        key, cast = ("naive_n" if method == "naive" else "clause_cap"), int
     rows = []
     for seed in seeds:
         problem = generate(TaskSpec(task, n_per_class=n_per_class, seed=seed))
@@ -321,6 +339,6 @@ def sweep(
         bc = default_beam_config(task)
         for value in values:
             record = run_problem(problem, tc, bc, **{key: cast(value)}).record
-            rows.append((float(value), seed, getattr(record, metric)))
+            rows.append((float(value), seed, getattr(record, SWEEP_METRICS[axis])))
     rows.sort(key=lambda r: (r[0], r[1]))
     return rows

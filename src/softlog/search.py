@@ -7,7 +7,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .logic import Clause, canonical, canonical_in, canonical_text, nest_depth
+from .logic import Clause, canonical, canonical_in, nest_depth
 from .problem import ILPProblem
 from .prover import ProofConfig, eval_counts
 from .refine import RefinementConfig, refine
@@ -76,7 +76,7 @@ def beam_search(
         # (promising = many positives, few negatives), then toward shorter
         # bodies (more general), then canonical text for determinism.
         p, n = len(cover[0]), len(cover[1])
-        return (-(p - cfg.neg_penalty * n), n, len(c.body), canonical_text(c))
+        return (-(p - cfg.neg_penalty * n), n, len(c.body), repr(canonical(c)))
 
     to_open = list(dict.fromkeys(initial))
     full = False

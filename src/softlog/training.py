@@ -165,10 +165,7 @@ def _on_cone(
 
 
 def train(
-    problem: ILPProblem,
-    clauses: Sequence[Clause],
-    ctx: GroundContext,
-    cfg: TrainConfig,
+    problem: ILPProblem, ctx: GroundContext, cfg: TrainConfig
 ) -> tuple[WeightSet, list[float]]:
     """RMSProp over mini-batches sampled without replacement each epoch.
 
@@ -179,6 +176,7 @@ def train(
     G in real arithmetic, and the recorded pass holds per-step arrays over
     those prefixes, not over |G|: 3·|C|²·Σ widths floats in pair mode.
 
+    The weights cover the grounding's clauses, one per row of ``ctx.x``.
     Returns the trained weights and the per-epoch loss history.  Identical
     seeds and inputs give bit-identical histories.
     """
@@ -190,22 +188,23 @@ def train(
     y_all = np.array([y for _, y in labels], dtype=np.float64)
     batch = int(np.ceil(cfg.batch_frac * len(labels)))  # 1..len(labels)
     hops = _hops(ctx.x, idx_all, cfg.steps)
+    n_clauses = len(ctx.x)
     if cfg.weight_mode == PAIR:
         # the most atom-steps any draw of `batch` labels can compute: a label
         # alone computes an atom h hops away at max(0, T - h) steps
         work = np.maximum(0, cfg.steps - hops.astype(np.int64)).sum(axis=1)
         most = min(cfg.steps * len(ctx), int(np.sort(work)[-batch:].sum()))
-        floats = 3 * len(clauses) ** 2 * most
+        floats = 3 * n_clauses**2 * most
         if floats > PAIR_TAPE_FLOATS:
             raise ValueError(
                 f"pair mode would record up to {floats:,} floats per epoch "
-                f"(3·|C|²·Σ widths, |C|={len(clauses)}, Σ widths <= {most} "
+                f"(3·|C|²·Σ widths, |C|={n_clauses}, Σ widths <= {most} "
                 f"atom-steps of T·|G|={cfg.steps * len(ctx)}); "
                 f"the limit is {PAIR_TAPE_FLOATS:,} (1 GiB). Use multi weight mode"
             )
 
     rng = np.random.default_rng(cfg.seed)
-    weights = WeightSet.random(cfg.m, len(clauses), cfg.seed, mode=cfg.weight_mode)
+    weights = WeightSet.random(cfg.m, n_clauses, cfg.seed, mode=cfg.weight_mode)
     cache = np.zeros_like(weights.w)
     history: list[float] = []
     sizes: list[int] = []

@@ -327,7 +327,7 @@ def test_criterion_7_parameters_and_runtime():
     for mode in (MULTI, PAIR):
         cfg = TrainConfig(m=3, steps=8, seed=0, weight_mode=mode, epochs=20)
         t1 = time.perf_counter()
-        train(train_p, clauses, ctx, cfg)
+        train(train_p, ctx, cfg)
         times[mode] = (time.perf_counter() - t1) / 20
     assert times[MULTI] < times[PAIR], times
     print(
@@ -446,8 +446,8 @@ def test_criterion_9_property_suite():
     train_p, _ = split(a, 0.7, 1)
     ctx = ground_context(train_p, list(a.initial_clauses), 2)
     cfg = TrainConfig(m=2, steps=2, epochs=30, seed=1)
-    _, h1 = train(train_p, list(a.initial_clauses), ctx, cfg)
-    _, h2 = train(train_p, list(a.initial_clauses), ctx, cfg)
+    _, h1 = train(train_p, ctx, cfg)
+    _, h2 = train(train_p, ctx, cfg)
     assert h1 == h2
 
     dt = time.perf_counter() - t0

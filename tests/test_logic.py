@@ -23,7 +23,6 @@ from softlog.logic import (
     canonical,
     canonical_in,
     clause_vars,
-    distinct_var_tuples,
     is_ground,
     nest_depth,
     unify,
@@ -199,24 +198,6 @@ class TestCanonical:
         assert not alpha_equal(
             Clause(Atom("p", (x, y))), Clause(Atom("p", (x, x)))
         )
-
-
-class TestDistinctVarTuples:
-    def test_two_vars_ordered_pairs(self):
-        c = Clause(Atom("p", (x, y)))
-        assert distinct_var_tuples(c, 2) == [(x, y), (y, x)]
-
-    def test_repeated_var_counts_once(self):
-        c = Clause(Atom("p", (x, x)))
-        assert distinct_var_tuples(c, 1) == [(x,)]
-
-    def test_too_few_vars(self):
-        c = Clause(Atom("p", (x, y)))
-        assert distinct_var_tuples(c, 3) == []
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            distinct_var_tuples(Clause(Atom("p", (x,))), 0)
 
 
 class TestStructure:

@@ -5,6 +5,7 @@ import pytest
 from softlog.logic import (
     Atom,
     Clause,
+    Const,
     Language,
     Var,
     canonical,
@@ -124,6 +125,26 @@ class TestRhoAdd:
 
     def test_ground_head_nothing(self, ex_lang):
         assert rho_add(parse_clause("p(a,b)", ex_lang), ex_lang) == []
+
+    @staticmethod
+    def bodies(head_args, predicate):
+        lang = Language(predicates=[predicate], variables=["x", "y", "z"])
+        return [c.body for c in rho_add(Clause(Atom("p", head_args)), lang)]
+
+    def test_ordered_pairs_of_distinct_variables(self):
+        assert self.bodies((x, y), ("q", 2)) == [
+            (Atom("q", (x, y)),), (Atom("q", (y, x)),)
+        ]
+
+    def test_repeated_variable_counts_once(self):
+        assert self.bodies((x, x), ("r", 1)) == [(Atom("r", (x,)),)]
+
+    def test_too_few_variables_for_the_arity(self):
+        assert self.bodies((x, y), ("t", 3)) == []
+
+    def test_zero_ary_predicate_adds_one_atom(self):
+        assert self.bodies((x, y), ("w", 0)) == [(Atom("w", ()),)]
+        assert self.bodies((Const("a"),), ("w", 0)) == [(Atom("w", ()),)]
 
 
 class TestRefine:

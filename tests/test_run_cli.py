@@ -24,6 +24,15 @@ from softlog.training import TrainConfig
 FAST = dict(epochs=120)
 
 
+def strict_loads(text):
+    """Parse RFC 8259 JSON, which has no NaN, Infinity or -Infinity."""
+
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 @pytest.fixture(scope="module")
 def member_result():
     problem = generate(TaskSpec("member", n_per_class=12, seed=0))
@@ -146,6 +155,18 @@ class TestRunProblem:
         res = run_problem(problem, tc, bc, naive_n=6)
         assert res.record.n_clauses == 6
 
+    def test_naive_generation_refuses_a_clause_cap(self, monkeypatch):
+        import softlog.run
+
+        def no_generator(*a, **kw):
+            raise AssertionError("naive generation ran with a clause cap")
+
+        monkeypatch.setattr(softlog.run, "naive_generate", no_generator)
+        problem = generate(TaskSpec("member", n_per_class=5, seed=0))
+        tc = default_train_config("member", seed=0, **FAST)
+        with pytest.raises(ValueError, match="not both"):
+            run_problem(problem, tc, default_beam_config("member"), naive_n=6, clause_cap=4)
+
 
 def _cell(seed, metric, **kw):
     """One sweep cell run directly: the sweep's problem, default configs and
@@ -241,6 +262,47 @@ class TestCli:
         main(["gen", "--task", "member", "--n", "5", "--out", str(prob)])
         code = main(["eval", str(prob), "--weights", str(tmp_path / "nope.json")])
         assert code == 2
+        assert str(tmp_path / "nope.json") in capsys.readouterr().err
+
+    def test_run_without_held_out_atoms(self, tmp_path, capsys, caplog):
+        # --split-frac 1.0 leaves no test atoms: the test metrics are null in
+        # every output, each output is strict JSON, and eval agrees with train
+        prob, outdir = tmp_path / "m.pl", tmp_path / "sf1"
+        main(["gen", "--task", "member", "--n", "10", "--seed", "1", "--out", str(prob)])
+        capsys.readouterr()
+        with caplog.at_level("INFO", logger="softlog.run"):
+            assert main(["train", str(prob), "--epochs", "20", "--split-frac", "1.0",
+                         "--out", str(outdir)]) == 0
+        printed = strict_loads(capsys.readouterr().out.split("\nwrote ")[0])
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "softlog.run"]
+        logged = strict_loads(line.removeprefix("run "))
+        rec = strict_loads((outdir / "run.json").read_text())
+        assert printed == logged
+        assert printed["test_mse"] is printed["auc"] is None
+        assert rec["test_mse"] is rec["test_auc"] is None
+        assert 0.0 <= rec["train_auc"] <= 1.0
+        assert main(["eval", str(prob), "--weights", str(outdir / "weights.json")]) == 0
+        shown = strict_loads(capsys.readouterr().out)
+        assert shown == {"auc": printed["auc"], "mse": printed["test_mse"]}
+
+    def test_one_class_training_split_exits_2_before_the_beam(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import softlog.run
+
+        def no_beam(*a, **kw):
+            raise AssertionError("beam search ran on a one-class training split")
+
+        monkeypatch.setattr(softlog.run, "beam_search", no_beam)
+        prob = tmp_path / "pos.pl"
+        prob.write_text(
+            "pred p/1.\nconst a. const b. const c.\ninit p(x).\n"
+            "pos p(a).\npos p(b).\npos p(c).\n"
+        )
+        assert main(["train", str(prob), "--epochs", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "no negative example" in err
+        assert "split fraction 0.7" in err and "noise 0.0" in err
 
     @pytest.mark.parametrize("mode", ["multi", "pair"])
     def test_mismatched_weight_file_exits_2(self, mode, tmp_path, capsys):

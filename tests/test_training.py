@@ -153,8 +153,8 @@ class TestTrain:
         clauses = list(problem.initial_clauses)
         ctx = ground_context(train_p, clauses, steps=2)
         cfg = TrainConfig(m=2, steps=2, epochs=40, seed=7)
-        w1, h1 = train(train_p, clauses, ctx, cfg)
-        w2, h2 = train(train_p, clauses, ctx, cfg)
+        w1, h1 = train(train_p, ctx, cfg)
+        w2, h2 = train(train_p, ctx, cfg)
         assert h1 == h2
         assert (w1.w == w2.w).all()
 
@@ -171,7 +171,7 @@ class TestTrain:
             )
             ctx = ground_context(train_p, clauses, steps=4)
             cfg = TrainConfig(m=2, steps=4, epochs=150, seed=seed)
-            _, hist = train(train_p, clauses, ctx, cfg)
+            _, hist = train(train_p, ctx, cfg)
             head = np.mean(hist[:10])
             tail = np.mean(hist[-10:])
             wins += tail < head
@@ -182,7 +182,7 @@ class TestTrain:
         clauses = list(problem.initial_clauses) * 3
         ctx = ground_context(problem, clauses, steps=2)
         cfg = TrainConfig(m=2, steps=2, epochs=1, seed=0)
-        w, _ = train(problem, clauses, ctx, cfg)
+        w, _ = train(problem, ctx, cfg)
         assert w.param_count == 2 * len(clauses)
 
     def test_pair_mode_param_count(self):
@@ -190,7 +190,7 @@ class TestTrain:
         clauses = list(problem.initial_clauses) * 3
         ctx = ground_context(problem, clauses, steps=2)
         cfg = TrainConfig(m=2, steps=2, epochs=1, seed=0, weight_mode=PAIR)
-        w, _ = train(problem, clauses, ctx, cfg)
+        w, _ = train(problem, ctx, cfg)
         assert w.param_count == len(clauses) ** 2
 
     def test_pair_tape_over_budget_refused(self, monkeypatch):
@@ -225,10 +225,10 @@ class TestTrain:
             )
             monkeypatch.setattr(training, "PAIR_TAPE_FLOATS", floats - 1)
             with pytest.raises(ValueError, match=f"{floats:,} floats"):
-                train(problem, clauses, ctx, cfg)
+                train(problem, ctx, cfg)
             monkeypatch.setattr(training, "PAIR_TAPE_FLOATS", floats)
             layered.clear()
-            w, _ = train(problem, clauses, ctx, cfg)
+            w, _ = train(problem, ctx, cfg)
             assert w.param_count == len(clauses) ** 2
             assert len(layered) == 20 and max(layered) <= most
 
@@ -306,7 +306,7 @@ class TestCone:
 
         monkeypatch.setattr(training, "_on_cone", spy)
         with caplog.at_level("INFO", logger="softlog.training"):
-            train(problem, clauses, ctx, TrainConfig(steps=3, epochs=5))
+            train(problem, ctx, TrainConfig(steps=3, epochs=5))
         (line,) = [r.getMessage() for r in caplog.records if r.name == "softlog.training"]
         sizes, work = zip(*layered)
         assert f"|G|={len(ctx)}, 20 labelled atoms, batch cone median" in line

@@ -33,12 +33,12 @@ print("softor(1, 0)  at gamma=1e-5 ->", softor(np.array([[1.0], [0.0]]), 1e-5, a
 print("\n== valuations sharpen step by step (all weight on the recursion) ==")
 w = WeightSet.one_hot([1], len(clauses))
 for t in range(4):
-    v = infer(ctx.x, v0, w, t)
+    v = infer(ctx.x, v0, w, t, gamma=1e-5)
     shown = {print_atom(a, lang): round(float(x), 4) for a, x in zip(ctx.atoms, v) if x > 0.01}
     print(f"t={t}: {shown}")
 
 print("\n== rounding the final valuation equals proving within depth 3 ==")
-v = infer(ctx.x, v0, w, 3)
+v = infer(ctx.x, v0, w, 3, gamma=1e-5)
 soft = {a for a, x in zip(ctx.atoms, v) if x >= 0.5}
 proved = {a for a in ctx.atoms if entails([step], problem.background, a, ProofConfig(3))}
 print("agree:", soft == proved)

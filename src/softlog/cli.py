@@ -53,22 +53,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
         help="replace beam search with unscored breadth-first generation",
     )
     p.add_argument("--prune-zero", choices=["on", "off"])
-    p.add_argument(
-        "--proof-depth",
-        type=int,
-        default=None,
-        help="clause-scoring proof depth (default: same as --T)",
-    )
-    p.add_argument(
-        "--neg-penalty",
-        type=float,
-        help="extension: beam score = pos - lambda * neg (off by default)",
-    )
-    p.add_argument(
-        "--clamp",
-        action="store_true",
-        help="ablation: clamp valuations to [0, 1] after each step",
-    )
 
 
 def _resolve_problem(args) -> tuple:
@@ -91,8 +75,7 @@ def _configs(args, task: str):
     overrides = _given(
         args, "m", "steps", "gamma", "lr", "epochs", "batch_frac", "weight_mode"
     )
-    overrides["clamp"] = args.clamp
-    beam_over = _given(args, "beam_size", "beam_steps", "neg_penalty")
+    beam_over = _given(args, "beam_size", "beam_steps")
     if args.prune_zero is not None:
         beam_over["prune_zero"] = args.prune_zero == "on"
     if task in TASKS:
@@ -122,7 +105,6 @@ def cmd_train(args) -> int:
         bc,
         rc,
         naive_n=args.naive_gen,
-        proof_depth=args.proof_depth,
         **_given(args, "noise", "split_frac"),
     )
     rec = result.record

@@ -20,7 +20,7 @@ Gradients are exact reverse-mode.  A recorded pass keeps, per step, a tuple
 (others, mix, coef): for each gathered subgoal the product of the other
 subgoals of its body (None for one-atom bodies), the clause outputs (multi
 mode) or the pairwise smooth-ors and their coefficients (pair mode), and the
-smooth-or coefficients of the stacked rows with the clamp mask folded in.
+smooth-or coefficients of the stacked rows.
 The backward sweep reads only the tape and never re-runs a step: coef[0]
 carries the gradient to the previous valuation and coef[1:] to the
 mixtures.  Over n atoms, a step keeps O(|C|·n·B) floats in multi mode, B the
@@ -172,9 +172,7 @@ class Tape:
     steps: list
 
 
-def _step(
-    v: np.ndarray, x: np.ndarray, dist: np.ndarray, mode: str, gamma: float, clamp: bool
-) -> tuple:
+def _step(v: np.ndarray, x: np.ndarray, dist: np.ndarray, mode: str, gamma: float) -> tuple:
     """One inference step over the atoms of ``x``'s rows, the first
     ``x.shape[1]`` of ``v``: their next valuation and what its gradient needs.
 
@@ -198,10 +196,6 @@ def _step(
         rows = np.stack((v, np.einsum("ij,ijg->g", dist, s)))
         mix = (s, ca, cb)
     v_next, coef = _softor_n(rows, gamma)
-    if clamp:
-        inside = v_next <= 1.0
-        coef *= inside
-        v_next = np.minimum(v_next, 1.0)
     return v_next, (_prod_except(gv), mix, coef)
 
 
@@ -210,8 +204,7 @@ def infer(
     v0: np.ndarray,
     weights: WeightSet,
     steps: int,
-    gamma: float = 1e-5,
-    clamp: bool = False,
+    gamma: float,
     record: bool = False,
     widths: Sequence[int] | None = None,
 ):
@@ -236,7 +229,7 @@ def infer(
     for k in range(steps):
         # a gather reads a contiguous index array two to three times faster
         xk = x if widths is None else np.ascontiguousarray(x[:, : widths[k]])
-        v, rec = _step(v, xk, dist, weights.mode, gamma, clamp)
+        v, rec = _step(v, xk, dist, weights.mode, gamma)
         if record:
             recs.append((xk, *rec))
     if record:

@@ -249,8 +249,8 @@ def print_clause(c: Clause, lang: Optional[Language] = None) -> str:
 # ---------------------------------------------------------------------------
 
 def parse_problem(text: str) -> ILPProblem:
-    """Parse a problem file into an ILPProblem (declarations may appear in any
-    order but must precede their first use)."""
+    """Parse a problem file into an ILPProblem.  Declarations may appear
+    anywhere in the file: all of them are read before any clause or atom."""
     ts = _Tokens(text)
     toks = ts.toks
     statements, lo = [], 0

@@ -40,7 +40,6 @@ _NUMBER = (int, float)
 WEIGHT_KEYS = {
     "mode": (str,), "w": (list,), "clauses": (list,), "steps": (int,),
     "gamma": _NUMBER, "split_frac": _NUMBER, "noise": _NUMBER, "seed": (int,),
-    "clamp": (bool,),
 }
 # The metric each sweep axis reports, by its RunRecord field name.
 SWEEP_METRICS = {"noise": "test_mse", "nclause": "test_auc"}
@@ -127,7 +126,6 @@ def run_problem(
     split_frac: float = 0.7,
     naive_n: Optional[int] = None,
     clause_cap: Optional[int] = None,
-    proof_depth: Optional[int] = None,
 ) -> RunResult:
     """Full pipeline on one problem.
 
@@ -151,11 +149,6 @@ def run_problem(
                 f"{split_frac}, noise {noise}); training needs both classes"
             )
 
-    # clause scoring defaults to the same horizon the differentiable
-    # inference uses
-    proof_cfg = ProofConfig(
-        max_depth=proof_depth if proof_depth is not None else train_cfg.steps
-    )
     if naive_n is not None:
         clauses = naive_generate(
             list(problem.initial_clauses), train_problem, naive_n, refine_cfg
@@ -163,19 +156,18 @@ def run_problem(
     else:
         clauses = beam_search(
             list(problem.initial_clauses), train_problem, beam_cfg, refine_cfg,
-            proof_cfg, max_clauses=clause_cap,
+            ProofConfig(max_depth=train_cfg.steps), max_clauses=clause_cap,
         )
 
     ctx = ground_context(train_problem, clauses, train_cfg.steps)
     weights, history = train(train_problem, ctx, train_cfg)
     train_m = _score(
         train_problem, make_labels(train_problem), ctx, weights, train_cfg.steps,
-        train_cfg.gamma, train_cfg.clamp,
+        train_cfg.gamma,
     )
 
     test_m = evaluate(
-        train_problem, clauses, weights, test_labels, train_cfg.steps,
-        train_cfg.gamma, clamp=train_cfg.clamp,
+        train_problem, clauses, weights, test_labels, train_cfg.steps, train_cfg.gamma
     )
 
     program = extract_program(weights, clauses)
@@ -191,7 +183,6 @@ def run_problem(
             "split_frac": split_frac,
             "naive_n": naive_n,
             "clause_cap": clause_cap,
-            "proof_depth": proof_cfg.max_depth,
         },
         dataset_hash=problem_hash(problem),
         n_clauses=len(clauses),
@@ -221,7 +212,6 @@ def evaluate(
     test_labels: Sequence,
     steps: int,
     gamma: float,
-    clamp: bool = False,
 ) -> dict:
     """Metrics on held-out atoms, NaN if none.  They are grounded as the only
     examples: a seed's valuation after ``steps`` rounds depends only on atoms
@@ -230,16 +220,14 @@ def evaluate(
         return {"auc": float("nan"), "mse": float("nan")}
     pos, neg = ([a for a, y in test_labels if y == k] for k in (1, 0))
     ctx = ground_context(train_problem.with_examples(pos, neg), clauses, steps)
-    return _score(train_problem, test_labels, ctx, weights, steps, gamma, clamp)
+    return _score(train_problem, test_labels, ctx, weights, steps, gamma)
 
 
-def _score(problem, labels, ctx, weights, steps, gamma, clamp) -> dict:
+def _score(problem, labels, ctx, weights, steps, gamma) -> dict:
     """Metrics of the labelled atoms after ``steps`` rounds from the
     problem's background, on the grounding ``ctx``."""
     v0 = convert_background(problem.background, ctx.atoms)
-    scores = predictions(
-        [a for a, _ in labels], ctx, v0, weights, steps, gamma, clamp=clamp
-    )
+    scores = predictions([a for a, _ in labels], ctx, v0, weights, steps, gamma)
     return metrics(scores, [y for _, y in labels])
 
 
@@ -255,7 +243,6 @@ def save_weights(path, result: RunResult) -> None:
         "clauses": [print_clause(c, lang) for c in result.clauses],
         "steps": result.record.config["steps"],
         "gamma": result.record.config["gamma"],
-        "clamp": result.record.config["clamp"],
         "split_frac": result.record.config["split_frac"],
         "noise": result.record.config["noise"],
         "seed": result.record.seed,
@@ -267,8 +254,9 @@ def load_weights(path, problem: ILPProblem):
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: a weight file holds a JSON object")
-    # files written before the clamp was saved come from unclamped runs
-    payload.setdefault("clamp", False)
+    # older files hold "clamp": false; clamped weights would not score as trained
+    if payload.get("clamp", False) is not False:
+        raise ValueError(f"{path}: weight file entry 'clamp' must be false")
     for key, types in WEIGHT_KEYS.items():
         if key not in payload:
             raise ValueError(f"{path}: weight file has no {key!r} entry")
@@ -300,8 +288,7 @@ def evaluate_saved(problem: ILPProblem, weights_path) -> dict:
     train_problem, test_labels = split(problem, payload["split_frac"], payload["seed"])
     train_problem = inject_noise(train_problem, payload["noise"], payload["seed"])
     return evaluate(
-        train_problem, clauses, weights, test_labels, payload["steps"], payload["gamma"],
-        clamp=payload["clamp"],
+        train_problem, clauses, weights, test_labels, payload["steps"], payload["gamma"]
     )
 
 

@@ -20,15 +20,10 @@ class BeamConfig:
     beam_size: int = 10
     beam_steps: int = 5
     prune_zero: bool = True
-    # extension: score = positives - neg_penalty * negatives; off by default,
-    # the plain score counts positives only
-    neg_penalty: float = 0.0
 
     def __post_init__(self):
         if self.beam_size < 1 or self.beam_steps < 1:
             raise ValueError("beam_size and beam_steps must be >= 1")
-        if self.neg_penalty < 0:
-            raise ValueError("neg_penalty must be >= 0")
 
 
 def beam_search(
@@ -76,7 +71,7 @@ def beam_search(
         # (promising = many positives, few negatives), then toward shorter
         # bodies (more general), then canonical text for determinism.
         p, n = len(cover[0]), len(cover[1])
-        return (-(p - cfg.neg_penalty * n), n, len(c.body), repr(canonical(c)))
+        return (-p, n, len(c.body), repr(canonical(c)))
 
     to_open = list(dict.fromkeys(initial))
     full = False

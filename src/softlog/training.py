@@ -40,7 +40,6 @@ class TrainConfig:
     batch_frac: float = 0.05
     seed: int = 0
     weight_mode: str = MULTI
-    clamp: bool = False
 
     def __post_init__(self):
         if self.m < 1:
@@ -91,20 +90,16 @@ def predictions(
     v0: np.ndarray,
     weights: WeightSet,
     steps: int,
-    gamma: float = 1e-5,
-    clamp: bool = False,
+    gamma: float,
 ) -> np.ndarray:
-    v = infer(ctx.x, v0, weights, steps, gamma, clamp=clamp)
+    v = infer(ctx.x, v0, weights, steps, gamma)
     return np.array([v[ctx.index_of(a)] for a in atoms])
 
 
 def _loss_and_grad(x, v0, weights, idx, y, cfg, widths=None):
     """Mean cross-entropy over one batch plus its weight gradient; ``widths``
     as in :func:`infer`."""
-    v_t, tape = infer(
-        x, v0, weights, cfg.steps, cfg.gamma, clamp=cfg.clamp, record=True,
-        widths=widths,
-    )
+    v_t, tape = infer(x, v0, weights, cfg.steps, cfg.gamma, record=True, widths=widths)
     p = v_t[idx]
     pc = np.clip(p, PRED_CLIP, 1.0 - PRED_CLIP)
     loss = float(np.mean(-np.log(np.where(y == 1, pc, 1 - pc))))

@@ -404,7 +404,7 @@ def _reference_prod_except(gv: np.ndarray) -> np.ndarray:
 
 
 def _reference_step(
-    v: np.ndarray, x: np.ndarray, dist: np.ndarray, mode: str, gamma: float, clamp: bool
+    v: np.ndarray, x: np.ndarray, dist: np.ndarray, mode: str, gamma: float
 ) -> tuple:
     gv = v[x]
     cm = gv.prod(axis=2)
@@ -416,11 +416,6 @@ def _reference_step(
         r = np.tensordot(dist, s, axes=([0, 1], [0, 1]))
         mix = (s, ca, cb)
     v_next, coef_v, coef_r = reference_softor2(v, r, gamma)
-    if clamp:
-        inside = v_next <= 1.0
-        coef_v = coef_v * inside
-        coef_r = coef_r * inside
-        v_next = np.minimum(v_next, 1.0)
     return v_next, (_reference_prod_except(gv), mix, coef_v, coef_r)
 
 
@@ -438,7 +433,6 @@ def reference_infer(
     weights: WeightSet,
     steps: int,
     gamma: float = 1e-5,
-    clamp: bool = False,
     record: bool = False,
 ):
     if gamma <= 0:
@@ -447,7 +441,7 @@ def reference_infer(
     dist = weights.distribution()
     recs = []
     for _ in range(steps):
-        v, rec = _reference_step(v, x, dist, weights.mode, gamma, clamp)
+        v, rec = _reference_step(v, x, dist, weights.mode, gamma)
         if record:
             recs.append(rec)
     if record:
@@ -487,20 +481,9 @@ def reference_backward(tape: ReferenceTape, grad_out: np.ndarray) -> np.ndarray:
 # Scoring, refinement and printing helpers that only tests use
 # ---------------------------------------------------------------------------
 
-def eval_clause(
-    clause: Clause,
-    problem: ILPProblem,
-    cfg: ProofConfig,
-    neg_penalty: float = 0.0,
-) -> float:
-    """Number of positive examples entailed by background + the clause.
-
-    ``neg_penalty`` > 0 switches to the extension score pos - lambda * neg;
-    the default scores positives only.
-    """
-    pos, neg = eval_counts(clause, problem, cfg)
-    p, n = len(pos), len(neg)
-    return p - neg_penalty * n if neg_penalty else float(p)
+def eval_clause(clause: Clause, problem: ILPProblem, cfg: ProofConfig) -> float:
+    """Number of positive examples entailed by background + the clause."""
+    return float(len(eval_counts(clause, problem, cfg)[0]))
 
 
 def refinement_bound(c: Clause, lang: Language) -> int:

@@ -198,12 +198,6 @@ class TestStep:
         v = infer(ctx6.x, v0, w, 8, GAMMA)
         assert v[0] <= 8 * GAMMA * np.log(4) + 1e-12
 
-    def test_clamp_flag(self, ctx6):
-        w = WeightSet.one_hot([0], 2)
-        v0 = convert_background([e(0)], ATOMS6)
-        v = infer(ctx6.x, v0, w, 4, GAMMA, clamp=True)
-        assert (v <= 1.0).all()
-
 
 class TestOneHotEquivalence:
     def test_rounding_matches_forward_closure(self, ctx6):
@@ -228,7 +222,7 @@ class TestOneHotEquivalence:
 
 
 class TestBackward:
-    def _finite_diff(self, mode, seed, clamp=False, m=3, T=3, gamma=0.1, h=1e-4):
+    def _finite_diff(self, mode, seed, m=3, T=3, gamma=0.1, h=1e-4):
         rng = np.random.default_rng(seed)
         n_clauses = int(rng.integers(2, 7))
         n_atoms = int(rng.integers(6, 41))
@@ -241,7 +235,7 @@ class TestBackward:
         w = WeightSet.random(min(m, 3), n_clauses, seed=seed, mode=mode)
         w.w *= 10
         grad_out = rng.random(n_atoms)
-        _, tape = infer(xt, v0, w, T, gamma, clamp=clamp, record=True)
+        _, tape = infer(xt, v0, w, T, gamma, record=True)
         g = backward(tape, grad_out)
         g_num = np.zeros_like(w.w)
         it = np.nditer(w.w, flags=["multi_index"])
@@ -250,7 +244,7 @@ class TestBackward:
             for sign in (1, -1):
                 w2 = WeightSet(mode, w.w.copy())
                 w2.w[i] += sign * h
-                val = float(np.dot(grad_out, infer(xt, v0, w2, T, gamma, clamp=clamp)))
+                val = float(np.dot(grad_out, infer(xt, v0, w2, T, gamma)))
                 g_num[i] += sign * val / (2 * h)
         mask = np.abs(g) > 1e-8
         if not mask.any():
@@ -262,11 +256,6 @@ class TestBackward:
     @pytest.mark.parametrize("mode", [MULTI, PAIR])
     def test_matches_central_differences(self, mode):
         worst = max(self._finite_diff(mode, seed) for seed in range(5))
-        assert worst < 1e-4
-
-    @pytest.mark.parametrize("mode", [MULTI, PAIR])
-    def test_clamped_matches_central_differences(self, mode):
-        worst = max(self._finite_diff(mode, seed, clamp=True) for seed in range(5))
         assert worst < 1e-4
 
     def test_unused_clause_gradient_vanishes(self, ctx6):
@@ -293,7 +282,6 @@ class TestBackward:
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     mode=st.sampled_from([MULTI, PAIR]),
-    clamp=st.booleans(),
     gamma=st.sampled_from([1e-5, 1e-2, 1.0]),
     steps=st.integers(1, 6),
     n_clauses=st.integers(1, 6),
@@ -304,7 +292,7 @@ class TestBackward:
     seed=st.integers(0, 2**32 - 1),
 )
 def test_one_softor_step_matches_nested_softors(
-    mode, clamp, gamma, steps, n_clauses, n_atoms, body, scale, binary, seed
+    mode, gamma, steps, n_clauses, n_atoms, body, scale, binary, seed
 ):
     """softor(v, softor_l(h_l)) = softor(v, h_1, ..., h_m), so the flat step
     equals the nested one in real arithmetic and v_T and the gradient agree
@@ -314,7 +302,7 @@ def test_one_softor_step_matches_nested_softors(
     difference of terms as large as the upstream gradient (the softmax
     projection subtracts <u, p> from u), and comes out as a different
     rounding residue on each side: atol is 1e-12 of the larger of max|g| and
-    max|grad_out|.  Unclamped valuations that pass 2 (gamma = 1 adds up to
+    max|grad_out|.  Valuations that pass 2 (gamma = 1 adds up to
     log(m + 1) per step and 3-atom bodies cube it, reaching 1e90 by T = 6)
     put every gradient term out of scale, so those draws are not compared.
     """
@@ -327,9 +315,9 @@ def test_one_softor_step_matches_nested_softors(
     w = WeightSet.random(3, n_clauses, seed=seed, mode=mode, scale=scale)
     grad_out = rng.standard_normal(n_atoms)
 
-    v_ref, tape_ref = reference_infer(xt, v0, w, steps, gamma, clamp=clamp, record=True)
+    v_ref, tape_ref = reference_infer(xt, v0, w, steps, gamma, record=True)
     assume(v_ref.max() <= 2.0)
-    v, tape = infer(xt, v0, w, steps, gamma, clamp=clamp, record=True)
+    v, tape = infer(xt, v0, w, steps, gamma, record=True)
     assert np.allclose(v, v_ref, rtol=1e-12, atol=0)
     g, g_ref = backward(tape, grad_out), reference_backward(tape_ref, grad_out)
     atol = 1e-12 * max(np.abs(g_ref).max(), np.abs(grad_out).max())
@@ -368,16 +356,15 @@ class TestWeightSet:
 
 
 class TestWidths:
-    @pytest.mark.parametrize("clamp", [False, True])
     @pytest.mark.parametrize("mode", [MULTI, PAIR])
-    def test_full_widths_equal_no_widths(self, mode, clamp):
+    def test_full_widths_equal_no_widths(self, mode):
         rng = np.random.default_rng(3)
         xt = rng.integers(0, 40, size=(5, 40, 2))
         v0 = rng.random(40)
         w = WeightSet.random(2, 5, seed=3, mode=mode, scale=1.0)
         grad_out = rng.random(40)
-        v, tape = infer(xt, v0, w, 3, 1e-2, clamp=clamp, record=True)
-        v_w, tape_w = infer(xt, v0, w, 3, 1e-2, clamp=clamp, record=True, widths=[40] * 3)
+        v, tape = infer(xt, v0, w, 3, 1e-2, record=True)
+        v_w, tape_w = infer(xt, v0, w, 3, 1e-2, record=True, widths=[40] * 3)
         assert np.array_equal(v_w, v)
         assert np.array_equal(backward(tape_w, grad_out), backward(tape, grad_out))
 

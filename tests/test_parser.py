@@ -110,6 +110,13 @@ def test_empty_statements_skipped():
     assert problem.pos == (Atom("p", (Const("a"),)),)
 
 
+def test_declarations_may_follow_their_first_use():
+    problem = parse_problem("pos p(a). pred p/1. const a. const b. neg p(b).")
+    assert problem.language.predicates == (("p", 1),)
+    assert problem.pos == (Atom("p", (Const("a"),)),)
+    assert problem.neg == (Atom("p", (Const("b"),)),)
+
+
 def test_problem_rejects_bad_arity():
     bad = PROBLEM_TEXT.replace("pos mem(a,[a,c]).", "pos mem(a).")
     with pytest.raises(ParseError, match="applied to 1"):

@@ -1,14 +1,18 @@
+import argparse
 import json
+import re
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from softlog.cli import main
+from softlog.cli import build_parser, main
 from softlog.datasets import TaskSpec, generate, load_problem
 from softlog.grounding import convert_background, ground_context
+from softlog.prover import MAX_HORIZON, ProofConfig
 from softlog.refine import RefinementConfig
 from softlog.run import (
     default_beam_config,
@@ -113,40 +117,6 @@ class TestRunProblem:
         m = evaluate_saved(member_result.problem, wpath)
         assert m["mse"] == member_result.record.test_mse
         assert m["auc"] == member_result.record.test_auc
-
-    def test_clamped_run_reports_clamped_metrics(self, tmp_path):
-        from softlog.datasets import split
-        from softlog.run import evaluate
-        from softlog.training import make_labels, metrics, predictions
-
-        problem = generate(TaskSpec("member", n_per_class=12, seed=0))
-        tc = default_train_config("member", seed=0, clamp=True, **FAST)
-        res = run_problem(problem, tc, default_beam_config("member"))
-        train_p, test_labels = split(problem, 0.7, 0)
-        ctx = ground_context(train_p, res.clauses, tc.steps)
-        v0 = convert_background(train_p.background, ctx.atoms)
-        atoms, ys = zip(*make_labels(train_p))
-
-        def train_mse(clamp):
-            scores = predictions(atoms, ctx, v0, res.weights, tc.steps, tc.gamma, clamp)
-            return metrics(scores, ys)["mse"]
-
-        # the clamp changes the valuations of this model, so the check bites
-        assert train_mse(True) != train_mse(False)
-        assert res.record.train_mse == train_mse(True)
-        recorded = {"auc": res.record.test_auc, "mse": res.record.test_mse}
-        args = (train_p, res.clauses, res.weights, test_labels, tc.steps, tc.gamma)
-        assert evaluate(*args, clamp=True) == recorded
-        assert evaluate(*args) != recorded
-
-        wpath = tmp_path / "weights.json"
-        save_weights(wpath, res)
-        assert evaluate_saved(problem, wpath) == recorded
-        # a file saved before the clamp was stored loads as unclamped
-        payload = json.loads(wpath.read_text())
-        del payload["clamp"]
-        wpath.write_text(json.dumps(payload))
-        assert evaluate_saved(problem, wpath) == evaluate(*args)
 
     def test_naive_generation_mode(self):
         problem = generate(TaskSpec("member", n_per_class=12, seed=0))
@@ -328,7 +298,7 @@ class TestCli:
                     ("clauses", 5, "list"), ("steps", "4", "int"), ("seed", "x", "int"),
                     ("seed", True, "int"), ("mode", 1, "str"), ("w", {}, "list"),
                     ("gamma", "0.1", "int or float"), ("noise", None, "int or float"),
-                    ("split_frac", False, "int or float"), ("clamp", "no", "bool"),
+                    ("split_frac", False, "int or float"),
                 )
             },
             "clause-types": ({**saved, "clauses": [1] * n},
@@ -348,6 +318,25 @@ class TestCli:
             capsys.readouterr()
             assert main(["eval", str(prob), "--weights", str(bad)]) == 2
             assert message in capsys.readouterr().err
+
+    def test_clamp_entry_of_older_weight_files(self, tmp_path, capsys):
+        # older versions saved "clamp": false with an unclamped run's weights
+        prob, outdir = tmp_path / "p.pl", tmp_path / "run"
+        main(["gen", "--task", "member", "--n", "8", "--out", str(prob)])
+        assert main(["train", str(prob), "--epochs", "30", "--out", str(outdir)]) == 0
+        rec = json.loads((outdir / "run.json").read_text())
+        saved = json.loads((outdir / "weights.json").read_text())
+        assert "clamp" not in saved
+        unclamped, clamped = tmp_path / "unclamped.json", tmp_path / "clamped.json"
+        unclamped.write_text(json.dumps({**saved, "clamp": False}))
+        clamped.write_text(json.dumps({**saved, "clamp": True}))
+        capsys.readouterr()
+        assert main(["eval", str(prob), "--weights", str(unclamped)]) == 0
+        got = strict_loads(capsys.readouterr().out)
+        assert got == {"auc": rec["test_auc"], "mse": rec["test_mse"]}
+        assert main(["eval", str(prob), "--weights", str(clamped)]) == 2
+        err = capsys.readouterr().err
+        assert f"{clamped}: weight file entry 'clamp' must be false" in err
 
     def test_no_problem_is_config_error(self, capsys):
         assert main(["train"]) == 2
@@ -417,16 +406,19 @@ class TestCli:
 
     @pytest.mark.parametrize("depth", ["0", "-1", "255"])
     def test_bad_proof_depth_exits_2(self, depth, monkeypatch, capsys):
-        # 0 is a given depth, not a missing one: it must not fall back to T
+        # the beam's proof depth is T: a depth the prover refuses stops the run
+        # before beam search, with the prover's own bound in the message
         import softlog.run
 
         def no_beam(*a, **kw):
             raise AssertionError("beam search ran with an invalid proof depth")
 
         monkeypatch.setattr(softlog.run, "beam_search", no_beam)
-        code = main(["train", "--task", "member", "--n", "5", "--proof-depth", depth])
+        with pytest.raises(ValueError):
+            ProofConfig(int(depth))
+        code = main(["train", "--task", "member", "--n", "5", "--T", depth])
         assert code == 2
-        assert "max_depth must be >= 1" in capsys.readouterr().err
+        assert f"must be >= 1 and <= {MAX_HORIZON}" in capsys.readouterr().err
 
     def test_pair_tape_over_budget_exits_2(self, monkeypatch, capsys):
         from softlog import training
@@ -454,16 +446,16 @@ class TestCli:
             return json.loads((out / "run.json").read_text())["config"]
 
         plain = config()
-        run_args = {"noise", "split_frac", "naive_n", "clause_cap", "proof_depth"}
+        run_args = {"noise", "split_frac", "naive_n", "clause_cap"}
         settings = {f.name for c in (TrainConfig, BeamConfig, RefinementConfig)
                     for f in fields(c)} - {"seed"}
         assert set(plain) == settings | run_args
-        assert (plain["clamp"], plain["neg_penalty"]) == (False, 0.0)
-        assert plain["proof_depth"] == plain["steps"]
+        assert (plain["noise"], plain["beam_size"], plain["prune_zero"]) == (0.0, 3, True)
         assert plain["clause_cap"] is None
-        changed = config("--clamp", "--neg-penalty", "0.5", "--proof-depth", "3")
-        assert (changed["clamp"], changed["neg_penalty"]) == (True, 0.5)
-        assert changed["proof_depth"] == 3
+        changed = config("--noise", "0.1", "--beam-size", "5", "--prune-zero", "off")
+        assert set(changed) == set(plain)
+        assert changed["noise"] == 0.1
+        assert (changed["beam_size"], changed["prune_zero"]) == (5, False)
 
     def test_run_json_records_the_confidences(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -473,13 +465,25 @@ class TestCli:
         assert len(rec["confidences"]) == len(rec["program"]) >= 1
         assert all(0 < c <= 1 for c in rec["confidences"])
 
-    def test_extension_flags_accepted(self, capsys):
-        code = main(["train", "--task", "member", "--n", "8", "--seed", "0",
-                     "--epochs", "30", "--clamp", "--neg-penalty", "0.5",
-                     "--proof-depth", "3", "--prune-zero", "off"])
-        assert code == 0
-        rec = json.loads(capsys.readouterr().out)
-        assert rec["task"] == "member"
+    @pytest.mark.parametrize(
+        "flags", [["--clamp"], ["--neg-penalty", "0.5"], ["--proof-depth", "3"]],
+        ids=["clamp", "neg-penalty", "proof-depth"],
+    )
+    def test_removed_flags_are_unknown(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--task", "member", "--n", "5", *flags])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
+
+    def test_readme_lists_every_train_flag(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        sentence = re.search(r"Flags mirror the config fields: (.*?)\.\s", readme, re.S)
+        listed = re.findall(r"`(--[\w-]+)", sentence.group(1))
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = {o for a in sub.choices["train"]._actions for o in a.option_strings}
+        # train's own options: help, where the problem comes from, where to write
+        assert sorted(listed) == sorted(options - {"-h", "--help", "--task", "--n", "--out"})
 
     def test_loose_init_clause_exits_2(self, tmp_path, capsys):
         prob = tmp_path / "loose.pl"
@@ -492,7 +496,7 @@ class TestCli:
         assert "line 4" in err and "not range-restricted" in err
 
     def test_reloaded_task_keeps_its_defaults(self, tmp_path):
-        from softlog.cli import _configs, _resolve_problem, build_parser
+        from softlog.cli import _configs, _resolve_problem
 
         prob = tmp_path / "plus.pl"
         assert main(["gen", "--task", "plus", "--n", "4", "--out", str(prob)]) == 0

@@ -56,13 +56,13 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _resolve_problem(args) -> tuple:
+    """The problem file's problem (None with --task alone) and the task name."""
     if args.problem is not None:
         problem = load_problem(args.problem)
-    elif args.task:
-        problem = generate(TaskSpec(args.task, n_per_class=args.n, seed=args.seed))
-    else:
+        return problem, args.task or problem.name or "custom"
+    if not args.task:
         raise ValueError("provide a problem file or --task")
-    return problem, args.task or problem.name or "custom"
+    return None, args.task
 
 
 def _given(args, *keys) -> dict:
@@ -99,6 +99,8 @@ def cmd_gen(args) -> int:
 def cmd_train(args) -> int:
     problem, task = _resolve_problem(args)
     tc, bc, rc = _configs(args, task)
+    if problem is None:  # drawn once the configs, --seed among them, are checked
+        problem = generate(TaskSpec(task, n_per_class=args.n, seed=args.seed))
     result = run_problem(
         problem,
         tc,

@@ -44,6 +44,12 @@ class TaskSpec:
     n_per_class: int = 50
     seed: int = 0
 
+    def __post_init__(self):
+        if self.n_per_class < 0:
+            raise ValueError(f"TaskSpec.n_per_class must be >= 0, got {self.n_per_class}")
+        if self.seed < 0:
+            raise ValueError(f"TaskSpec.seed must be >= 0, got {self.seed}")
+
 
 @dataclass(frozen=True)
 class TaskDef:

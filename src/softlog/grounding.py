@@ -43,12 +43,13 @@ GROUND_CELLS = 2**24
 
 @dataclass(frozen=True)
 class GroundContext:
-    """Ordered ground atoms, their index map, and the index tensor X with
-    shape (num clauses, num atoms, max body length)."""
+    """Ordered ground atoms, their index map, the index tensor X with shape
+    (num clauses, num atoms, max body length) and the initial valuation v0."""
 
     atoms: tuple[Atom, ...]
     index: dict
     x: np.ndarray
+    v0: np.ndarray
 
     def index_of(self, atom: Atom) -> int:
         return self.index[atom]
@@ -57,7 +58,8 @@ class GroundContext:
         return len(self.atoms)
 
 
-def _ground(clauses: Sequence[Clause], seeds: Iterable[Atom], rounds: int) -> GroundContext:
+def _ground(clauses: Sequence[Clause], seeds: Iterable[Atom], rounds: int,
+            background: Iterable[Atom]) -> GroundContext:
     """The one pass: seeds, ``rounds`` growth rounds, then a lookup-only round."""
     clauses = tuple(clauses)
     for c in clauses:
@@ -105,7 +107,7 @@ def _ground(clauses: Sequence[Clause], seeds: Iterable[Atom], rounds: int) -> Gr
     x[:, TRUE_INDEX, :] = TRUE_INDEX
     x[rows_i, rows_j] = np.array(cells, dtype=np.int64).reshape(-1, b)
     log.info("grounding: |G|=%d", len(atoms))
-    return GroundContext(atoms=tuple(atoms), index=index, x=x)
+    return GroundContext(tuple(atoms), index, x, convert_background(background, atoms))
 
 
 def ground_context(
@@ -116,16 +118,19 @@ def ground_context(
     background, then per round in clause, atom and body position order."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    return _ground(clauses, (*problem.pos, *problem.neg, *problem.background), steps)
+    seeds = (*problem.pos, *problem.neg, *problem.background)
+    return _ground(clauses, seeds, steps, problem.background)
 
 
-def context_from_atoms(clauses: Sequence[Clause], atoms: Sequence[Atom]) -> GroundContext:
+def context_from_atoms(clauses: Sequence[Clause], atoms: Sequence[Atom],
+                       background: Iterable[Atom]) -> GroundContext:
     """Build a context over an explicitly ordered atom list (index 0 must be
-    the false atom, index 1 true); subgoals outside it map to false."""
+    the false atom, index 1 true), with v0 from ``background``; subgoals
+    outside the list map to false."""
     atoms = tuple(atoms)
     if atoms[:2] != (FALSE, TRUE):
         raise ValueError("atom list must start with the false and true atoms")
-    return _ground(clauses, atoms[2:], 0)
+    return _ground(clauses, atoms[2:], 0, background)
 
 
 def enumerate_atoms(problem: ILPProblem, clauses: Sequence[Clause], steps: int) -> list[Atom]:
@@ -136,7 +141,7 @@ def enumerate_atoms(problem: ILPProblem, clauses: Sequence[Clause], steps: int) 
 def build_index_tensor(clauses: Sequence[Clause], atoms: Sequence[Atom]) -> np.ndarray:
     """Index tensor: entry (i, j, k) is the position of the k-th subgoal
     needed to derive atom j with clause i."""
-    return context_from_atoms(clauses, atoms).x
+    return context_from_atoms(clauses, atoms, ()).x
 
 
 def convert_background(background: Iterable[Atom], atoms: Sequence[Atom]) -> np.ndarray:

@@ -300,6 +300,10 @@ def parse_problem(text: str) -> ILPProblem:
         elif kw == "var":
             if kinds != ["ident"] or not "a" <= name[0] <= "z":
                 raise ParseError(f"bad variable name {name!r}", *at)
+            if name in consts:
+                raise ParseError(
+                    f"{name!r} is a constant name and cannot be a variable", *at
+                )
             if name not in variables:
                 variables.append(name)
         else:

@@ -20,7 +20,7 @@ from .datasets import (
     problem_hash,
     split,
 )
-from .grounding import convert_background, ground_context
+from .grounding import ground_context
 from .infer import WeightSet
 from .logic import Clause
 from .parser import parse_clause, print_clause
@@ -162,8 +162,7 @@ def run_problem(
     ctx = ground_context(train_problem, clauses, train_cfg.steps)
     weights, history = train(train_problem, ctx, train_cfg)
     train_m = _score(
-        train_problem, make_labels(train_problem), ctx, weights, train_cfg.steps,
-        train_cfg.gamma,
+        make_labels(train_problem), ctx, weights, train_cfg.steps, train_cfg.gamma
     )
 
     test_m = evaluate(
@@ -220,14 +219,13 @@ def evaluate(
         return {"auc": float("nan"), "mse": float("nan")}
     pos, neg = ([a for a, y in test_labels if y == k] for k in (1, 0))
     ctx = ground_context(train_problem.with_examples(pos, neg), clauses, steps)
-    return _score(train_problem, test_labels, ctx, weights, steps, gamma)
+    return _score(test_labels, ctx, weights, steps, gamma)
 
 
-def _score(problem, labels, ctx, weights, steps, gamma) -> dict:
+def _score(labels, ctx, weights, steps, gamma) -> dict:
     """Metrics of the labelled atoms after ``steps`` rounds from the
-    problem's background, on the grounding ``ctx``."""
-    v0 = convert_background(problem.background, ctx.atoms)
-    scores = predictions([a for a, _ in labels], ctx, v0, weights, steps, gamma)
+    grounding ``ctx``'s initial valuation."""
+    scores = predictions([a for a, _ in labels], ctx, weights, steps, gamma)
     return metrics(scores, [y for _, y in labels])
 
 
@@ -319,6 +317,9 @@ def sweep(
         key, cast = "noise", float
     else:
         key, cast = ("naive_n" if method == "naive" else "clause_cap"), int
+        for value in values:
+            if not float(value).is_integer():
+                raise ValueError(f"nclause values must be whole numbers, got {value}")
     rows = []
     for seed in seeds:
         problem = generate(TaskSpec(task, n_per_class=n_per_class, seed=seed))

@@ -53,6 +53,8 @@ def beam_search(
     """
     if not initial:
         raise ValueError("at least one initial clause is required")
+    if max_clauses is not None and max_clauses < 1:
+        raise ValueError(f"max_clauses must be >= 1, got {max_clauses}")
     base_nest = max(nest_depth(c) for c in initial)
     collected: dict = {}  # canonical clause -> (clause, rank key)
     covers: dict = {}  # canonical clause -> (covered pos indexes, neg indexes)

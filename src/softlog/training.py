@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grounding import FALSE_INDEX, TRUE_INDEX, GroundContext, convert_background
+from .grounding import FALSE_INDEX, TRUE_INDEX, GroundContext
 from .infer import MULTI, PAIR, WeightSet, backward, infer
 from .logic import Atom, Clause, canonical
 from .problem import ILPProblem
@@ -87,12 +87,11 @@ def make_labels(problem: ILPProblem) -> list[tuple[Atom, int]]:
 def predictions(
     atoms: Sequence[Atom],
     ctx: GroundContext,
-    v0: np.ndarray,
     weights: WeightSet,
     steps: int,
     gamma: float,
 ) -> np.ndarray:
-    v = infer(ctx.x, v0, weights, steps, gamma)
+    v = infer(ctx.x, ctx.v0, weights, steps, gamma)
     return np.array([v[ctx.index_of(a)] for a in atoms])
 
 
@@ -147,16 +146,20 @@ def _on_cone(
     tensor rows of step 1's prefix with subgoals renumbered, v0 over the cone,
     the batch indexes and the per-step widths for :func:`infer`.
     """
-    order = np.argsort(near, kind="stable")
+    cone = np.flatnonzero(near <= steps)
+    layer = near[cone]
+    order = cone[np.argsort(layer, kind="stable")]
     # within[d]: the atoms within d hops (on a few Python ints, faster than
     # np.cumsum)
-    counts = np.bincount(near, minlength=steps + 1)[: steps + 1].tolist()
+    counts = np.bincount(layer, minlength=steps + 1).tolist()
     within = list(accumulate(counts))
-    position = np.empty_like(order)
+    # only cone atoms get a position: step 1's atoms, within T - 1 hops, have
+    # their subgoals within T
+    position = np.empty(len(near), dtype=order.dtype)
     position[order] = np.arange(len(order))
     widths = within[-2::-1]  # step k: the atoms within T - k hops
     x_cone = position[x[:, order[: widths[0]]]]
-    return x_cone, v0[order[: within[-1]]], position[idx], widths
+    return x_cone, v0[order], position[idx], widths
 
 
 def train(
@@ -178,7 +181,6 @@ def train(
     labels = make_labels(problem)
     if not labels:
         raise ValueError("cannot train without examples")
-    v0 = convert_background(problem.background, ctx.atoms)
     idx_all = np.array([ctx.index_of(a) for a, _ in labels])
     y_all = np.array([y for _, y in labels], dtype=np.float64)
     batch = int(np.ceil(cfg.batch_frac * len(labels)))  # 1..len(labels)
@@ -207,7 +209,7 @@ def train(
     for epoch in range(cfg.epochs):
         pick = rng.choice(len(labels), size=batch, replace=False)
         x, v0_cone, idx, widths = _on_cone(
-            ctx.x, v0, idx_all[pick], hops[pick].min(axis=0), cfg.steps
+            ctx.x, ctx.v0, idx_all[pick], hops[pick].min(axis=0), cfg.steps
         )
         sizes.append(len(v0_cone))
         work.append(sum(widths))

@@ -6,8 +6,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 import pytest
 
-from softlog.grounding import FALSE_INDEX, TRUE_INDEX, GroundContext
-from softlog.infer import MULTI, WeightSet, infer
+from softlog.grounding import FALSE_INDEX, TRUE_INDEX
+from softlog.infer import MULTI, WeightSet
 from softlog.logic import (
     FALSE,
     TRUE,
@@ -333,24 +333,6 @@ def clause_outputs(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """All clause functions at once: row i is the soft conjunction of clause
     i's gathered subgoal valuations."""
     return v[x].prod(axis=2)
-
-
-def predict(
-    atom: Atom,
-    ctx: GroundContext,
-    v0: np.ndarray,
-    weights: WeightSet,
-    steps: int,
-    gamma: float = 1e-5,
-) -> float:
-    """Final valuation at the atom's index (raw, unclipped)."""
-    if atom not in ctx.index:
-        raise KeyError(
-            f"{atom!r} is not in the enumerated ground atoms; ground it as an "
-            "example"
-        )
-    v = infer(ctx.x, v0, weights, steps, gamma)
-    return float(v[ctx.index_of(atom)])
 
 
 def reference_cone(x: np.ndarray, root: int, steps: int) -> list[int]:

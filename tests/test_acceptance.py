@@ -14,7 +14,6 @@ from softlog.datasets import TASKS, TaskSpec, generate, split
 from softlog.grounding import (
     build_index_tensor,
     context_from_atoms,
-    convert_background,
     enumerate_atoms,
     ground_context,
 )
@@ -175,9 +174,8 @@ def test_criterion_2_oracle_equivalence():
         for inst in range(100):
             problem = generate(TaskSpec(task, n_per_class=6, seed=9000 + inst))
             ctx = ground_context(problem, truth, td.steps)
-            v0 = convert_background(problem.background, ctx.atoms)
             w = WeightSet.one_hot(list(range(len(truth))), len(truth))
-            v = infer(ctx.x, v0, w, td.steps, gamma=1e-3)
+            v = infer(ctx.x, ctx.v0, w, td.steps, gamma=1e-3)
             closure = forward_closure(truth, problem.background, ctx.atoms, td.steps)
             got = {a for a, val in zip(ctx.atoms, v) if val >= 0.5}
             assert got == (closure & set(ctx.atoms)) | {TRUE}, (
@@ -425,9 +423,10 @@ def test_criterion_9_property_suite():
     ctx = context_from_atoms(
         [parse_clause("e(x)", nat_lang), step_clause],
         [FALSE, TRUE, e(0), e(1), e(2), e(4)],
+        [e(0)],
     )
     w = WeightSet.random(2, 2, seed=3)
-    v = convert_background([e(0)], ctx.atoms)
+    v = ctx.v0
     for _ in range(5):
         nxt = infer(ctx.x, v, w, 1, 1e-5)
         assert (nxt >= v - 1e-9).all()

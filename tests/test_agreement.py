@@ -18,7 +18,6 @@ from conftest import (
 )
 from softlog.grounding import (
     context_from_atoms,
-    convert_background,
     enumerate_atoms,
     ground_context,
 )
@@ -118,10 +117,9 @@ def test_engines_agree_on_enumerated_atoms(pq_lang, nat_lang, data):
     found_by = [n_seeds] + [
         len(enumerate_atoms(problem, program, k)) for k in range(1, steps + 1)
     ]
-    ctx = context_from_atoms(program, universe)
-    v0 = convert_background(bg, universe)
+    ctx = context_from_atoms(program, universe, bg)
     w = WeightSet.one_hot(list(range(len(program))), len(program))
-    v = infer(ctx.x, v0, w, steps, gamma=1e-5)
+    v = infer(ctx.x, ctx.v0, w, steps, gamma=1e-5)
     closure = forward_closure(program, bg, universe, steps)
 
     def height(g):
@@ -194,7 +192,7 @@ def test_one_pass_grounding_matches_two_passes(pq_lang, nat_lang, data):
     # zero growth rounds over a drawn atom list that leaves subgoals out
     kept = data.draw(st.permutations(atoms[2:]))
     kept = [FALSE, TRUE, *kept[: data.draw(st.integers(0, len(kept)))]]
-    same_context(context_from_atoms(program, kept), kept, program)
+    same_context(context_from_atoms(program, kept, problem.background), kept, program)
 
 
 @settings(max_examples=150, **DRAWN)
@@ -213,8 +211,7 @@ def test_held_out_seeds_need_no_training_seeds(pq_lang, nat_lang, data):
 
     def valuations(seeded, w):
         ctx = ground_context(seeded, program, steps)
-        v0 = convert_background(problem.background, ctx.atoms)
-        v = infer(ctx.x, v0, w, steps, gamma=1e-5)
+        v = infer(ctx.x, ctx.v0, w, steps, gamma=1e-5)
         return {a: v[ctx.index_of(a)] for a in (*pos, *neg)}
 
     for w in (

@@ -75,8 +75,7 @@ class TestEnumerateAtoms:
         ref = ground_context(both, [DOUBLE_STEP], steps=2)
 
         def v_t(ctx):
-            v0 = convert_background(even_problem.background, ctx.atoms)
-            return infer(ctx.x, v0, WeightSet.one_hot([0], 1), 2, gamma=1e-5)
+            return infer(ctx.x, ctx.v0, WeightSet.one_hot([0], 1), 2, gamma=1e-5)
 
         v_got, v_ref = v_t(got), v_t(ref)
         for a in (e(4), e(3)):
@@ -173,6 +172,8 @@ class TestConvertBackground:
         atoms = [FALSE, TRUE, e(0), e(1), e(2), e(4)]
         v0 = convert_background([e(0)], atoms)
         assert v0.tolist() == [0.0, 1.0, 1.0, 0.0, 0.0, 0.0]
+        # a context over the same atoms carries it; e(3) is not among them
+        assert context_from_atoms([FACT], atoms, [e(0), e(3)]).v0.tolist() == v0.tolist()
 
     def test_empty_background_one_hot_true(self):
         atoms = [FALSE, TRUE, e(0)]
@@ -181,8 +182,9 @@ class TestConvertBackground:
 
     def test_false_entry_always_zero(self, even_problem):
         ctx = ground_context(even_problem, [DOUBLE_STEP], steps=2)
-        v0 = convert_background(even_problem.background, ctx.atoms)
-        assert v0[FALSE_INDEX] == 0.0
+        assert ctx.v0[FALSE_INDEX] == 0.0
+        # the grounding's valuation: 1 on true and the background fact e(0)
+        assert ctx.v0.tolist() == [float(a in (TRUE, e(0))) for a in ctx.atoms]
 
 
 class TestSufficiency:

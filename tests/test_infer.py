@@ -43,7 +43,7 @@ ATOMS6 = [FALSE, TRUE, e(0), e(1), e(2), e(4)]
 
 @pytest.fixture
 def ctx6():
-    return context_from_atoms([FACT, DOUBLE_STEP], ATOMS6)
+    return context_from_atoms([FACT, DOUBLE_STEP], ATOMS6, [e(0)])
 
 
 class TestGather:
@@ -142,9 +142,8 @@ class TestSoftor:
     @pytest.mark.parametrize("mode", [MULTI, PAIR])
     def test_infer_rejects_bad_gamma(self, ctx6, mode):
         w = WeightSet.random(2, 2, seed=0, mode=mode)
-        v0 = convert_background([e(0)], ATOMS6)
         with pytest.raises(ValueError, match="gamma"):
-            infer(ctx6.x, v0, w, 2, gamma=0.0)
+            infer(ctx6.x, ctx6.v0, w, 2, gamma=0.0)
 
 
 class TestStep:
@@ -159,7 +158,7 @@ class TestStep:
     def test_monotone_in_time(self, ctx6):
         rng = np.random.default_rng(3)
         w = WeightSet.random(2, 2, seed=5)
-        v = convert_background([e(0)], ATOMS6)
+        v = ctx6.v0
         for _ in range(6):
             nxt = infer(ctx6.x, v, w, 1, GAMMA)
             assert (nxt >= v - 1e-9).all()
@@ -173,49 +172,43 @@ class TestStep:
         assert (np.abs(v1 - v0) <= GAMMA * np.log(2) + 1e-12).all()
 
     def test_zero_steps_identity(self, ctx6):
-        v0 = convert_background([e(0)], ATOMS6)
         w = WeightSet.random(2, 2, seed=1)
-        assert (infer(ctx6.x, v0, w, 0, GAMMA) == v0).all()
+        assert (infer(ctx6.x, ctx6.v0, w, 0, GAMMA) == ctx6.v0).all()
 
     def test_bounded_overshoot(self, ctx6):
         m = 3
         w = WeightSet.random(m, 2, seed=9)
-        v0 = convert_background([e(0)], ATOMS6)
         for t in range(1, 9):
-            v = infer(ctx6.x, v0, w, t, GAMMA)
+            v = infer(ctx6.x, ctx6.v0, w, t, GAMMA)
             assert (v <= 1 + t * GAMMA * np.log(m + 1) + 1e-12).all()
 
     def test_stability_extreme_weights(self, ctx6):
         w = WeightSet(MULTI, np.array([[50.0, -50.0], [-50.0, 50.0]]))
-        v0 = convert_background([e(0)], ATOMS6)
         for gamma in (1e-6, 1e-3, 1.0):
-            v = infer(ctx6.x, v0, w, 8, gamma)
+            v = infer(ctx6.x, ctx6.v0, w, 8, gamma)
             assert np.isfinite(v).all()
 
     def test_false_entry_stays_near_zero(self, ctx6):
         w = WeightSet.random(3, 2, seed=4)
-        v0 = convert_background([e(0)], ATOMS6)
-        v = infer(ctx6.x, v0, w, 8, GAMMA)
+        v = infer(ctx6.x, ctx6.v0, w, 8, GAMMA)
         assert v[0] <= 8 * GAMMA * np.log(4) + 1e-12
 
 
 class TestOneHotEquivalence:
     def test_rounding_matches_forward_closure(self, ctx6):
         for t in (1, 2, 3):
-            v0 = convert_background([e(0)], ATOMS6)
             w = WeightSet.one_hot([1], 2)
-            v = infer(ctx6.x, v0, w, t, 1e-3)
+            v = infer(ctx6.x, ctx6.v0, w, t, 1e-3)
             closure = forward_closure([DOUBLE_STEP], [e(0)], ATOMS6, t)
             got = {a for a, val in zip(ATOMS6, v) if val >= 0.5}
             assert got == closure
 
     def test_plus_style_horizon(self):
         atoms = [FALSE, TRUE] + [e(n) for n in range(0, 7)]
-        ctx = context_from_atoms([DOUBLE_STEP], atoms)
-        v0 = convert_background([e(0)], atoms)
+        ctx = context_from_atoms([DOUBLE_STEP], atoms, [e(0)])
         w = WeightSet.one_hot([0], 1)
-        v2 = infer(ctx.x, v0, w, 2, GAMMA)
-        v3 = infer(ctx.x, v0, w, 3, GAMMA)
+        v2 = infer(ctx.x, ctx.v0, w, 2, GAMMA)
+        v3 = infer(ctx.x, ctx.v0, w, 3, GAMMA)
         i4, i6 = atoms.index(e(4)), atoms.index(e(6))
         assert v2[i4] > 0.5 and v2[i6] < 0.5
         assert v3[i6] > 0.5
@@ -261,8 +254,7 @@ class TestBackward:
     def test_unused_clause_gradient_vanishes(self, ctx6):
         # huge negative logit: softmax mass below 1e-12, output support empty
         w = WeightSet(MULTI, np.array([[200.0, -200.0]]))
-        v0 = convert_background([e(0)], ATOMS6)
-        _, tape = infer(ctx6.x, v0, w, 3, GAMMA, record=True)
+        _, tape = infer(ctx6.x, ctx6.v0, w, 3, GAMMA, record=True)
         g = backward(tape, np.ones(6))
         assert abs(g[0, 1]) < 1e-10
 
@@ -348,9 +340,8 @@ class TestWeightSet:
             WeightSet(mode, np.zeros(shape))
 
     def test_pair_mode_runs_and_differs(self, ctx6):
-        v0 = convert_background([e(0)], ATOMS6)
         w = WeightSet.one_hot([(0, 1)], 2, mode=PAIR)
-        v = infer(ctx6.x, v0, w, 2, GAMMA)
+        v = infer(ctx6.x, ctx6.v0, w, 2, GAMMA)
         # pair (fact, step) behaves like the union program
         assert v[2] > 0.5 and v[4] > 0.5
 
@@ -369,10 +360,9 @@ class TestWidths:
         assert np.array_equal(backward(tape_w, grad_out), backward(tape, grad_out))
 
     def test_one_width_per_step(self, ctx6):
-        v0 = convert_background([e(0)], ATOMS6)
         w = WeightSet.random(1, 2, seed=0)
         with pytest.raises(ValueError, match="one width per step"):
-            infer(ctx6.x, v0, w, 3, GAMMA, widths=[6, 6])
+            infer(ctx6.x, ctx6.v0, w, 3, GAMMA, widths=[6, 6])
 
 
 @pytest.mark.parametrize("shift", range(1, 9))

@@ -131,6 +131,12 @@ def test_problem_rejects_reserved_pred():
 def test_problem_rejects_variable_named_constant():
     with pytest.raises(ParseError, match="variable name"):
         parse_problem("pred p/1. const x.")
+    # a declared variable and constant clash in either order, at the second
+    clashes = (("var u. const u.", "variable"), ("const u. var u.", "constant"))
+    for decls, message in clashes:
+        with pytest.raises(ParseError, match=f"'u' is a {message} name") as err:
+            parse_problem(f"pred p/1. {decls} pos p(u).")
+        assert (err.value.line, err.value.col) == (1, 24)
 
 
 def test_problem_extra_variable():

@@ -11,7 +11,6 @@ import pytest
 
 from softlog.cli import build_parser, main
 from softlog.datasets import TaskSpec, generate, load_problem
-from softlog.grounding import convert_background, ground_context
 from softlog.prover import MAX_HORIZON, ProofConfig
 from softlog.refine import RefinementConfig
 from softlog.run import (
@@ -104,8 +103,7 @@ class TestRunProblem:
         g_both = ground_context(both, member_result.clauses, steps)
 
         def scores(ctx):
-            v0 = convert_background(train_p.background, ctx.atoms)
-            return predictions(held_out, ctx, v0, member_result.weights, steps, gamma)
+            return predictions(held_out, ctx, member_result.weights, steps, gamma)
 
         assert len(g_eval) < len(g_both)
         assert np.array_equal(scores(g_eval), scores(g_both))
@@ -354,6 +352,19 @@ class TestCli:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "nclause,seed,test_auc"
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--axis", "nclause", "--values", "4,2.5"], "whole numbers, got 2.5"),
+        (["sweep", "--axis", "nclause", "--values", "0", "--method", "beam"],
+         "max_clauses must be >= 1, got 0"),
+        (["gen", "--n", "-5"], "TaskSpec.n_per_class must be >= 0, got -5"),
+        (["gen", "--seed", "-1"], "TaskSpec.seed must be >= 0, got -1"),
+    ], ids=["sweep-fraction", "sweep-beam-0", "gen-n", "gen-seed"])
+    def test_bad_clause_budget_count_or_seed_exits_2(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([*argv, "--task", "member", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_empty_seeds_error(self, tmp_path):
         code = main(["sweep", "--task", "member", "--axis", "noise",

@@ -97,6 +97,12 @@ class TestBeamSearch:
         with pytest.raises(ValueError):
             beam_search([], worked_problem, BeamConfig())
 
+    def test_rejects_a_clause_budget_below_one(self, worked_problem):
+        for budget in (0, -1):
+            with pytest.raises(ValueError, match=f"max_clauses must be >= 1, got {budget}"):
+                beam_search(list(worked_problem.initial_clauses), worked_problem,
+                            BeamConfig(), max_clauses=budget)
+
     def test_reachability(self, pq_lang, worked_problem):
         # every returned clause is within beam_steps refinements of the seed
         from softlog.refine import refine

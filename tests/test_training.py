@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import predict, reference_cone, reference_cross_entropy
+from conftest import reference_cone, reference_cross_entropy
 from softlog import training
 from softlog.datasets import TASKS, TaskSpec, generate, split
-from softlog.grounding import convert_background, ground_context
+from softlog.grounding import ground_context
 from softlog.infer import MULTI, PAIR, WeightSet, infer
 from softlog.logic import Atom, Clause, Const, Var
 from softlog.parser import parse_atom
@@ -57,44 +57,38 @@ def _tiny_problem():
     )
 
 
+@pytest.fixture
+def member_ctx():
+    """A member problem, its grounding over the initial clause, and random
+    weights."""
+    problem = generate(TaskSpec("member", n_per_class=5, seed=0))
+    ctx = ground_context(problem, problem.initial_clauses, steps=2)
+    return problem, ctx, WeightSet.random(2, len(problem.initial_clauses), seed=0)
+
+
 class TestPredict:
-    def test_background_predicts_one(self):
-        problem = generate(TaskSpec("member", n_per_class=5, seed=0))
-        clauses = list(problem.initial_clauses)
-        ctx = ground_context(problem, clauses, steps=2)
-        v0 = convert_background(problem.background, ctx.atoms)
-        w = WeightSet.random(2, len(clauses), seed=0)
-        got = predict(problem.background[0], ctx, v0, w, steps=2)
-        assert got == pytest.approx(1.0, abs=1e-3)
+    def test_background_predicts_one(self, member_ctx):
+        problem, ctx, w = member_ctx
+        got = predictions([problem.background[0]], ctx, w, steps=2, gamma=1e-5)
+        assert got[0] == pytest.approx(1.0, abs=1e-3)
 
-    def test_false_atom_near_zero(self):
-        problem = generate(TaskSpec("member", n_per_class=5, seed=0))
-        clauses = list(problem.initial_clauses)
-        ctx = ground_context(problem, clauses, steps=2)
-        v0 = convert_background(problem.background, ctx.atoms)
-        w = WeightSet.random(2, len(clauses), seed=0)
-        assert infer(ctx.x, v0, w, 2, gamma=1e-5)[0] < 1e-3
+    def test_false_atom_near_zero(self, member_ctx):
+        _, ctx, w = member_ctx
+        assert infer(ctx.x, ctx.v0, w, 2, gamma=1e-5)[0] < 1e-3
 
-    def test_missing_atom_raises(self):
-        problem = generate(TaskSpec("member", n_per_class=5, seed=0))
-        clauses = list(problem.initial_clauses)
-        ctx = ground_context(problem, clauses, steps=2)
-        v0 = convert_background(problem.background, ctx.atoms)
-        w = WeightSet.random(2, len(clauses), seed=0)
+    def test_missing_atom_raises(self, member_ctx):
+        problem, ctx, w = member_ctx
         stranger = parse_atom("mem(a,[a,b,c,a,b])", problem.language)
         if stranger not in ctx.index:
             with pytest.raises(KeyError):
-                predict(stranger, ctx, v0, w, steps=2)
+                predictions([stranger], ctx, w, steps=2, gamma=1e-5)
 
     def test_member_ground_truth_scores_high(self):
         problem = generate(TaskSpec("member", n_per_class=10, seed=3))
-        from softlog.datasets import TASKS
-
         truth = list(TASKS["member"].ground_truth)
         ctx = ground_context(problem, truth, steps=4)
-        v0 = convert_background(problem.background, ctx.atoms)
         w = WeightSet.one_hot(list(range(len(truth))), len(truth))
-        scores = predictions(list(problem.pos), ctx, v0, w, steps=4, gamma=1e-5)
+        scores = predictions(list(problem.pos), ctx, w, steps=4, gamma=1e-5)
         assert (scores >= 0.99).all()
 
 
@@ -253,11 +247,10 @@ def _task_batches(task, steps):
     problem = generate(TaskSpec(task, n_per_class=10, seed=0))
     clauses = [*TASKS[task].ground_truth, *problem.initial_clauses]
     ctx = ground_context(problem, clauses, steps)
-    v0 = convert_background(problem.background, ctx.atoms)
     labels = make_labels(problem)
     idx_all = np.array([ctx.index_of(a) for a, _ in labels])
     y_all = np.array([y for _, y in labels], dtype=np.float64)
-    return clauses, ctx, v0, idx_all, y_all, training._hops(ctx.x, idx_all, steps)
+    return clauses, ctx, ctx.v0, idx_all, y_all, training._hops(ctx.x, idx_all, steps)
 
 
 class TestCone:

@@ -52,7 +52,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
         metavar="N_CLAUSE",
         help="replace beam search with unscored breadth-first generation",
     )
-    p.add_argument("--prune-zero", choices=["on", "off"])
 
 
 def _resolve_problem(args) -> tuple:
@@ -76,8 +75,6 @@ def _configs(args, task: str):
         args, "m", "steps", "gamma", "lr", "epochs", "batch_frac", "weight_mode"
     )
     beam_over = _given(args, "beam_size", "beam_steps")
-    if args.prune_zero is not None:
-        beam_over["prune_zero"] = args.prune_zero == "on"
     if task in TASKS:
         tc = default_train_config(task, seed=args.seed, **overrides)
         bc = default_beam_config(task, **beam_over)

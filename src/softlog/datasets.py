@@ -20,6 +20,8 @@ from .problem import ILPProblem
 from .prover import ProofConfig, entails
 
 ORACLE_DEPTH = 12
+# generate gives up on a class after this many rejected draws in a row
+MAX_REJECTED_RUN = 10_000
 
 NIL = Const("*")
 
@@ -345,16 +347,21 @@ def generate(spec: TaskSpec) -> ILPProblem:
     for out, sample, kind in (
         (pos, td.sample_pos, "positive"), (neg, td.sample_neg_shape, "negative")
     ):
-        tries = 0
+        rejected = 0
         while len(out) < spec.n_per_class:
-            tries += 1
-            if tries > 10000 * spec.n_per_class:
-                raise RuntimeError(f"{kind} sampling stalled for task {spec.task}")
             a = sample(rng, td.default_size)
             if a in seen or (
                 out is neg and entails(td.ground_truth, td.background, a, oracle_cfg)
             ):
+                rejected += 1
+                if rejected == MAX_REJECTED_RUN:
+                    raise ValueError(
+                        f"task {spec.task} found {len(out)} distinct {kind} examples "
+                        f"of the {spec.n_per_class} asked for, then rejected "
+                        f"{MAX_REJECTED_RUN} draws in a row"
+                    )
                 continue
+            rejected = 0
             seen.add(a)
             out.append(a)
 
@@ -418,7 +425,10 @@ def save_problem(problem: ILPProblem, path) -> None:
 
 
 def load_problem(path) -> ILPProblem:
-    return parse_problem(Path(path).read_text(encoding="utf-8"))
+    try:
+        return parse_problem(Path(path).read_text(encoding="utf-8"))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def problem_hash(problem: ILPProblem) -> str:

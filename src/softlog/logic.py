@@ -213,6 +213,9 @@ class Language:
         bad = RESERVED_PREDS & {p for p, _ in self.predicates}
         if bad:
             raise ValueError(f"reserved predicate names: {sorted(bad)}")
+        bad = [f"{f}/{n}" for f, n in self.functions if n < 1]
+        if bad:
+            raise ValueError(f"function symbols have arity >= 1: {bad}")
 
     def pred_arity(self, name: str) -> Optional[int]:
         for p, n in self.predicates:

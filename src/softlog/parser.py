@@ -288,6 +288,8 @@ def parse_problem(text: str) -> ILPProblem:
                 raise ParseError(f"expected name/arity, found {name!r}", *at)
             if kw == "pred" and vals[0] in RESERVED_PREDS:
                 raise ParseError(f"{vals[0]!r} is a reserved atom name", *at)
+            if kw == "func" and int(vals[2]) < 1:
+                raise ParseError(f"function symbols have arity >= 1, found {name!r}", *at)
             (preds if kw == "pred" else funcs).append((vals[0], int(vals[2])))
         elif kw == "const":
             if len(kinds) != 1 or kinds[0] not in _NAME_KINDS:

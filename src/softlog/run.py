@@ -249,32 +249,53 @@ def save_weights(path, result: RunResult) -> None:
 
 
 def load_weights(path, problem: ILPProblem):
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    """The weights, clauses and entries of a weight file.  Any error in the
+    file is a ValueError that names it."""
+    try:
+        return _read_weights(Path(path).read_text(encoding="utf-8"), problem)
+    except (ValueError, OverflowError) as e:  # overflow: an int no float holds
+        raise ValueError(f"{path}: {e}") from None
+
+
+def _finite(number: str) -> float:
+    """A JSON float, refusing NaN and infinities: the literals Python's json
+    accepts and a number too large for a float."""
+    value = float(number)
+    if not math.isfinite(value):
+        raise ValueError(f"{number} is not a finite number")
+    return value
+
+
+def _read_weights(text: str, problem: ILPProblem):
+    payload = json.loads(text, parse_constant=_finite, parse_float=_finite)
     if not isinstance(payload, dict):
-        raise ValueError(f"{path}: a weight file holds a JSON object")
+        raise ValueError("a weight file holds a JSON object")
     # older files hold "clamp": false; clamped weights would not score as trained
     if payload.get("clamp", False) is not False:
-        raise ValueError(f"{path}: weight file entry 'clamp' must be false")
+        raise ValueError("weight file entry 'clamp' must be false")
     for key, types in WEIGHT_KEYS.items():
         if key not in payload:
-            raise ValueError(f"{path}: weight file has no {key!r} entry")
+            raise ValueError(f"weight file has no {key!r} entry")
         value = payload[key]
         if type(value) not in types:
             want = " or ".join(t.__name__ for t in types)
             raise ValueError(
-                f"{path}: weight file entry {key!r} must be {want}, got {value!r:.40}"
+                f"weight file entry {key!r} must be {want}, got {value!r:.40}"
             )
     if not all(type(t) is str for t in payload["clauses"]):
-        raise ValueError(f"{path}: weight file entry 'clauses' must hold strings")
-    try:  # seed, steps and gamma obey the saved run's TrainConfig rules
-        TrainConfig(steps=payload["steps"], gamma=payload["gamma"], seed=payload["seed"])
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from None
+        raise ValueError("weight file entry 'clauses' must hold strings")
+    # seed, steps and gamma obey the saved run's TrainConfig rules
+    TrainConfig(steps=payload["steps"], gamma=payload["gamma"], seed=payload["seed"])
     weights = WeightSet(payload["mode"], np.array(payload["w"], dtype=np.float64))
-    clauses = [parse_clause(t, problem.language) for t in payload["clauses"]]
+    clauses = []
+    for i, text in enumerate(payload["clauses"]):
+        try:
+            clauses.append(parse_clause(text, problem.language))
+        except ValueError as e:
+            raise ValueError(f"weight file entry 'clauses'[{i}]: {e}") from None
     if weights.n_clauses != len(clauses):
         raise ValueError(
-            f"{path}: {weights.mode} weights of shape {weights.w.shape} do not "
+            f"{weights.mode} weights of shape {weights.w.shape} do not "
             f"fit the file's {len(clauses)} clauses"
         )
     return weights, clauses, payload

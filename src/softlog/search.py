@@ -19,7 +19,6 @@ log = logging.getLogger(__name__)
 class BeamConfig:
     beam_size: int = 10
     beam_steps: int = 5
-    prune_zero: bool = True
 
     def __post_init__(self):
         if self.beam_size < 1 or self.beam_steps < 1:
@@ -38,12 +37,13 @@ def beam_search(
 
     Each round opens the current beam (adding it to the result), scores every
     refinement by the number of positives it entails together with the
-    background, and keeps the top ``beam_size`` as the next beam.  Only opened
-    clauses enter the result, so the final round's refinements are scored but
-    never returned.  With ``max_clauses`` the search stops once that many
-    clauses are collected (the generation-budget comparison against the
-    unscored baseline).  Output is deduplicated by canonical form and ordered
-    by score (descending), ties by canonical text.
+    background, drops those entailing none, and keeps the top ``beam_size``
+    as the next beam.  Only opened clauses enter the result, so the final
+    round's refinements are scored but never returned.  With ``max_clauses``
+    the search stops once that many clauses are collected (the
+    generation-budget comparison against the unscored baseline).  Output is
+    deduplicated by canonical form and ordered by score (descending), ties by
+    canonical text.
 
     Every refinement operator specialises: the parent θ-subsumes the child,
     so at the same proof depth the child proves a subset of the examples the
@@ -56,60 +56,51 @@ def beam_search(
     if max_clauses is not None and max_clauses < 1:
         raise ValueError(f"max_clauses must be >= 1, got {max_clauses}")
     base_nest = max(nest_depth(c) for c in initial)
-    collected: dict = {}  # canonical clause -> (clause, rank key)
-    covers: dict = {}  # canonical clause -> (covered pos indexes, neg indexes)
+    scored: dict = {}  # canonical clause -> (cover, rank key)
+    collected: dict = {}  # canonical clause -> clause in the language's variables
     n_examples = len(problem.pos) + len(problem.neg)
     proofs = 0
 
-    def cover_of(key: Clause, c: Clause, within: Optional[tuple] = None) -> tuple:
+    def score(key: Clause, c: Clause, within: Optional[tuple] = None) -> tuple:
+        # The cover is (covered pos indexes, neg indexes).  Equal scores are
+        # broken toward clauses entailing fewer negatives (promising = many
+        # positives, few negatives), then toward shorter bodies (more
+        # general), then canonical text for determinism.
         nonlocal proofs
-        if key not in covers:
-            covers[key] = eval_counts(c, problem, proof_cfg, within)
+        if key not in scored:
+            cover = eval_counts(c, problem, proof_cfg, within)
             proofs += n_examples if within is None else len(within[0]) + len(within[1])
-        return covers[key]
-
-    def ranked(cover: tuple, c: Clause) -> tuple:
-        # Equal scores are broken toward clauses entailing fewer negatives
-        # (promising = many positives, few negatives), then toward shorter
-        # bodies (more general), then canonical text for determinism.
-        p, n = len(cover[0]), len(cover[1])
-        return (-p, n, len(c.body), repr(canonical(c)))
+            scored[key] = (cover, (-len(cover[0]), len(cover[1]), len(c.body), repr(key)))
+        return scored[key]
 
     to_open = list(dict.fromkeys(initial))
-    full = False
     for _ in range(cfg.beam_steps):
-        buffer: list[tuple[tuple, Clause]] = []
-        buffered = set()
+        buffer: dict = {}  # canonical refinement -> (rank key, refinement)
         for c in to_open:
             ck = canonical(c)
-            cover = cover_of(ck, c)
+            cover, _ = score(ck, c)
             if ck not in collected:
-                rep = canonical_in(c, problem.language.variables)
-                collected[ck] = (rep, ranked(cover, c))
+                collected[ck] = canonical_in(c, problem.language.variables)
                 if max_clauses is not None and len(collected) >= max_clauses:
-                    full = True
                     break
             for r in refine(c, problem.language, refine_cfg, base_nest=base_nest):
                 rk = canonical(r)
-                if rk in collected or rk in buffered:
+                if rk in collected or rk in buffer:
                     continue
-                r_cover = cover_of(rk, r, cover)
-                if cfg.prune_zero and not r_cover[0]:
-                    continue
-                buffered.add(rk)
-                buffer.append((ranked(r_cover, r), r))
-        if full:
-            break
-        buffer.sort(key=lambda item: item[0])
-        to_open = [r for _, r in buffer[: cfg.beam_size]]
-        if not to_open:
-            break
+                r_cover, r_rank = score(rk, r, cover)
+                if r_cover[0]:
+                    buffer[rk] = (r_rank, r)
+        else:  # the whole beam opened: its best refinements form the next one
+            best = sorted(buffer.values(), key=lambda item: item[0])[: cfg.beam_size]
+            to_open = [r for _, r in best]
+            if to_open:
+                continue
+        break  # the clause budget is reached, or no refinement proves a positive
     log.info(
         "beam: clauses scored=%d, example proofs=%d of %d (clauses x |E|)",
-        len(covers), proofs, len(covers) * n_examples,
+        len(scored), proofs, len(scored) * n_examples,
     )
-    ordered = sorted(collected.values(), key=lambda item: item[1])
-    return [c for c, _ in ordered]
+    return [collected[k] for k in sorted(collected, key=lambda k: scored[k][1])]
 
 
 def naive_generate(

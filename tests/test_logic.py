@@ -221,6 +221,10 @@ class TestStructure:
         with pytest.raises(ValueError):
             Language(predicates=[("true", 0)])
 
+    def test_language_rejects_a_nullary_function(self):
+        with pytest.raises(ValueError, match=r"function symbols have arity >= 1: \['g/0'\]"):
+            Language(predicates=[("p", 1)], functions=[("f", 1), ("g", 0)])
+
     def test_subsumes(self):
         general = Clause(Atom("p", (x, y)))
         specific = Clause(Atom("p", (a, y)), (Atom("q", (y, y)),))

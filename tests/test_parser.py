@@ -128,6 +128,12 @@ def test_problem_rejects_reserved_pred():
         parse_problem("pred true/1.")
 
 
+def test_problem_rejects_a_nullary_function():
+    with pytest.raises(ParseError, match="arity >= 1, found 'g/0'") as err:
+        parse_problem("pred p/1.\nfunc g/0.\nconst a.\npos p(a).")
+    assert (err.value.line, err.value.col) == (2, 6)
+
+
 def test_problem_rejects_variable_named_constant():
     with pytest.raises(ParseError, match="variable name"):
         parse_problem("pred p/1. const x.")

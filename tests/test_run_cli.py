@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from softlog.cli import build_parser, main
-from softlog.datasets import TaskSpec, generate, load_problem
+from softlog.datasets import TaskSpec, generate, load_problem, save_problem
 from softlog.prover import MAX_HORIZON, ProofConfig
 from softlog.refine import RefinementConfig
 from softlog.run import (
@@ -42,6 +43,15 @@ def member_result():
     tc = default_train_config("member", seed=0, **FAST)
     bc = default_beam_config("member")
     return run_problem(problem, tc, bc)
+
+
+@pytest.fixture
+def saved_member(member_result, tmp_path):
+    """The member run's problem file, weight file and weight-file entries."""
+    prob, weights = tmp_path / "p.pl", tmp_path / "weights.json"
+    save_problem(member_result.problem, prob)
+    save_weights(weights, member_result)
+    return prob, weights, json.loads(weights.read_text())
 
 
 class TestRunProblem:
@@ -317,6 +327,61 @@ class TestCli:
             assert main(["eval", str(prob), "--weights", str(bad)]) == 2
             assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("literal, message", [
+        ("NaN", "NaN is not a finite number"),
+        ("Infinity", "Infinity is not a finite number"),
+        ("1e999", "1e999 is not a finite number"),
+        ("1" + "0" * 400, "int too large to convert to float"),
+    ], ids=["NaN", "Infinity", "float-overflow", "int-overflow"])
+    def test_non_finite_weight_exits_2(self, literal, message, saved_member, capsys):
+        prob, weights, saved = saved_member
+        saved["w"][0][0] = "?"  # one entry of the multi-mode matrix
+        weights.write_text(json.dumps(saved).replace('"?"', literal))
+        assert main(["eval", str(prob), "--weights", str(weights)]) == 2
+        assert capsys.readouterr().err == f"error: {weights}: {message}\n"
+
+    @pytest.mark.parametrize("case", ["truncated", "clause"])
+    def test_unreadable_weight_file_exits_2_naming_it(self, case, saved_member, capsys):
+        prob, weights, saved = saved_member
+        if case == "truncated":
+            cut = weights.read_text()[:9]
+            weights.write_text(cut)
+            with pytest.raises(json.JSONDecodeError) as parsed:
+                json.loads(cut)
+            message = str(parsed.value)
+        else:  # a clause outside the problem's language
+            n = len(saved["clauses"])
+            clauses = [*saved["clauses"][1:], "app(x)"]
+            weights.write_text(json.dumps({**saved, "clauses": clauses}))
+            message = (
+                f"weight file entry 'clauses'[{n - 1}]: line 1, column 1: "
+                "undeclared predicate 'app'"
+            )
+        assert main(["eval", str(prob), "--weights", str(weights)]) == 2
+        assert capsys.readouterr().err == f"error: {weights}: {message}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("pred p/1.\nconst a.\npos p(a).\nneg q(a).\n",
+         "line 4, column 5: undeclared predicate 'q'"),
+        ("pred p/1.\nfunc g/0.\nconst a.\npos p(a).\n",
+         "line 2, column 6: function symbols have arity >= 1, found 'g/0'"),
+    ], ids=["undeclared", "nullary-func"])
+    def test_bad_problem_file_exits_2_naming_it(self, text, message, tmp_path, capsys):
+        prob = tmp_path / "badp.pl"
+        prob.write_text(text)
+        assert main(["train", str(prob), "--epochs", "5"]) == 2
+        assert capsys.readouterr().err == f"error: {prob}: {message}\n"
+
+    def test_gen_refuses_more_examples_than_the_task_has(self, tmp_path, capsys):
+        # plus has 54 distinct positives at its default size
+        out = tmp_path / "plus.pl"
+        start = time.perf_counter()
+        assert main(["gen", "--task", "plus", "--n", "60", "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 10
+        err = capsys.readouterr().err
+        assert "task plus found 54 distinct positive examples of the 60 asked for" in err
+        assert not out.exists()
+
     def test_clamp_entry_of_older_weight_files(self, tmp_path, capsys):
         # older versions saved "clamp": false with an unclamped run's weights
         prob, outdir = tmp_path / "p.pl", tmp_path / "run"
@@ -461,12 +526,12 @@ class TestCli:
         settings = {f.name for c in (TrainConfig, BeamConfig, RefinementConfig)
                     for f in fields(c)} - {"seed"}
         assert set(plain) == settings | run_args
-        assert (plain["noise"], plain["beam_size"], plain["prune_zero"]) == (0.0, 3, True)
+        assert (plain["noise"], plain["beam_size"]) == (0.0, 3)
         assert plain["clause_cap"] is None
-        changed = config("--noise", "0.1", "--beam-size", "5", "--prune-zero", "off")
+        changed = config("--noise", "0.1", "--beam-size", "5")
         assert set(changed) == set(plain)
         assert changed["noise"] == 0.1
-        assert (changed["beam_size"], changed["prune_zero"]) == (5, False)
+        assert changed["beam_size"] == 5
 
     def test_run_json_records_the_confidences(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -477,8 +542,9 @@ class TestCli:
         assert all(0 < c <= 1 for c in rec["confidences"])
 
     @pytest.mark.parametrize(
-        "flags", [["--clamp"], ["--neg-penalty", "0.5"], ["--proof-depth", "3"]],
-        ids=["clamp", "neg-penalty", "proof-depth"],
+        "flags",
+        [["--clamp"], ["--neg-penalty", "0.5"], ["--proof-depth", "3"], ["--prune-zero", "off"]],
+        ids=["clamp", "neg-penalty", "proof-depth", "prune-zero"],
     )
     def test_removed_flags_are_unknown(self, flags, capsys):
         with pytest.raises(SystemExit) as exc:

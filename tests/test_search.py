@@ -83,15 +83,22 @@ class TestBeamSearch:
         # opened clauses: initials plus at most beam_size per step
         assert len(got) <= 1 + cfg.beam_size * cfg.beam_steps
 
-    def test_prune_zero_off_keeps_zero_scores(self, pq_lang, worked_problem):
-        got = beam_search(
-            list(worked_problem.initial_clauses),
-            worked_problem,
-            BeamConfig(beam_size=30, beam_steps=2, prune_zero=False),
-            proof_cfg=ProofConfig(2),
-        )
-        zero_scored = canonical(parse_clause("p(f(x),y)", pq_lang))
-        assert zero_scored in canon_set(got)
+    @pytest.mark.parametrize("case", ["worked", "delete"])
+    def test_returned_refinements_prove_a_positive(self, case, request):
+        # a refinement proving no training positive is never buffered, so
+        # never opened; the wide worked beam would otherwise open p(f(x),y)
+        if case == "worked":
+            problem = request.getfixturevalue("worked_problem")
+            beam_cfg, proof_cfg = BeamConfig(beam_size=30, beam_steps=2), ProofConfig(2)
+        else:
+            problem, beam_cfg, proof_cfg = request.getfixturevalue("delete_problem")
+        got = beam_search(list(problem.initial_clauses), problem, beam_cfg,
+                          proof_cfg=proof_cfg)
+        initial = canon_set(problem.initial_clauses)
+        refined = [c for c in got if canonical(c) not in initial]
+        assert len(refined) > 1
+        for c in refined:
+            assert eval_counts(c, problem, proof_cfg)[0], c
 
     def test_requires_initial(self, worked_problem):
         with pytest.raises(ValueError):

@@ -198,7 +198,7 @@ def main(argv=None) -> int:
     except TrainingDiverged as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ValueError, FileNotFoundError) as e:
+    except (ValueError, OSError) as e:  # OSError: a path the user gave
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -375,14 +375,14 @@ def generate(spec: TaskSpec) -> ILPProblem:
     )
 
 
-def inject_noise(problem: ILPProblem, fraction: float, seed: int) -> ILPProblem:
-    """Flip exactly floor(fraction * #examples) labels, moving the chosen
+def inject_noise(problem: ILPProblem, noise: float, seed: int) -> ILPProblem:
+    """Flip exactly floor(noise * #examples) labels, moving the chosen
     atoms between the positive and negative sets.  Selection is by atom (from
     the canonically sorted example list), so flipping twice with the same
     seed restores the original class sets."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must be in [0, 1]")
-    n = int(fraction * (len(problem.pos) + len(problem.neg)))
+    if not 0.0 <= noise <= 1.0:
+        raise ValueError(f"noise must be in [0, 1], got {noise}")
+    n = int(noise * (len(problem.pos) + len(problem.neg)))
     if n == 0:
         return problem
     rng = random.Random(seed)
@@ -396,18 +396,18 @@ def inject_noise(problem: ILPProblem, fraction: float, seed: int) -> ILPProblem:
 
 
 def split(
-    problem: ILPProblem, fraction: float, seed: int
+    problem: ILPProblem, split_frac: float, seed: int
 ) -> tuple[ILPProblem, list[tuple[Atom, int]]]:
-    """Stratified split: floor(fraction * n) of each class goes to training;
+    """Stratified split: floor(split_frac * n) of each class goes to training;
     the rest come back as labeled test atoms."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must be in (0, 1]")
+    if not 0.0 < split_frac <= 1.0:
+        raise ValueError(f"split_frac must be in (0, 1], got {split_frac}")
     rng = random.Random(seed)
 
     def cut(atoms):
         atoms = list(atoms)
         rng.shuffle(atoms)
-        k = int(fraction * len(atoms))
+        k = int(split_frac * len(atoms))
         return atoms[:k], atoms[k:]
 
     pos_tr, pos_te = cut(problem.pos)

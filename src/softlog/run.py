@@ -39,7 +39,7 @@ LOSS_SAMPLE_EVERY = 50
 _NUMBER = (int, float)
 WEIGHT_KEYS = {
     "mode": (str,), "w": (list,), "clauses": (list,), "steps": (int,),
-    "gamma": _NUMBER, "split_frac": _NUMBER, "noise": _NUMBER, "seed": (int,),
+    "gamma": _NUMBER, "split_frac": _NUMBER, "seed": (int,),
 }
 # The metric each sweep axis reports, by its RunRecord field name.
 SWEEP_METRICS = {"noise": "test_mse", "nclause": "test_auc"}
@@ -242,7 +242,6 @@ def save_weights(path, result: RunResult) -> None:
         "steps": result.record.config["steps"],
         "gamma": result.record.config["gamma"],
         "split_frac": result.record.config["split_frac"],
-        "noise": result.record.config["noise"],
         "seed": result.record.seed,
     }
     Path(path).write_text(json.dumps(payload, allow_nan=False), encoding="utf-8")
@@ -284,8 +283,11 @@ def _read_weights(text: str, problem: ILPProblem):
             )
     if not all(type(t) is str for t in payload["clauses"]):
         raise ValueError("weight file entry 'clauses' must hold strings")
-    # seed, steps and gamma obey the saved run's TrainConfig rules
+    # the entries obey the saved run's TrainConfig rules and split's rule
     TrainConfig(steps=payload["steps"], gamma=payload["gamma"], seed=payload["seed"])
+    if not 0 < payload["split_frac"] <= 1:
+        raise ValueError(f"weight file entry 'split_frac' must be in (0, 1], "
+                         f"got {payload['split_frac']}")
     weights = WeightSet(payload["mode"], np.array(payload["w"], dtype=np.float64))
     clauses = []
     for i, text in enumerate(payload["clauses"]):
@@ -302,10 +304,10 @@ def _read_weights(text: str, problem: ILPProblem):
 
 
 def evaluate_saved(problem: ILPProblem, weights_path) -> dict:
-    """Recreate the recorded split and recompute held-out metrics."""
+    """Recreate the recorded split and recompute held-out metrics.  Label noise
+    flips only training examples, which ``evaluate`` does not read."""
     weights, clauses, payload = load_weights(weights_path, problem)
     train_problem, test_labels = split(problem, payload["split_frac"], payload["seed"])
-    train_problem = inject_noise(train_problem, payload["noise"], payload["seed"])
     return evaluate(
         train_problem, clauses, weights, test_labels, payload["steps"], payload["gamma"]
     )

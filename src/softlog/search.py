@@ -38,8 +38,8 @@ def beam_search(
     Each round opens the current beam (adding it to the result), scores every
     refinement by the number of positives it entails together with the
     background, drops those entailing none, and keeps the top ``beam_size``
-    as the next beam.  Only opened clauses enter the result, so the final
-    round's refinements are scored but never returned.  With ``max_clauses``
+    as the next beam.  Only opened clauses enter the result, so the last
+    round opens its beam and refines nothing.  With ``max_clauses``
     the search stops once that many clauses are collected (the
     generation-budget comparison against the unscored baseline).  Output is
     deduplicated by canonical form and ordered by score (descending), ties by
@@ -74,7 +74,7 @@ def beam_search(
         return scored[key]
 
     to_open = list(dict.fromkeys(initial))
-    for _ in range(cfg.beam_steps):
+    for rounds_left in reversed(range(cfg.beam_steps)):
         buffer: dict = {}  # canonical refinement -> (rank key, refinement)
         for c in to_open:
             ck = canonical(c)
@@ -83,6 +83,8 @@ def beam_search(
                 collected[ck] = canonical_in(c, problem.language.variables)
                 if max_clauses is not None and len(collected) >= max_clauses:
                     break
+            if not rounds_left:  # no round is left to open a refinement
+                continue
             for r in refine(c, problem.language, refine_cfg, base_nest=base_nest):
                 rk = canonical(r)
                 if rk in collected or rk in buffer:
@@ -95,7 +97,7 @@ def beam_search(
             to_open = [r for _, r in best]
             if to_open:
                 continue
-        break  # the clause budget is reached, or no refinement proves a positive
+        break  # budget reached, last round opened, or no refinement proves a positive
     log.info(
         "beam: clauses scored=%d, example proofs=%d of %d (clauses x |E|)",
         len(scored), proofs, len(scored) * n_examples,

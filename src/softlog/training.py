@@ -18,9 +18,8 @@ from .prover import MAX_HORIZON
 log = logging.getLogger(__name__)
 
 PRED_CLIP = 1e-7
-# A recorded pair-mode pass keeps 3·|C|² floats per atom and step it computes,
-# 3·|C|²·Σ widths in all (see ``_on_cone``); 2**27 is 1 GiB.
-PAIR_TAPE_FLOATS = 2**27
+# The most floats one epoch's recorded pass may keep (see ``train``); 1 GiB.
+TAPE_FLOATS = 2**27
 # RMSProp internals; fixed here because no standard values exist upstream
 RMS_DECAY = 0.99
 RMS_EPS = 1e-8
@@ -172,7 +171,9 @@ def train(
     of a batch atom (see ``_hops`` and ``_on_cone``), the atoms whose step-k
     valuations can still reach a label.  The result equals a pass over all of
     G in real arithmetic, and the recorded pass holds per-step arrays over
-    those prefixes, not over |G|: 3·|C|²·Σ widths floats in pair mode.
+    those prefixes, not over |G|: per atom-step 3·|C|² floats in pair mode and
+    at most (m + 1) + |C|·(2B + 1) in multi mode (coefficients, clause outputs,
+    and index cells and subgoal products, |C|·B each; B the longest body).
 
     The weights cover the grounding's clauses, one per row of ``ctx.x``.
     Returns the trained weights and the per-epoch loss history.  Identical
@@ -185,20 +186,20 @@ def train(
     y_all = np.array([y for _, y in labels], dtype=np.float64)
     batch = int(np.ceil(cfg.batch_frac * len(labels)))  # 1..len(labels)
     hops = _hops(ctx.x, idx_all, cfg.steps)
-    n_clauses = len(ctx.x)
-    if cfg.weight_mode == PAIR:
-        # the most atom-steps any draw of `batch` labels can compute: a label
-        # alone computes an atom h hops away at max(0, T - h) steps
-        work = np.maximum(0, cfg.steps - hops.astype(np.int64)).sum(axis=1)
-        most = min(cfg.steps * len(ctx), int(np.sort(work)[-batch:].sum()))
-        floats = 3 * n_clauses**2 * most
-        if floats > PAIR_TAPE_FLOATS:
-            raise ValueError(
-                f"pair mode would record up to {floats:,} floats per epoch "
-                f"(3·|C|²·Σ widths, |C|={n_clauses}, Σ widths <= {most} "
-                f"atom-steps of T·|G|={cfg.steps * len(ctx)}); "
-                f"the limit is {PAIR_TAPE_FLOATS:,} (1 GiB). Use multi weight mode"
-            )
+    n_clauses, _, body = ctx.x.shape
+    # the most atom-steps any draw of `batch` labels can compute: a label
+    # alone computes an atom h hops away at max(0, T - h) steps
+    reach = (cfg.steps - np.minimum(hops, cfg.steps)).sum(axis=1, dtype=np.int64)
+    most = min(cfg.steps * len(ctx), int(np.sort(reach)[-batch:].sum()))
+    per_step = (3 * n_clauses**2 if cfg.weight_mode == PAIR
+                else cfg.m + 1 + n_clauses * (2 * body + 1))
+    if per_step * most > TAPE_FLOATS:
+        raise ValueError(
+            f"{cfg.weight_mode} mode would record up to {per_step * most:,} floats "
+            f"per epoch ({per_step:,} per atom-step with m={cfg.m}, |C|={n_clauses}, "
+            f"B={body}, Σ widths <= {most} atom-steps of T·|G|={cfg.steps * len(ctx)}); "
+            f"the limit is {TAPE_FLOATS:,} (1 GiB)"
+        )
 
     rng = np.random.default_rng(cfg.seed)
     weights = WeightSet.random(cfg.m, n_clauses, cfg.seed, mode=cfg.weight_mode)

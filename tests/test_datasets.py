@@ -108,7 +108,7 @@ class TestNoise:
 
     def test_rejects_bad_fraction(self):
         problem = generate(TaskSpec("member", n_per_class=5, seed=0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"noise must be in \[0, 1\], got 1.5"):
             inject_noise(problem, 1.5, seed=0)
 
 

@@ -221,6 +221,24 @@ class TestCli:
         shown = json.loads(capsys.readouterr().out)
         assert shown["mse"] == rec["test_mse"]
 
+    def test_eval_of_a_noisy_run(self, tmp_path, capsys):
+        # noise flips training examples only, so eval does not redraw it and
+        # the weight file does not record it; an older file's entry is ignored
+        prob, outdir = tmp_path / "p.pl", tmp_path / "run"
+        main(["gen", "--task", "member", "--n", "10", "--seed", "2", "--out", str(prob)])
+        assert main(["train", str(prob), "--epochs", "100", "--seed", "2",
+                     "--noise", "0.3", "--out", str(outdir)]) == 0
+        rec = strict_loads((outdir / "run.json").read_text())
+        saved = json.loads((outdir / "weights.json").read_text())
+        assert rec["config"]["noise"] == 0.3 and "noise" not in saved
+        older = tmp_path / "older.json"
+        older.write_text(json.dumps({**saved, "noise": 0.3}))
+        for weights in (outdir / "weights.json", older):
+            capsys.readouterr()
+            assert main(["eval", str(prob), "--weights", str(weights)]) == 0
+            got = strict_loads(capsys.readouterr().out)
+            assert got == {"auc": rec["test_auc"], "mse": rec["test_mse"]}
+
     def test_train_pair_mode_param_count(self, tmp_path, capsys):
         code = main(["train", "--task", "member", "--n", "10", "--seed", "0",
                      "--epochs", "40", "--weight-mode", "pair"])
@@ -241,6 +259,41 @@ class TestCli:
         code = main(["eval", str(prob), "--weights", str(tmp_path / "nope.json")])
         assert code == 2
         assert str(tmp_path / "nope.json") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval", "gen"])
+    def test_unusable_path_exits_2_naming_it(self, command, tmp_path, capsys):
+        # a directory where a file is read, a file where a directory is needed
+        prob = tmp_path / "p.pl"
+        main(["gen", "--task", "member", "--n", "5", "--out", str(prob)])
+        argv, path = {
+            "train": (["train", str(tmp_path)], tmp_path),
+            "eval": (["eval", str(prob), "--weights", str(tmp_path)], tmp_path),
+            "gen": (["gen", "--task", "member", "--out", str(prob / "x.pl")],
+                    prob / "x.pl"),
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--split-frac", "1.5", "split_frac must be in (0, 1], got 1.5"),
+        ("--split-frac", "0", "split_frac must be in (0, 1], got 0.0"),
+        ("--noise", "1.5", "noise must be in [0, 1], got 1.5"),
+        ("--noise", "-0.1", "noise must be in [0, 1], got -0.1"),
+    ], ids=["split-frac-above", "split-frac-zero", "noise-above", "noise-below"])
+    def test_bad_fraction_exits_2_naming_its_flag(self, flag, value, message, capsys):
+        assert main(["train", "--task", "member", "--n", "5", flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("value", [1.5, 0.0, -0.5])
+    def test_bad_split_frac_entry_exits_2_naming_the_file(self, value, saved_member, capsys):
+        prob, weights, saved = saved_member
+        weights.write_text(json.dumps({**saved, "split_frac": value}))
+        assert main(["eval", str(prob), "--weights", str(weights)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {weights}: weight file entry 'split_frac' must be in (0, 1], "
+            f"got {value}\n"
+        )
 
     def test_run_without_held_out_atoms(self, tmp_path, capsys, caplog):
         # --split-frac 1.0 leaves no test atoms: the test metrics are null in
@@ -305,7 +358,7 @@ class TestCli:
                 for key, value, want in (
                     ("clauses", 5, "list"), ("steps", "4", "int"), ("seed", "x", "int"),
                     ("seed", True, "int"), ("mode", 1, "str"), ("w", {}, "list"),
-                    ("gamma", "0.1", "int or float"), ("noise", None, "int or float"),
+                    ("gamma", "0.1", "int or float"),
                     ("split_frac", False, "int or float"),
                 )
             },
@@ -499,11 +552,25 @@ class TestCli:
     def test_pair_tape_over_budget_exits_2(self, monkeypatch, capsys):
         from softlog import training
 
-        monkeypatch.setattr(training, "PAIR_TAPE_FLOATS", 1000)
+        monkeypatch.setattr(training, "TAPE_FLOATS", 1000)
         code = main(["train", "--task", "member", "--n", "5", "--epochs", "5",
                      "--weight-mode", "pair"])
         assert code == 2
         assert "the limit is 1,000" in capsys.readouterr().err
+
+    def test_multi_tape_over_budget_exits_2_before_the_weights(self, monkeypatch, capsys):
+        from softlog.infer import WeightSet
+
+        def no_weights(*args, **kwargs):
+            raise AssertionError("weights were allocated for a refused run")
+
+        monkeypatch.setattr(WeightSet, "random", staticmethod(no_weights))
+        code = main(["train", "--task", "member", "--n", "5", "--epochs", "5",
+                     "--m", "1000000000"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "multi mode would record up to" in err and "m=1000000000" in err
+        assert "|C|=" in err and "the limit is 134,217,728" in err
 
     def test_grounding_over_budget_exits_2(self, monkeypatch, capsys):
         from softlog import grounding

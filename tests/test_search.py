@@ -31,6 +31,26 @@ def canon_set(clauses):
     return {canonical(c) for c in clauses}
 
 
+def spy_on_beam(monkeypatch):
+    """The canonical forms of the clauses beam_search refines, of the
+    refinements it gets back, and of the clauses it scores, in call order."""
+    refined, produced, scored = [], [], []
+
+    def refine_spy(c, *args, **kwargs):
+        out = refine(c, *args, **kwargs)
+        refined.append(canonical(c))
+        produced.extend(canonical(r) for r in out)
+        return out
+
+    def eval_spy(c, *args, **kwargs):
+        scored.append(canonical(c))
+        return eval_counts(c, *args, **kwargs)
+
+    monkeypatch.setattr(softlog.search, "refine", refine_spy)
+    monkeypatch.setattr(softlog.search, "eval_counts", eval_spy)
+    return refined, produced, scored
+
+
 class TestBeamSearch:
     def test_worked_beam_content(self, pq_lang, worked_problem):
         got = beam_search(
@@ -63,6 +83,38 @@ class TestBeamSearch:
             proof_cfg=ProofConfig(2),
         )
         assert canon_set(got) == canon_set(worked_problem.initial_clauses)
+
+    def test_single_step_scores_the_initials_and_refines_nothing(
+        self, worked_problem, monkeypatch
+    ):
+        refined, _, scored = spy_on_beam(monkeypatch)
+        beam_search(
+            list(worked_problem.initial_clauses), worked_problem,
+            BeamConfig(beam_size=5, beam_steps=1), proof_cfg=ProofConfig(2),
+        )
+        assert refined == []
+        assert scored == [canonical(c) for c in worked_problem.initial_clauses]
+
+    def test_the_last_beam_is_opened_not_refined(self, delete_problem, monkeypatch):
+        # the clauses a run of k - 1 rounds opens are those of rounds 1 to
+        # k - 1 of a k-round run; each is refined once, the last beam never
+        problem, beam_cfg, proof_cfg = delete_problem
+
+        def opened(rounds):
+            cfg = BeamConfig(beam_size=beam_cfg.beam_size, beam_steps=rounds)
+            return canon_set(beam_search(list(problem.initial_clauses), problem, cfg,
+                                         proof_cfg=proof_cfg))
+
+        earlier = opened(beam_cfg.beam_steps - 1)
+        refined, produced, scored = spy_on_beam(monkeypatch)
+        last_beam = opened(beam_cfg.beam_steps) - earlier
+        assert last_beam and beam_cfg.beam_steps > 2
+        assert len(refined) == len(earlier) and set(refined) == earlier
+        assert not last_beam & set(refined)
+        # only the initial clauses and the refinements of earlier rounds are
+        # scored, each once
+        assert len(scored) == len(set(scored))
+        assert set(scored) <= canon_set(problem.initial_clauses) | set(produced)
 
     def test_deterministic(self, worked_problem):
         cfg = BeamConfig(beam_size=3, beam_steps=3)

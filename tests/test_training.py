@@ -187,12 +187,14 @@ class TestTrain:
         w, _ = train(problem, ctx, cfg)
         assert w.param_count == len(clauses) ** 2
 
-    def test_pair_tape_over_budget_refused(self, monkeypatch):
+    @staticmethod
+    def assert_tape_budget_is_exact(monkeypatch, mode, per_step):
         # a layered pass computes, at step k, the atoms within T - k hops of
         # the batch, so one label alone computes sum over d < T of its d-hop
         # cone; the budget holds any draw: the `batch` largest such sums, at
-        # most T·|G| (which binds when every label is in the batch)
-        steps = 3
+        # most T·|G| (which binds when every label is in the batch), times
+        # the floats recorded per atom-step, per_step(m, |C|, B)
+        steps, m = 3, 2
         problem = generate(TaskSpec("delete", n_per_class=5, seed=0))
         clauses = [*TASKS["delete"].ground_truth, *problem.initial_clauses]
         ctx = ground_context(problem, clauses, steps)
@@ -212,19 +214,30 @@ class TestTrain:
         for batch_frac in (0.3, 1.0):
             batch = int(np.ceil(batch_frac * len(labels)))
             most = min(steps * len(ctx), sum(work[-batch:]))
-            floats = 3 * len(clauses) ** 2 * most
+            floats = per_step(m, len(clauses), ctx.x.shape[2]) * most
             cfg = TrainConfig(
-                m=2, steps=steps, epochs=20, seed=0, weight_mode=PAIR,
+                m=m, steps=steps, epochs=20, seed=0, weight_mode=mode,
                 batch_frac=batch_frac,
             )
-            monkeypatch.setattr(training, "PAIR_TAPE_FLOATS", floats - 1)
-            with pytest.raises(ValueError, match=f"{floats:,} floats"):
+            monkeypatch.setattr(training, "TAPE_FLOATS", floats - 1)
+            refused = f"{mode} mode would record up to {floats:,} floats"
+            with pytest.raises(ValueError, match=refused):
                 train(problem, ctx, cfg)
-            monkeypatch.setattr(training, "PAIR_TAPE_FLOATS", floats)
+            monkeypatch.setattr(training, "TAPE_FLOATS", floats)
             layered.clear()
             w, _ = train(problem, ctx, cfg)
-            assert w.param_count == len(clauses) ** 2
+            assert w.param_count == (len(clauses) if mode == PAIR else m) * len(clauses)
             assert len(layered) == 20 and max(layered) <= most
+
+    def test_pair_tape_over_budget_refused(self, monkeypatch):
+        self.assert_tape_budget_is_exact(monkeypatch, PAIR, lambda m, c, b: 3 * c**2)
+
+    def test_multi_tape_over_budget_refused(self, monkeypatch):
+        # coefficients (m + 1), clause outputs (|C|), index cells and the
+        # products of the other subgoals (|C|·B each)
+        self.assert_tape_budget_is_exact(
+            monkeypatch, MULTI, lambda m, c, b: m + 1 + c * (2 * b + 1)
+        )
 
 
 class TestConfigValidation:

@@ -26,8 +26,8 @@ clauses = [fact, step]
 ctx = ground_context(problem, clauses, steps=3)  # ctx.v0: 1 on true and e(0)
 
 print("== smooth disjunction: max plus a gamma-sized overshoot ==")
-print("softor(0, 0)  at gamma=1e-5 ->", softor(np.zeros((2, 1)), 1e-5, axis=0)[0])
-print("softor(1, 0)  at gamma=1e-5 ->", softor(np.array([[1.0], [0.0]]), 1e-5, axis=0)[0])
+print("softor(0, 0)  at gamma=1e-5 ->", softor(np.zeros((2, 1)), 1e-5)[0])
+print("softor(1, 0)  at gamma=1e-5 ->", softor(np.array([[1.0], [0.0]]), 1e-5)[0])
 
 print("\n== valuations sharpen step by step (all weight on the recursion) ==")
 w = WeightSet.one_hot([1], len(clauses))

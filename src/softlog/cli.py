@@ -1,12 +1,14 @@
 """Command-line entry points: gen, train, eval, sweep.
 
-Exit codes: 0 success, 2 configuration error, 3 diverged training.
+Exit codes: 0 success, 2 configuration error, 3 diverged training, 141
+standard output closed by its reader (128 + SIGPIPE, as a shell reports it).
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from .training import TrainConfig, TrainingDiverged
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -194,10 +197,16 @@ def main(argv=None) -> int:
         stream=sys.stderr,
     )
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except TrainingDiverged as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DIVERGED
+    except BrokenPipeError:  # the reader went away (`softlog train ... | head`)
+        # what stdout still buffers goes to devnull: the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ValueError, OSError) as e:  # OSError: a path the user gave
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -59,15 +59,13 @@ def _softor_n(xs: np.ndarray, gamma: float):
     return m + gamma * np.log(s), e / s
 
 
-def softor(xs: np.ndarray, gamma: float, axis: int = 0) -> np.ndarray:
-    """Smooth maximum gamma * log(sum(exp(x / gamma))) in max-shifted form.
-
-    With a single argument along the axis this returns the input exactly
-    (log of one exponential of zero).
-    """
+def softor(xs: np.ndarray, gamma: float) -> np.ndarray:
+    """Smooth maximum gamma * log(sum(exp(x / gamma))) over the rows, in
+    max-shifted form.  A single row comes back exactly (log of one
+    exponential of zero)."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    return _softor_n(np.moveaxis(np.asarray(xs, dtype=np.float64), axis, 0), gamma)[0]
+    return _softor_n(np.asarray(xs, dtype=np.float64), gamma)[0]
 
 
 def softmax(w: np.ndarray, axis=None) -> np.ndarray:

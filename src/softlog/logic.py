@@ -3,13 +3,14 @@
 Everything here is an immutable value that caches its hash, so instances are
 usable as dict keys in the hot paths (grounding, memoized proving) and safe
 to share across workers: ``__reduce__`` rebuilds a pickled value through its
-constructor, which hashes it anew in the loading process.  Terms also cache
-their groundness: a compound term computes it once at construction, so
-substitution and matching pass over ground subterms without looking inside,
-and substituting into a ground term returns that same term, shared.
+constructor, which hashes it anew in the loading process.  Terms and atoms
+also cache their groundness, computed once at construction, so substitution
+and matching pass over ground subterms without looking inside, and
+substituting into a ground term or atom returns that same value, shared.
 """
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Optional, Union
 
 # Canonical variable alphabet used for alpha-renaming, and the variable pool
@@ -19,6 +20,7 @@ CANON_VARS = ("x", "y", "z", "v", "w", "u")
 # Variable pool of a language that declares none; problem files list only
 # the variables beyond it.
 DEFAULT_VARIABLES = CANON_VARS[:5]
+_ground = attrgetter("ground")  # all(map(_ground, args)): faster than a generator
 
 
 class _Value:
@@ -97,7 +99,7 @@ class Func(Term):
             raise ValueError("function symbols have arity >= 1")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "args", args)
-        object.__setattr__(self, "ground", all(a.ground for a in args))
+        object.__setattr__(self, "ground", all(map(_ground, args)))
         object.__setattr__(self, "_hash", hash(("f", name, args)))
 
     def __eq__(self, other):
@@ -116,15 +118,19 @@ class Func(Term):
 
 
 class Atom(_Value):
-    """Predicate applied to terms.  ``true``/``false`` are reserved nullary atoms."""
+    """Predicate applied to terms.  ``true``/``false`` are reserved nullary atoms.
 
-    __slots__ = ("pred", "args", "_hash")
+    ``ground`` is True when no argument contains a variable.
+    """
+
+    __slots__ = ("pred", "args", "ground", "_hash")
     _fields = ("pred", "args")
 
     def __init__(self, pred: str, args: Iterable[Term] = ()):
         args = tuple(args)
         object.__setattr__(self, "pred", pred)
         object.__setattr__(self, "args", args)
+        object.__setattr__(self, "ground", all(map(_ground, args)))
         object.__setattr__(self, "_hash", hash(("a", pred, args)))
 
     def __eq__(self, other):
@@ -286,26 +292,15 @@ def check_range_restricted(c: Clause) -> None:
         )
 
 
-def is_ground(a: Atom) -> bool:
-    return all(t.ground for t in a.args)
-
-
-def nest_depth_term(t: Term) -> int:
-    if type(t) is Func:
-        return 1 + max(nest_depth_term(a) for a in t.args)
-    return 0
-
-
 def nest_depth(e: Expr) -> int:
     """Maximum function-nesting depth of any term in the expression."""
-    if isinstance(e, Term):
-        return nest_depth_term(e)
-    if isinstance(e, Atom):
-        return max((nest_depth_term(t) for t in e.args), default=0)
-    d = nest_depth(e.head)
-    for b in e.body:
-        d = max(d, nest_depth(b))
-    return d
+    if type(e) is Func:
+        return 1 + max(map(nest_depth, e.args))
+    if type(e) is Atom:
+        return max(map(nest_depth, e.args), default=0)
+    if type(e) is Clause:
+        return max(map(nest_depth, (e.head, *e.body)))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +309,7 @@ def nest_depth(e: Expr) -> int:
 
 def apply_subst(e: Expr, theta: Subst) -> Expr:
     """Simultaneously replace every bound variable in ``e``.  A ground term
-    comes back as the same object."""
+    or atom comes back as the same object."""
     if type(e) is Var:
         return theta.get(e, e)
     if type(e) is Const:
@@ -324,7 +319,7 @@ def apply_subst(e: Expr, theta: Subst) -> Expr:
             return e
         return Func(e.name, tuple(apply_subst(a, theta) for a in e.args))
     if type(e) is Atom:
-        if not e.args:
+        if e.ground:
             return e
         return Atom(e.pred, tuple(apply_subst(t, theta) for t in e.args))
     return Clause(
@@ -359,9 +354,8 @@ def unify(a: Atom, b: Atom) -> Optional[Subst]:
     (the prover's goals and the grounding's atoms), so ``a``'s variables are
     bound in a single pass.
     """
-    for y in b.args:
-        if not y.ground:
-            raise ValueError(f"unify matches against a ground atom, got {b!r}")
+    if not b.ground:
+        raise ValueError(f"unify matches against a ground atom, got {b!r}")
     if a.pred != b.pred or len(a.args) != len(b.args):
         return None
     theta: Subst = {}

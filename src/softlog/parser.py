@@ -21,7 +21,6 @@ from .logic import (
     Term,
     Var,
     check_range_restricted,
-    is_ground,
 )
 from .problem import ILPProblem
 
@@ -321,7 +320,7 @@ def parse_problem(text: str) -> ILPProblem:
                 out.append(_parse_all(_parse_clause, "clause", ts, lang))
                 continue
             a = _parse_all(_parse_atom, "atom", ts, lang)
-            if not is_ground(a):
+            if not a.ground:
                 raise ParseError(
                     f"{kw} atoms must be ground: {print_atom(a, lang)}", *toks[lo][2:]
                 )

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Tuple
 
-from .logic import Atom, Clause, Language, is_ground
+from .logic import Atom, Clause, Language
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,7 @@ class ILPProblem:
     def __post_init__(self):
         for group, atoms in (("pos", self.pos), ("neg", self.neg), ("bg", self.background)):
             for a in atoms:
-                if not is_ground(a):
+                if not a.ground:
                     raise ValueError(f"{group} example must be ground: {a!r}")
 
     @property

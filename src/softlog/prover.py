@@ -22,7 +22,6 @@ from .logic import (
     TRUE,
     apply_subst,
     check_range_restricted,
-    is_ground,
     unify,
 )
 from .problem import ILPProblem
@@ -85,7 +84,7 @@ def entails(
 ) -> bool:
     """True iff the ground goal is derivable from program + background within
     ``cfg.max_depth`` clause applications per branch."""
-    if not is_ground(goal):
+    if not goal.ground:
         raise ValueError(f"goal must be ground: {goal!r}")
     return _Prover(tuple(program), background).provable(goal, cfg.max_depth)
 

@@ -8,6 +8,7 @@ depth T.  On the seeds (the examples the learner scores) all three engines
 therefore agree exactly at depth T.
 """
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st, target
 
 from conftest import (
@@ -16,6 +17,7 @@ from conftest import (
     reference_cone,
     reference_enumerate_atoms,
 )
+from softlog.datasets import TASKS, TaskSpec, generate, split
 from softlog.grounding import (
     context_from_atoms,
     enumerate_atoms,
@@ -32,12 +34,15 @@ from softlog.logic import (
     Var,
     apply_subst,
     atom_vars,
+    canonical,
     clause_vars,
     unify,
 )
 from softlog.problem import ILPProblem
 from softlog.prover import ProofConfig, entails, eval_counts
-from softlog.training import _hops
+from softlog.run import default_beam_config, default_train_config
+from softlog.search import beam_search
+from softlog.training import _hops, predictions
 
 
 def ground_terms(lang):
@@ -238,3 +243,33 @@ def test_cones_match_breadth_first_search(pq_lang, nat_lang, data):
         ]
     assert hops.max() <= steps + 1
     target(float((hops <= steps).sum(axis=1).max()), label="cone size")
+
+
+@pytest.mark.parametrize("task", sorted(TASKS))
+def test_one_hot_reference_weights_predict_what_the_prover_proves(task):
+    """Over a whole candidate set (the beam's clauses on a small seed-0
+    training split, plus any reference clause the beam missed), one-hot
+    weights on the reference program score a held-out atom at 0.5 or more
+    exactly when the reference program proves it at depth T.  So no
+    unchosen candidate leaks into a prediction."""
+    td = TASKS[task]
+    train_problem, _ = split(generate(TaskSpec(task, n_per_class=20, seed=0)), 0.7, 0)
+    cfg = ProofConfig(td.steps)
+    clauses = beam_search(
+        list(td.initial_clauses), train_problem, default_beam_config(task), proof_cfg=cfg
+    )
+    found = {canonical(c) for c in clauses}
+    clauses += [c for c in td.ground_truth if canonical(c) not in found]
+    keys = [canonical(c) for c in clauses]
+    weights = WeightSet.one_hot(
+        [keys.index(canonical(c)) for c in td.ground_truth], len(clauses)
+    )
+    held_out = generate(TaskSpec(task, n_per_class=20, seed=1000))
+    atoms = held_out.examples
+    ctx = ground_context(train_problem.with_examples(held_out.pos, held_out.neg),
+                         clauses, td.steps)
+    scores = predictions(atoms, ctx, weights, td.steps, default_train_config(task).gamma)
+    proved = [entails(td.ground_truth, train_problem.background, a, cfg) for a in atoms]
+    assert len(clauses) > len(td.ground_truth)
+    assert True in proved and False in proved
+    assert [bool(s >= 0.5) for s in scores] == proved

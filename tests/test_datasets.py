@@ -12,7 +12,7 @@ from softlog.datasets import (
     save_problem,
     split,
 )
-from softlog.logic import Const, Func, is_ground
+from softlog.logic import Const, Func
 from softlog.parser import parse_problem, print_atom, print_clause, problem_to_text
 from softlog.problem import ILPProblem
 from softlog.prover import ProofConfig, entails
@@ -48,7 +48,7 @@ class TestGenerate:
         assert len(problem.pos) == len(problem.neg) == 15
         examples = problem.examples
         assert len(set(examples)) == len(examples)
-        assert all(is_ground(a) for a in examples)
+        assert all(a.ground for a in examples)
 
     def test_label_soundness_against_oracle(self, task):
         # positives entailed by the reference program, negatives refuted

@@ -114,25 +114,25 @@ class TestWeightedSum:
 
 class TestSoftor:
     def test_two_zeros(self):
-        got = softor(np.zeros((2, 1)), GAMMA, axis=0)[0]
+        got = softor(np.zeros((2, 1)), GAMMA)[0]
         assert got == pytest.approx(GAMMA * np.log(2), rel=1e-9)
 
     def test_one_and_zero(self):
-        got = softor(np.array([[1.0], [0.0]]), GAMMA, axis=0)[0]
+        got = softor(np.array([[1.0], [0.0]]), GAMMA)[0]
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_single_argument_identity_exact(self):
         vals = np.array([[0.0, 0.3, 1.0, 0.73]])
-        assert (softor(vals, GAMMA, axis=0) == vals[0]).all()
+        assert (softor(vals, GAMMA) == vals[0]).all()
 
     def test_dominates_max(self):
         rng = np.random.default_rng(2)
         xs = rng.random((5, 20)) * 2
-        assert (softor(xs, GAMMA, axis=0) >= xs.max(axis=0) - 1e-15).all()
+        assert (softor(xs, GAMMA) >= xs.max(axis=0) - 1e-15).all()
 
     def test_no_overflow_at_tiny_gamma(self):
         xs = np.array([[2.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
-        out = softor(xs, 1e-6, axis=0)
+        out = softor(xs, 1e-6)
         assert np.isfinite(out).all()
 
     def test_rejects_bad_gamma(self):

@@ -20,10 +20,10 @@ from softlog.logic import (
     TRUE,
     Var,
     apply_subst,
+    atom_vars,
     canonical,
     canonical_in,
     clause_vars,
-    is_ground,
     nest_depth,
     unify,
 )
@@ -208,8 +208,30 @@ class TestStructure:
         assert nest_depth(Clause(Atom("e", (s(x, 2),)), (Atom("e", (x,)),))) == 2
 
     def test_is_ground(self):
-        assert is_ground(Atom("p", (a, s(Const("0"), 2))))
-        assert not is_ground(Atom("p", (a, x)))
+        assert Atom("p", (a, s(Const("0"), 2))).ground
+        assert not Atom("p", (a, x)).ground
+        assert not Atom("p", (a, s(x, 2))).ground
+        assert TRUE.ground and FALSE.ground
+
+    def test_atom_groundness_is_having_no_variable(self):
+        """An atom's cached ``ground`` is the absence of variables, it
+        survives a pickle round trip, and substituting into a ground atom
+        returns that atom."""
+        rng = random.Random(11)
+        lang = Language(
+            predicates=[("p", 2), ("q", 1)],
+            functions=[("f", 1), ("g", 2)],
+            constants=["a", "b"],
+            variables=["x", "y"],
+        )
+        drawn = [random_atom(rng, lang) for _ in range(300)]
+        drawn += [random_ground_atom(rng, lang) for _ in range(100)]
+        assert {at.ground for at in drawn} == {True, False}
+        for at in drawn:
+            assert at.ground == (not atom_vars(at))
+            assert pickle.loads(pickle.dumps(at)).ground == at.ground
+            if at.ground:
+                assert apply_subst(at, {x: a}) is at
 
     def test_clause_vars_order(self):
         c = Clause(Atom("p", (y, x)), (Atom("q", (z, y)),))
@@ -358,12 +380,12 @@ def test_unify_equals_reference(la, ra):
     exactly the compose-based most general unifier: repeated pattern
     variables, nested functions, arity mismatches, and both ways round when
     both atoms are ground.  Against any other atom it raises."""
-    if not is_ground(ra):
+    if not ra.ground:
         with pytest.raises(ValueError):
             unify(la, ra)
         return
     assert unify(la, ra) == reference_unify(la, ra)
-    if is_ground(la):
+    if la.ground:
         assert unify(ra, la) == reference_unify(ra, la)
 
 

@@ -1,5 +1,7 @@
 import argparse
+import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -274,6 +276,38 @@ class TestCli:
         capsys.readouterr()
         assert main(argv) == 2
         assert str(path) in capsys.readouterr().err
+
+    def test_closed_stdout_exits_141_quietly(self, tmp_path, monkeypatch, capsys):
+        # stdout's reader has gone: a write raises, and main points the
+        # stream's descriptor at devnull so the flush at exit cannot fail
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+        class ClosedPipe(io.TextIOBase):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return fd
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        try:
+            assert main(["train", "--task", "member", "--n", "5", "--epochs", "1"]) == 141
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        assert capsys.readouterr().err == ""
+
+    def test_stdout_closed_by_the_parent_exits_141(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "softlog.cli", "train", "--task", "member",
+             "--n", "5", "--epochs", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()  # long before the child has trained and writes
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 141
+        assert err == b""
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--split-frac", "1.5", "split_frac must be in (0, 1], got 1.5"),

@@ -25,7 +25,7 @@ from .parser import (
     print_term,
 )
 from .problem import ILPProblem
-from .refine import RefinementConfig, refine, rho_add, rho_fun, rho_rep, rho_sub
+from .refine import RefinementConfig, rho_add, rho_fun, rho_rep, rho_sub
 from .prover import ProofConfig, entails
 from .search import BeamConfig, beam_search, naive_generate
 from .grounding import (
@@ -36,7 +36,7 @@ from .grounding import (
     enumerate_atoms,
     ground_context,
 )
-from .infer import WeightSet, backward, infer, softor
+from .infer import WeightSet, backward, softor
 from .training import (
     LearnedProgram,
     TrainConfig,

@@ -19,12 +19,13 @@ optional here.
 Gradients are exact reverse-mode.  A recorded pass keeps, per step, a tuple
 (others, mix, coef): for each gathered subgoal the product of the other
 subgoals of its body (None for one-atom bodies), the clause outputs (multi
-mode) or the pairwise smooth-ors and their coefficients (pair mode), and the
-smooth-or coefficients of the stacked rows.
+mode) or the pairwise smooth-ors and their first operands' coefficients
+(pair mode), and the smooth-or coefficients of the stacked rows.
 The backward sweep reads only the tape and never re-runs a step: coef[0]
 carries the gradient to the previous valuation and coef[1:] to the
 mixtures.  Over n atoms, a step keeps O(|C|·n·B) floats in multi mode, B the
-body length, and three arrays of shape (|C|, |C|, n) in pair mode.
+body length, and two arrays of shape (|C|, |C|, n) in pair mode: the
+second operands' coefficients are the first's with the clause axes swapped.
 
 ``infer`` can compute a shrinking prefix of the atoms at each step (its
 ``widths``), and the tape is then kept per prefix: step k's record covers
@@ -32,7 +33,7 @@ only the atoms that step computed, and the backward sweep scatters each
 step's gradient into the previous step's prefix.  Training passes one
 batch's dependency cone ordered by hop distance, so step k's prefix holds
 the atoms within T - k hops of the batch, and a recorded pair-mode pass
-holds 3·|C|²·Σ widths floats.
+holds 2·|C|²·Σ widths floats in its mixture terms.
 """
 from __future__ import annotations
 
@@ -175,8 +176,8 @@ def _step(v: np.ndarray, x: np.ndarray, dist: np.ndarray, mode: str, gamma: floa
     ``x.shape[1]`` of ``v``: their next valuation and what its gradient needs.
 
     The mixture terms are the clause outputs in multi mode and (pairwise
-    smooth-ors, coefficient of each side) in pair mode; coef holds the
-    smooth-or coefficients of the stacked rows, v first.
+    smooth-ors, coefficients of their first operand) in pair mode; coef holds
+    the smooth-or coefficients of the stacked rows, v first.
     """
     gv = v[x]
     v = v[: x.shape[1]]
@@ -188,11 +189,11 @@ def _step(v: np.ndarray, x: np.ndarray, dist: np.ndarray, mode: str, gamma: floa
         mix = cm
     else:
         pairs = np.broadcast_arrays(cm[:, None, :], cm[None, :, :])
-        s, (ca, cb) = _softor_n(np.stack(pairs), gamma)
+        s, (ca, _) = _softor_n(np.stack(pairs), gamma)
         # einsum sums each column in the same order wherever it sits; BLAS
         # (tensordot) would round an atom's score by its column position
         rows = np.stack((v, np.einsum("ij,ijg->g", dist, s)))
-        mix = (s, ca, cb)
+        mix = (s, ca.copy())  # the copy frees the second operands' coefficients
     v_next, coef = _softor_n(rows, gamma)
     return v_next, (_prod_except(gv), mix, coef)
 
@@ -251,7 +252,7 @@ def backward(tape: Tape, grad_out: np.ndarray) -> np.ndarray:
             g_h = g_rows[1:]
             g_dist += g_h @ mix.T
         else:
-            s, ca, cb = mix
+            s, ca = mix
             g_r = g_rows[1]
             g_dist += np.tensordot(s, g_r, axes=([2], [0]))
         if k == 0:
@@ -260,6 +261,9 @@ def backward(tape: Tape, grad_out: np.ndarray) -> np.ndarray:
             g_cm = dist.T @ g_h
         else:
             g_s = dist[:, :, None] * g_r
+            # the second operands' coefficients, as a view; g_s * cb is
+            # C-ordered, so its sum over axis 0 adds in order of i
+            cb = ca.transpose(1, 0, 2)
             g_cm = (g_s * ca).sum(axis=1) + (g_s * cb).sum(axis=0)
 
         g_gv = g_cm if others is None else g_cm[:, :, None] * others

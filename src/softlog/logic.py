@@ -4,9 +4,10 @@ Everything here is an immutable value that caches its hash, so instances are
 usable as dict keys in the hot paths (grounding, memoized proving) and safe
 to share across workers: ``__reduce__`` rebuilds a pickled value through its
 constructor, which hashes it anew in the loading process.  Terms and atoms
-also cache their groundness, computed once at construction, so substitution
-and matching pass over ground subterms without looking inside, and
-substituting into a ground term or atom returns that same value, shared.
+also cache their groundness, computed once at construction, so the variable
+walk, substitution and matching pass over ground subterms without looking
+inside, and substituting into a ground term or atom returns that same value,
+shared.
 """
 from __future__ import annotations
 
@@ -250,45 +251,34 @@ class Language:
 # Structural queries
 # ---------------------------------------------------------------------------
 
-def term_vars(t: Term, acc: Optional[list] = None) -> list[Var]:
-    """Variables of a term in first-occurrence order."""
+def variables(e: Expr, acc: Optional[list] = None) -> list[Var]:
+    """V(e): the variables of a term, atom or clause in first-occurrence
+    order, head first.  Ground subterms are passed over unopened; ``acc``,
+    when given, is extended in place and returned."""
     if acc is None:
         acc = []
-    if type(t) is Var:
-        if t not in acc:
-            acc.append(t)
-    elif type(t) is Func:
-        for a in t.args:
-            term_vars(a, acc)
-    return acc
-
-
-def atom_vars(a: Atom, acc: Optional[list] = None) -> list[Var]:
-    if acc is None:
-        acc = []
-    for t in a.args:
-        term_vars(t, acc)
-    return acc
-
-
-def clause_vars(c: Clause) -> list[Var]:
-    """V(C) in first-occurrence order, head first."""
-    acc: list[Var] = []
-    atom_vars(c.head, acc)
-    for b in c.body:
-        atom_vars(b, acc)
+    if type(e) is Var:
+        if e not in acc:
+            acc.append(e)
+    elif type(e) is Clause:
+        variables(e.head, acc)
+        for b in e.body:
+            variables(b, acc)
+    elif not e.ground:
+        for a in e.args:
+            variables(a, acc)
     return acc
 
 
 def check_range_restricted(c: Clause) -> None:
     """Raise ValueError unless every body variable of ``c`` occurs in its head,
     so that matching the head against a ground atom grounds the whole body."""
-    head = atom_vars(c.head)
-    loose = next((v for v in clause_vars(c) if v not in head), None)
-    if loose is not None:
+    vs = variables(c)
+    loose = vs[len(variables(c.head)):]
+    if loose:
         raise ValueError(
             f"clause {c!r} is not range-restricted: "
-            f"variable {loose!r} occurs in the body but not in the head"
+            f"variable {loose[0]!r} occurs in the body but not in the head"
         )
 
 
@@ -390,12 +380,11 @@ def canonical(c: Clause) -> Clause:
     return canon
 
 
-def canonical_in(c: Clause, variables: Iterable[str]) -> Clause:
+def canonical_in(c: Clause, names: Iterable[str]) -> Clause:
     """Alpha-rename by first occurrence into the given variable pool, so the
     result stays inside the language the clause was built from."""
-    pool = list(variables)
-    vs = clause_vars(c)
+    pool = list(names)
     ren = {}
-    for i, v in enumerate(vs):
+    for i, v in enumerate(variables(c)):
         ren[v] = Var(pool[i]) if i < len(pool) else Var(_canon_name(i))
     return apply_subst(c, ren)

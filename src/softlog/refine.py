@@ -14,8 +14,8 @@ from .logic import (
     Var,
     apply_subst,
     canonical,
-    clause_vars,
     nest_depth,
+    variables,
 )
 
 
@@ -39,7 +39,7 @@ def rho_fun(c: Clause, lang: Language) -> list[Clause]:
     the alternatives are alpha-equivalent.  Empty when the pool is short.
     """
     out = []
-    vs = clause_vars(c)
+    vs = variables(c)
     free = [Var(n) for n in lang.variables if Var(n) not in vs]
     for z in vs:
         for fname, arity in lang.functions:
@@ -52,7 +52,7 @@ def rho_fun(c: Clause, lang: Language) -> list[Clause]:
 def rho_sub(c: Clause, lang: Language) -> list[Clause]:
     """Substitute each variable by each constant."""
     out = []
-    for z in clause_vars(c):
+    for z in variables(c):
         for a in lang.constants:
             out.append(apply_subst(c, {z: Const(a)}))
     return out
@@ -63,7 +63,7 @@ def rho_rep(c: Clause, lang: Language) -> list[Clause]:
     deduplicated up to alpha-equivalence."""
     out: list[Clause] = []
     seen = set()
-    vs = clause_vars(c)
+    vs = variables(c)
     for z in vs:
         for y in vs:
             if z == y:
@@ -80,7 +80,7 @@ def rho_add(c: Clause, lang: Language) -> list[Clause]:
     """Append one body atom over each ordered tuple of distinct clause
     variables, for every predicate, in the order of first occurrence."""
     out = []
-    vs = clause_vars(c)
+    vs = variables(c)
     for pname, arity in lang.predicates:
         for tup in permutations(vs, arity):
             out.append(Clause(c.head, c.body + (Atom(pname, tup),)))

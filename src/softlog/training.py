@@ -171,9 +171,11 @@ def train(
     of a batch atom (see ``_hops`` and ``_on_cone``), the atoms whose step-k
     valuations can still reach a label.  The result equals a pass over all of
     G in real arithmetic, and the recorded pass holds per-step arrays over
-    those prefixes, not over |G|: per atom-step 3·|C|² floats in pair mode and
-    at most (m + 1) + |C|·(2B + 1) in multi mode (coefficients, clause outputs,
-    and index cells and subgoal products, |C|·B each; B the longest body).
+    those prefixes, not over |G|: per atom-step at most (m + 1) + |C|·(2B + 1)
+    floats in multi mode (coefficients, clause outputs, and index cells and
+    subgoal products, |C|·B each; B the longest body) and 2 + 2·|C|² + 2·|C|·B
+    in pair mode (two coefficients, the pairwise smooth-ors and their first
+    operands' coefficients, and the same index cells and subgoal products).
 
     The weights cover the grounding's clauses, one per row of ``ctx.x``.
     Returns the trained weights and the per-epoch loss history.  Identical
@@ -191,7 +193,7 @@ def train(
     # alone computes an atom h hops away at max(0, T - h) steps
     reach = (cfg.steps - np.minimum(hops, cfg.steps)).sum(axis=1, dtype=np.int64)
     most = min(cfg.steps * len(ctx), int(np.sort(reach)[-batch:].sum()))
-    per_step = (3 * n_clauses**2 if cfg.weight_mode == PAIR
+    per_step = (2 + 2 * n_clauses * (n_clauses + body) if cfg.weight_mode == PAIR
                 else cfg.m + 1 + n_clauses * (2 * body + 1))
     if per_step * most > TAPE_FLOATS:
         raise ValueError(

@@ -22,8 +22,8 @@ from softlog.logic import (
     apply_subst,
     canonical,
     check_range_restricted,
-    clause_vars,
     unify,
+    variables,
 )
 from softlog.parser import print_term
 from softlog.problem import ILPProblem
@@ -165,7 +165,7 @@ def rename_apart(c: Clause, taken: Iterable[str]) -> Clause:
     taken = set(taken)
     ren: Subst = {}
     i = 0
-    for v in clause_vars(c):
+    for v in variables(c):
         if v.name in taken:
             while True:
                 cand = f"_r{i}"
@@ -180,7 +180,7 @@ def rename_apart(c: Clause, taken: Iterable[str]) -> Clause:
 def subsumes(general: Clause, specific: Clause) -> bool:
     """True when some substitution maps general's head onto specific's head
     and general's body into specific's body (theta-subsumption)."""
-    g = rename_apart(general, {v.name for v in clause_vars(specific)})
+    g = rename_apart(general, {v.name for v in variables(specific)})
 
     def extend(theta: Subst, goals: tuple[Atom, ...]) -> bool:
         if not goals:
@@ -201,7 +201,7 @@ def subsumes(general: Clause, specific: Clause) -> bool:
 
 def _pattern_only(theta: Subst, specific: Clause) -> bool:
     # subsumption must instantiate the general clause, never the specific one
-    svars = set(clause_vars(specific))
+    svars = set(variables(specific))
     return all(v not in svars for v in theta)
 
 
@@ -470,7 +470,7 @@ def eval_clause(clause: Clause, problem: ILPProblem, cfg: ProofConfig) -> float:
 
 def refinement_bound(c: Clause, lang: Language) -> int:
     """Upper bound on |refine(c)| before filtering."""
-    nv = len(clause_vars(c))
+    nv = len(variables(c))
     total = nv * len(lang.functions) + nv * len(lang.constants) + nv * nv
     for _, arity in lang.predicates:
         k = 1

@@ -33,10 +33,9 @@ from softlog.logic import (
     Func,
     Var,
     apply_subst,
-    atom_vars,
     canonical,
-    clause_vars,
     unify,
+    variables,
 )
 from softlog.problem import ILPProblem
 from softlog.prover import ProofConfig, entails, eval_counts
@@ -75,7 +74,7 @@ def range_restricted_clauses(draw, lang):
     consts = [Const(c) for c in lang.constants]
     head_args = st.sampled_from([Func(f, (x,)), Func(f, (y,)), x, y, *consts])
     head = draw(atoms_over(lang, head_args))
-    body_atom = atoms_over(lang, st.sampled_from([*atom_vars(head), *consts]))
+    body_atom = atoms_over(lang, st.sampled_from([*variables(head), *consts]))
     return Clause(head, [draw(body_atom) for _ in range(draw(st.integers(1, 2)))])
 
 
@@ -91,7 +90,7 @@ def instances(draw, pq_lang, nat_lang):
     pos = draw(st.lists(ground, max_size=2))
     bg = draw(st.lists(ground, max_size=3))
     for c in program:
-        theta = {v: draw(terms) for v in clause_vars(c)}
+        theta = {v: draw(terms) for v in variables(c)}
         pos.append(apply_subst(c.head, theta))
         bg += [apply_subst(b, theta) for b in c.body if draw(st.booleans())]
     problem = ILPProblem(

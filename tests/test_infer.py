@@ -365,24 +365,41 @@ class TestWidths:
             infer(ctx6.x, ctx6.v0, w, 3, GAMMA, widths=[6, 6])
 
 
-@pytest.mark.parametrize("shift", range(1, 9))
-def test_pair_valuations_ignore_column_position(shift):
-    """Prepending atoms moves every original atom ``shift`` columns along the
-    tensor.  Its subgoals move with it, so its pair-mode valuation must stay
-    the same to the last bit: a sum over clause pairs that BLAS groups by
-    column position would round differently."""
+def shifted_valuations(shift: int, mode: str, m: int = 1):
+    """Valuations of 200 random atoms, and of the same atoms after ``shift``
+    more are prepended: every original atom moves ``shift`` columns along the
+    tensor, and its subgoals move with it."""
     rng = np.random.default_rng(shift)
     n_clauses, n_atoms, steps = 30, 200, 3
     xt = rng.integers(0, n_atoms, size=(n_clauses, n_atoms, 2))
     v0 = rng.random(n_atoms)
-    w = WeightSet.random(1, n_clauses, seed=shift, mode=PAIR, scale=1.0)
+    w = WeightSet.random(m, n_clauses, seed=shift, mode=mode, scale=1.0)
     v = infer(xt, v0, w, steps, 1e-2)
 
     extra = rng.integers(0, n_atoms + shift, size=(n_clauses, shift, 2))
     shifted = np.concatenate((extra, xt + shift), axis=1)
     v0_shifted = np.concatenate((rng.random(shift), v0))
     v_shifted = infer(shifted, v0_shifted, w, steps, 1e-2)
-    assert np.array_equal(v_shifted[shift:], v)
+    return v, v_shifted[shift:]
+
+
+@pytest.mark.parametrize("shift", range(1, 9))
+def test_pair_valuations_ignore_column_position(shift):
+    """A shifted atom's pair-mode valuation must stay the same to the last
+    bit: a sum over clause pairs that BLAS groups by column position would
+    round differently."""
+    v, v_shifted = shifted_valuations(shift, PAIR)
+    assert np.array_equal(v_shifted, v)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("shift", range(1, 9))
+def test_multi_valuations_ignore_column_position_up_to_rounding(shift, m):
+    """Multi mode mixes the clause outputs with ``dist @ cm``, which BLAS
+    rounds by column position, so a shifted atom's valuation may move in the
+    last bits, and no further."""
+    v, v_shifted = shifted_valuations(shift, MULTI, m)
+    np.testing.assert_allclose(v_shifted, v, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("gamma", [1e-5, 1e-2, 1.0])
@@ -391,7 +408,9 @@ def test_pair_softor_equals_two_operand_softor(body, gamma):
     """Pair mode takes each clause pair's smooth-or as the n-row smooth-or of
     the two operands stacked; on two rows that does the same float
     operations as the two-operand form, so it must agree to the last bit
-    (ties included: 0/1 valuations make many equal clause outputs)."""
+    (ties included: 0/1 valuations make many equal clause outputs).  The
+    tape keeps the smooth-ors and the first operands' coefficients only:
+    the second operands' are the first's with the clause axes swapped."""
     rng = np.random.default_rng(body)
     xt = rng.integers(0, 50, size=(6, 50, body))
     v0 = rng.random(50)
@@ -403,6 +422,8 @@ def test_pair_softor_equals_two_operand_softor(body, gamma):
     cm = gv[..., 0]
     for k in range(1, body):
         cm = cm * gv[..., k]
-    want = reference_softor2(cm[:, None, :], cm[None, :, :], gamma)
-    for got, ref in zip(tape.steps[0][2], want):
-        assert np.array_equal(got, ref)
+    s, ca, cb = reference_softor2(cm[:, None, :], cm[None, :, :], gamma)
+    got_s, got_ca = tape.steps[0][2]
+    assert np.array_equal(got_s, s) and np.array_equal(got_ca, ca)
+    assert got_ca.base is None  # no view that keeps both operands' coefficients
+    assert np.array_equal(cb, ca.transpose(1, 0, 2))

@@ -20,17 +20,18 @@ from softlog.logic import (
     TRUE,
     Var,
     apply_subst,
-    atom_vars,
     canonical,
     canonical_in,
-    clause_vars,
     nest_depth,
     unify,
+    variables,
 )
 from conftest import (
     alpha_equal,
     random_atom,
     random_ground_atom,
+    random_ground_term,
+    random_term,
     reference_unify,
     subsumes,
 )
@@ -228,14 +229,51 @@ class TestStructure:
         drawn += [random_ground_atom(rng, lang) for _ in range(100)]
         assert {at.ground for at in drawn} == {True, False}
         for at in drawn:
-            assert at.ground == (not atom_vars(at))
+            assert at.ground == (not variables(at))
             assert pickle.loads(pickle.dumps(at)).ground == at.ground
             if at.ground:
                 assert apply_subst(at, {x: a}) is at
 
-    def test_clause_vars_order(self):
+    def test_variables_order(self):
         c = Clause(Atom("p", (y, x)), (Atom("q", (z, y)),))
-        assert clause_vars(c) == [y, x, z]
+        assert variables(c) == [y, x, z]
+        assert variables(c.body[0]) == [z, y]
+        assert variables(Func("g", (a, Func("g", (x, z))))) == [x, z]
+        assert variables(x) == [x] and variables(a) == []
+
+    def test_variables_equal_a_walk_into_every_subterm(self):
+        """Over random terms, atoms and clauses, ``variables`` lists every
+        variable once, at its first occurrence, head first: what a walk that
+        opens every subterm, ground or not, finds.  Ground input has none."""
+
+        def occurrences(e):
+            if type(e) is Var:
+                return [e]
+            if type(e) is Const:
+                return []
+            parts = (e.head, *e.body) if type(e) is Clause else e.args
+            return [v for part in parts for v in occurrences(part)]
+
+        rng = random.Random(5)
+        lang = Language(
+            predicates=[("p", 2), ("q", 1)],
+            functions=[("f", 1), ("g", 2)],
+            constants=["a", "b"],
+            variables=["x", "y", "z"],
+        )
+        drawn = []
+        for _ in range(200):
+            drawn.append(random_term(rng, lang, depth=3))
+            drawn.append(random_atom(rng, lang))
+            body = [random_atom(rng, lang) for _ in range(rng.randrange(3))]
+            drawn.append(Clause(random_atom(rng, lang), body))
+        for e in drawn:
+            assert variables(e) == list(dict.fromkeys(occurrences(e)))
+        assert {len(variables(e)) for e in drawn} >= {0, 1, 2, 3}
+        for _ in range(100):
+            ground = [random_ground_term(rng, lang, depth=3), random_ground_atom(rng, lang)]
+            ground.append(Clause(ground[1], (random_ground_atom(rng, lang),)))
+            assert all(variables(e) == [] for e in ground)
 
     def test_language_rejects_duplicates_and_reserved(self):
         with pytest.raises(ValueError):

@@ -230,7 +230,12 @@ class TestTrain:
             assert len(layered) == 20 and max(layered) <= most
 
     def test_pair_tape_over_budget_refused(self, monkeypatch):
-        self.assert_tape_budget_is_exact(monkeypatch, PAIR, lambda m, c, b: 3 * c**2)
+        # coefficients (2), pairwise smooth-ors and their first operands'
+        # coefficients (|C|² each), index cells and the products of the
+        # other subgoals (|C|·B each)
+        self.assert_tape_budget_is_exact(
+            monkeypatch, PAIR, lambda m, c, b: 2 + 2 * c**2 + 2 * c * b
+        )
 
     def test_multi_tape_over_budget_refused(self, monkeypatch):
         # coefficients (m + 1), clause outputs (|C|), index cells and the

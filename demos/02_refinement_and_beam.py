@@ -9,7 +9,7 @@ Run: python demos/02_refinement_and_beam.py
 from softlog import BeamConfig, ILPProblem, Language, beam_search, parse_atom, parse_clause
 from softlog.parser import print_clause
 from softlog.prover import ProofConfig, eval_counts
-from softlog.refine import refine, rho_add, rho_fun, rho_rep, rho_sub
+from softlog.search import refine, rho_add, rho_fun, rho_rep, rho_sub
 
 lang = Language(
     predicates=[("p", 2), ("q", 2)],

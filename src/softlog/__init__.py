@@ -7,6 +7,7 @@ from .logic import (
     Clause,
     Const,
     Func,
+    ILPProblem,
     Language,
     Term,
     Var,
@@ -24,10 +25,9 @@ from .parser import (
     print_clause,
     print_term,
 )
-from .problem import ILPProblem
-from .refine import RefinementConfig, rho_add, rho_fun, rho_rep, rho_sub
 from .prover import ProofConfig, entails
-from .search import BeamConfig, beam_search, naive_generate
+from .search import BeamConfig, RefinementConfig, beam_search, naive_generate
+from .search import rho_add, rho_fun, rho_rep, rho_sub
 from .grounding import (
     GroundContext,
     build_index_tensor,

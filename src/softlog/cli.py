@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from .datasets import TASKS, TaskSpec, generate, load_problem, save_problem
-from .refine import RefinementConfig
 from .run import (
     SWEEP_METRICS,
     default_beam_config,
@@ -24,7 +23,7 @@ from .run import (
     strict_json,
     sweep,
 )
-from .search import BeamConfig
+from .search import BeamConfig, RefinementConfig
 from .training import TrainConfig, TrainingDiverged
 
 EXIT_OK = 0

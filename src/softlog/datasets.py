@@ -14,9 +14,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .logic import Atom, Clause, Const, Func, Language, Term
+from .logic import Atom, Clause, Const, Func, ILPProblem, Language, Term
 from .parser import parse_clause, parse_problem, problem_to_text
-from .problem import ILPProblem
 from .prover import ProofConfig, entails
 
 ORACLE_DEPTH = 12

@@ -26,12 +26,12 @@ from .logic import (
     Atom,
     Clause,
     FALSE,
+    ILPProblem,
     TRUE,
     apply_subst,
     check_range_restricted,
     unify,
 )
-from .problem import ILPProblem
 
 log = logging.getLogger(__name__)
 

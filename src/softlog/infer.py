@@ -11,7 +11,8 @@ and log-sum-exp is associative:
 
 in real arithmetic, so each step runs one smooth-or over the stacked rows
 [v; h_1; ...; h_m].  In pair mode the rows are [v; r], r the weighted sum of
-the pairwise smooth-ors of clause outputs.  All arithmetic is float64 and
+the pairwise smooth-ors of clause outputs, each pair computed once from its
+first operand's exponentials.  All arithmetic is float64 and
 every log-sum-exp is max-shifted: the naive smooth-or computes exp(x / gamma)
 with gamma around 1e-5, which overflows instantly, so the stable form is not
 optional here.
@@ -188,12 +189,16 @@ def _step(v: np.ndarray, x: np.ndarray, dist: np.ndarray, mode: str, gamma: floa
         rows = np.concatenate((v[None], dist @ cm))
         mix = cm
     else:
-        pairs = np.broadcast_arrays(cm[:, None, :], cm[None, :, :])
-        s, (ca, _) = _softor_n(np.stack(pairs), gamma)
+        # mx is symmetric in (i, j): the second operands' exponentials are e
+        # with the clause axes swapped
+        mx = np.maximum(cm[:, None, :], cm[None, :, :])
+        e = np.exp((cm[:, None, :] - mx) / gamma)
+        t = e + e.transpose(1, 0, 2)
+        s = mx + gamma * np.log(t)
         # einsum sums each column in the same order wherever it sits; BLAS
         # (tensordot) would round an atom's score by its column position
         rows = np.stack((v, np.einsum("ij,ijg->g", dist, s)))
-        mix = (s, ca.copy())  # the copy frees the second operands' coefficients
+        mix = (s, e / t)
     v_next, coef = _softor_n(rows, gamma)
     return v_next, (_prod_except(gv), mix, coef)
 

@@ -1,4 +1,5 @@
-"""First-order syntax with function symbols: terms, atoms, clauses, matching.
+"""First-order syntax with function symbols: terms, atoms, clauses, matching,
+and the ILP problem (examples, background, language) written in it.
 
 Everything here is an immutable value that caches its hash, so instances are
 usable as dict keys in the hot paths (grounding, memoized proving) and safe
@@ -11,6 +12,7 @@ shared.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Iterable, Optional, Union
 
@@ -245,6 +247,32 @@ class Language:
             f"Language(preds={self.predicates}, funcs={self.functions}, "
             f"consts={self.constants}, vars={self.variables})"
         )
+
+
+@dataclass(frozen=True)
+class ILPProblem:
+    """Positive/negative ground examples, background facts, a language, and
+    the initial clauses the refinement search grows from."""
+
+    pos: tuple[Atom, ...]
+    neg: tuple[Atom, ...]
+    background: tuple[Atom, ...]
+    language: Language
+    initial_clauses: tuple[Clause, ...] = ()
+    name: str = ""
+
+    def __post_init__(self):
+        for group, atoms in (("pos", self.pos), ("neg", self.neg), ("bg", self.background)):
+            for a in atoms:
+                if not a.ground:
+                    raise ValueError(f"{group} example must be ground: {a!r}")
+
+    @property
+    def examples(self) -> tuple[Atom, ...]:
+        return self.pos + self.neg
+
+    def with_examples(self, pos, neg) -> "ILPProblem":
+        return replace(self, pos=tuple(pos), neg=tuple(neg))
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,13 @@ from .logic import (
     Const,
     DEFAULT_VARIABLES,
     Func,
+    ILPProblem,
     Language,
     RESERVED_PREDS,
     Term,
     Var,
     check_range_restricted,
 )
-from .problem import ILPProblem
 
 
 class ParseError(ValueError):
@@ -46,11 +46,16 @@ _TOKEN_RE = re.compile(
 )
 # an ``ident`` can name anything, a ``literal`` only a constant or an arity
 _NAME_KINDS = ("ident", "literal")
+# Deepest function nesting of a parsed term.  Term equality, printing, the
+# prover and the grounding recurse up to four frames per level: a term this
+# deep goes through a whole ``softlog train`` within the default limit of 1000.
+MAX_TERM_DEPTH = 200
 
 
 class _Tokens:
     """The tokens of a text as (value, kind, line, col); parsing reads the
-    window from ``i`` up to ``end``."""
+    window from ``i`` up to ``end``, and ``depth`` counts the function
+    applications open around the term being read."""
 
     def __init__(self, text: str):
         self.toks: list[tuple[str, str, int, int]] = []
@@ -66,7 +71,7 @@ class _Tokens:
             elif m.lastgroup not in ("ws", "comment"):
                 self.toks.append((m.group(), m.lastgroup, line, pos - line_start + 1))
             pos = m.end()
-        self.i, self.end = 0, len(self.toks)
+        self.i, self.end, self.depth = 0, len(self.toks), 0
 
     def peek(self) -> Optional[str]:
         return self.toks[self.i][0] if self.i < self.end else None
@@ -97,6 +102,14 @@ def _items(parse, ts: _Tokens, lang: Language) -> list:
     return out
 
 
+def _open(ts: _Tokens, line: int, col: int) -> None:
+    """Enter one more function application, at the term starting at
+    (line, col)."""
+    ts.depth += 1
+    if ts.depth > MAX_TERM_DEPTH:
+        raise ParseError(f"term nested deeper than {MAX_TERM_DEPTH} functions", line, col)
+
+
 def _parse_term(ts: _Tokens, lang: Language) -> Term:
     val, kind, line, col = ts.next()
     if val == "[":
@@ -108,7 +121,9 @@ def _parse_term(ts: _Tokens, lang: Language) -> Term:
         if arity is None:
             raise ParseError(f"undeclared function symbol {val!r}", line, col)
         ts.expect("(")
+        _open(ts, line, col)
         args = _items(_parse_term, ts, lang)
+        ts.depth -= 1
         ts.expect(")")
         if len(args) != arity:
             raise ParseError(
@@ -133,11 +148,19 @@ def _parse_list(ts: _Tokens, lang: Language, line: int, col: int) -> Term:
     if ts.peek() == "]":
         ts.next()
         return nil
-    elems = _items(_parse_term, ts, lang)
+    depth = ts.depth
+
+    def element(ts: _Tokens, lang: Language) -> Term:
+        # the k-th element sits inside k cells f(e, rest), the tail inside all
+        _open(ts, line, col)
+        return _parse_term(ts, lang)
+
+    elems = _items(element, ts, lang)
     tail = nil
     if ts.peek() == "|":
         ts.next()
         tail = _parse_term(ts, lang)
+    ts.depth = depth
     ts.expect("]")
     for e in reversed(elems):
         tail = Func("f", (e, tail))

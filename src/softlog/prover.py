@@ -19,12 +19,12 @@ from .logic import (
     Atom,
     Clause,
     FALSE,
+    ILPProblem,
     TRUE,
     apply_subst,
     check_range_restricted,
     unify,
 )
-from .problem import ILPProblem
 
 
 # Largest proof depth and horizon T: the prover recurses once per level, far

@@ -22,12 +22,10 @@ from .datasets import (
 )
 from .grounding import ground_context
 from .infer import WeightSet
-from .logic import Clause
+from .logic import Clause, ILPProblem
 from .parser import parse_clause, print_clause
-from .problem import ILPProblem
 from .prover import ProofConfig
-from .refine import RefinementConfig
-from .search import BeamConfig, beam_search, naive_generate
+from .search import BeamConfig, RefinementConfig, beam_search, naive_generate
 from .training import TrainConfig, extract_program, make_labels, metrics, predictions, train
 
 log = logging.getLogger(__name__)

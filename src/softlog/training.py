@@ -3,6 +3,7 @@ program extraction, and evaluation metrics."""
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
@@ -11,8 +12,7 @@ import numpy as np
 
 from .grounding import FALSE_INDEX, TRUE_INDEX, GroundContext
 from .infer import MULTI, PAIR, WeightSet, backward, infer
-from .logic import Atom, Clause, canonical
-from .problem import ILPProblem
+from .logic import Atom, Clause, ILPProblem, canonical
 from .prover import MAX_HORIZON
 
 log = logging.getLogger(__name__)
@@ -47,10 +47,10 @@ class TrainConfig:
             raise ValueError(
                 f"TrainConfig.steps must be >= 1 and <= {MAX_HORIZON}, got {self.steps}"
             )
-        if not self.gamma > 0:
-            raise ValueError(f"TrainConfig.gamma must be positive, got {self.gamma}")
-        if not self.lr > 0:
-            raise ValueError(f"TrainConfig.lr must be positive, got {self.lr}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"TrainConfig.gamma must be positive and finite, got {self.gamma}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"TrainConfig.lr must be positive and finite, got {self.lr}")
         if self.epochs < 0:
             raise ValueError(f"TrainConfig.epochs must be >= 0, got {self.epochs}")
         if self.seed < 0:

@@ -10,6 +10,7 @@ from softlog.grounding import FALSE_INDEX, TRUE_INDEX
 from softlog.infer import MULTI, WeightSet
 from softlog.logic import (
     FALSE,
+    ILPProblem,
     TRUE,
     Atom,
     Clause,
@@ -26,7 +27,6 @@ from softlog.logic import (
     variables,
 )
 from softlog.parser import print_term
-from softlog.problem import ILPProblem
 from softlog.prover import ProofConfig, eval_counts
 from softlog.training import PRED_CLIP
 

@@ -23,6 +23,7 @@ from softlog.logic import (
     Const,
     FALSE,
     Func,
+    ILPProblem,
     Language,
     TRUE,
     apply_subst,
@@ -30,11 +31,9 @@ from softlog.logic import (
     unify,
 )
 from softlog.parser import parse_atom, parse_clause
-from softlog.problem import ILPProblem
 from softlog.prover import ProofConfig
-from softlog.refine import refine
 from softlog.run import default_beam_config, default_train_config, run_problem
-from softlog.search import BeamConfig, beam_search
+from softlog.search import BeamConfig, beam_search, refine
 from softlog.training import TrainConfig, extract_program, train
 from conftest import (
     forward_closure,

@@ -26,6 +26,7 @@ from softlog.grounding import (
 from softlog.infer import WeightSet, infer
 from softlog.logic import (
     FALSE,
+    ILPProblem,
     TRUE,
     Atom,
     Clause,
@@ -37,7 +38,6 @@ from softlog.logic import (
     unify,
     variables,
 )
-from softlog.problem import ILPProblem
 from softlog.prover import ProofConfig, entails, eval_counts
 from softlog.run import default_beam_config, default_train_config
 from softlog.search import beam_search

@@ -12,9 +12,8 @@ from softlog.datasets import (
     save_problem,
     split,
 )
-from softlog.logic import Const, Func
+from softlog.logic import Const, Func, ILPProblem
 from softlog.parser import parse_problem, print_atom, print_clause, problem_to_text
-from softlog.problem import ILPProblem
 from softlog.prover import ProofConfig, entails
 
 ORACLE = ProofConfig(max_depth=12)

@@ -12,9 +12,8 @@ from softlog.grounding import (
     ground_context,
 )
 from softlog.infer import WeightSet, infer
-from softlog.logic import Atom, Clause, Const, FALSE, Func, TRUE, Var, unify
+from softlog.logic import Atom, Clause, Const, FALSE, Func, ILPProblem, TRUE, Var, unify
 from softlog.parser import ParseError, parse_atom, parse_clause
-from softlog.problem import ILPProblem
 from softlog.prover import ProofConfig, eval_counts
 
 x = Var("x")

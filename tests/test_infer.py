@@ -14,6 +14,7 @@ from softlog.infer import (
     MULTI,
     PAIR,
     WeightSet,
+    _softor_n,
     backward,
     infer,
     softmax,
@@ -405,25 +406,33 @@ def test_multi_valuations_ignore_column_position_up_to_rounding(shift, m):
 @pytest.mark.parametrize("gamma", [1e-5, 1e-2, 1.0])
 @pytest.mark.parametrize("body", [1, 2, 3])
 def test_pair_softor_equals_two_operand_softor(body, gamma):
-    """Pair mode takes each clause pair's smooth-or as the n-row smooth-or of
-    the two operands stacked; on two rows that does the same float
-    operations as the two-operand form, so it must agree to the last bit
-    (ties included: 0/1 valuations make many equal clause outputs).  The
-    tape keeps the smooth-ors and the first operands' coefficients only:
-    the second operands' are the first's with the clause axes swapped."""
+    """Pair mode takes each clause pair's smooth-or from the first operands'
+    exponentials alone, the second's being their transpose over the clause
+    axes.  It must agree to the last bit with the n-row smooth-or of the two
+    operands stacked and with the two-operand form (ties included: 0/1
+    valuations make many equal clause outputs), over random |C| and atom
+    counts.  The tape keeps the smooth-ors and the first operands'
+    coefficients only: the second operands' are the first's with the clause
+    axes swapped."""
     rng = np.random.default_rng(body)
-    xt = rng.integers(0, 50, size=(6, 50, body))
-    v0 = rng.random(50)
-    v0[rng.random(50) < 0.3] = 0.0
-    v0[rng.random(50) < 0.3] = 1.0
-    w = WeightSet.random(1, 6, seed=body, mode=PAIR, scale=1.0)
-    _, tape = infer(xt, v0, w, 1, gamma, record=True)
-    gv = v0[xt]
-    cm = gv[..., 0]
-    for k in range(1, body):
-        cm = cm * gv[..., k]
-    s, ca, cb = reference_softor2(cm[:, None, :], cm[None, :, :], gamma)
-    got_s, got_ca = tape.steps[0][2]
-    assert np.array_equal(got_s, s) and np.array_equal(got_ca, ca)
-    assert got_ca.base is None  # no view that keeps both operands' coefficients
-    assert np.array_equal(cb, ca.transpose(1, 0, 2))
+    for _ in range(4):
+        n_clauses, n_atoms = int(rng.integers(1, 9)), int(rng.integers(1, 60))
+        xt = rng.integers(0, n_atoms, size=(n_clauses, n_atoms, body))
+        v0 = rng.random(n_atoms)
+        v0[rng.random(n_atoms) < 0.3] = 0.0
+        v0[rng.random(n_atoms) < 0.3] = 1.0
+        w = WeightSet.random(1, n_clauses, seed=body, mode=PAIR, scale=1.0)
+        _, tape = infer(xt, v0, w, 1, gamma, record=True)
+        gv = v0[xt]
+        cm = gv[..., 0]
+        for k in range(1, body):
+            cm = cm * gv[..., k]
+        got_s, got_ca = tape.steps[0][2]
+        a, b = np.broadcast_arrays(cm[:, None, :], cm[None, :, :])
+        stacked_s, stacked_coef = _softor_n(np.stack((a, b)), gamma)
+        assert np.array_equal(got_s, stacked_s)
+        assert np.array_equal(got_ca, stacked_coef[0])
+        s, ca, cb = reference_softor2(a, b, gamma)
+        assert np.array_equal(got_s, s) and np.array_equal(got_ca, ca)
+        assert got_ca.base is None  # no view that keeps both operands' coefficients
+        assert np.array_equal(cb, ca.transpose(1, 0, 2))

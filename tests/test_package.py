@@ -1,17 +1,39 @@
 """The package namespace: each submodule stays reachable under its own name."""
 import importlib
+import os
 import pkgutil
+import subprocess
 import sys
+from pathlib import Path
 
 import softlog
 
 
 def test_no_package_attribute_shadows_a_submodule():
     """``softlog.<name>`` is the submodule ``<name>`` for every submodule, so
-    ``import softlog.refine as R`` gives the module, never a function that
+    ``import softlog.infer as I`` gives the module, never a function that
     the package re-exports under the same name."""
     names = [info.name for info in pkgutil.iter_modules(softlog.__path__)]
-    assert {"infer", "logic", "refine"} <= set(names)
+    assert {"infer", "logic", "search"} <= set(names)
     for name in names:
         importlib.import_module(f"softlog.{name}")
         assert getattr(softlog, name) is sys.modules[f"softlog.{name}"], name
+
+
+def test_import_loads_only_numpy_beyond_the_standard_library():
+    """numpy is the one runtime dependency: importing the package in a fresh
+    interpreter loads no other third-party module, even where one (SciPy,
+    say) is installed."""
+    src = str(Path(softlog.__file__).parents[1])
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import softlog\n"
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert "softlog" in out and "numpy" in out
+    third_party = [m for m in out if m not in sys.stdlib_module_names]
+    assert sorted(third_party) == ["numpy", "softlog"]

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from softlog.logic import Atom, Clause, Const, Func, Var
+from softlog.logic import Atom, Clause, Const, Func, Var, nest_depth
 from softlog.parser import (
+    MAX_TERM_DEPTH,
     ParseError,
     parse_atom,
     parse_clause,
@@ -70,6 +71,25 @@ def test_parse_error_has_position(list_lang):
 
     with pytest.raises(ParseError, match="applied to 1"):
         parse_atom("mem(a)", list_lang)
+
+
+def test_term_nesting_bound(nat_lang, list_lang):
+    # a term as deep as the bound parses; one level deeper is refused at the
+    # function or list that opens the extra level
+    deep = "s(" * MAX_TERM_DEPTH + "0" + ")" * MAX_TERM_DEPTH
+    assert nest_depth(parse_term(deep, nat_lang)) == MAX_TERM_DEPTH
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_TERM_DEPTH}") as err:
+        parse_atom(f"e(s({deep}))", nat_lang)
+    assert (err.value.line, err.value.col) == (1, 3 + 2 * MAX_TERM_DEPTH)
+    # the k-th list element sits k cells deep, and the tail as deep as the last
+    elems = ["a"] * MAX_TERM_DEPTH
+    for text in (f"[{','.join(elems)}]", f"[{','.join(elems[1:])}|[a]]",
+                 f"[{','.join(elems[2:])},[a]]"):
+        assert nest_depth(parse_term(text, list_lang)) == MAX_TERM_DEPTH, text
+    for text in (f"[{','.join(elems)},a]", f"[{','.join(elems)}|[a]]",
+                 f"[{','.join(elems[1:])},[a]]"):
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_term(text, list_lang)
 
 
 def test_reserved_atoms(list_lang):

@@ -2,9 +2,18 @@ import pytest
 
 from conftest import eval_clause, forward_closure
 from softlog.grounding import build_index_tensor
-from softlog.logic import Atom, Clause, Const, FALSE, Func, Language, TRUE, Var
+from softlog.logic import (
+    Atom,
+    Clause,
+    Const,
+    FALSE,
+    Func,
+    ILPProblem,
+    Language,
+    TRUE,
+    Var,
+)
 from softlog.parser import parse_atom, parse_clause
-from softlog.problem import ILPProblem
 from softlog.prover import MAX_HORIZON, ProofConfig, entails, eval_counts
 
 x, y = Var("x"), Var("y")

@@ -12,7 +12,7 @@ from softlog.logic import (
     nest_depth,
 )
 from softlog.parser import parse_clause
-from softlog.refine import (
+from softlog.search import (
     RefinementConfig,
     refine,
     rho_add,

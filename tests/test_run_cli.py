@@ -15,7 +15,6 @@ import pytest
 from softlog.cli import build_parser, main
 from softlog.datasets import TaskSpec, generate, load_problem, save_problem
 from softlog.prover import MAX_HORIZON, ProofConfig
-from softlog.refine import RefinementConfig
 from softlog.run import (
     default_beam_config,
     default_train_config,
@@ -24,7 +23,7 @@ from softlog.run import (
     save_weights,
     sweep,
 )
-from softlog.search import BeamConfig
+from softlog.search import BeamConfig, RefinementConfig
 from softlog.training import TrainConfig
 
 FAST = dict(epochs=120)
@@ -554,7 +553,8 @@ class TestCli:
         [("--m", "0", "m"), ("--epochs", "-5", "epochs"),
          ("--batch-frac", "0", "batch_frac"), ("--batch-frac", "-1", "batch_frac"),
          ("--lr", "-1", "lr"), ("--gamma", "0", "gamma"), ("--T", "0", "steps"),
-         ("--T", "255", "steps"), ("--seed", "-1", "seed")],
+         ("--T", "255", "steps"), ("--seed", "-1", "seed"),
+         ("--gamma", "inf", "gamma"), ("--lr", "inf", "lr")],
     )
     def test_bad_train_config_exits_2(self, flag, value, field, monkeypatch, capsys):
         import softlog.run
@@ -672,6 +672,30 @@ class TestCli:
         assert main(["train", str(prob), "--epochs", "5"]) == 2
         err = capsys.readouterr().err
         assert "line 4" in err and "not range-restricted" in err
+
+    @pytest.mark.parametrize("extra, code", [(0, 0), (1, 2)], ids=["at-bound", "deeper"])
+    def test_term_nesting_bound_in_a_problem_file(self, extra, code, tmp_path, capsys):
+        # terms as deep as the parser allows, in examples and in an init
+        # clause, go through a whole run; one level deeper is refused at parse
+        # time, naming its line
+        from softlog.parser import MAX_TERM_DEPTH
+
+        def nat(n, inner="0"):
+            return "s(" * n + inner + ")" * n
+
+        prob = tmp_path / "deep.pl"
+        prob.write_text(
+            "pred e/1.\nfunc s/1.\nconst 0.\ninit e(x).\nbg e(0).\n"
+            + "".join(f"pos e({nat(n)}).\nneg e({nat(n + 1)}).\n" for n in range(2, 12, 2))
+            + f"init e({nat(MAX_TERM_DEPTH, 'x')}).\n"
+            + f"pos e({nat(MAX_TERM_DEPTH)}).\n"
+            + f"neg e({nat(MAX_TERM_DEPTH - 1 + 2 * extra)}).\n"
+        )
+        assert main(["train", str(prob), "--epochs", "20"]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert f"line 18, column {7 + 2 * MAX_TERM_DEPTH}" in err
+            assert f"nested deeper than {MAX_TERM_DEPTH}" in err
 
     def test_reloaded_task_keeps_its_defaults(self, tmp_path):
         from softlog.cli import _configs, _resolve_problem

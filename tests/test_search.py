@@ -4,13 +4,11 @@ import pytest
 
 import softlog.search
 from softlog.datasets import TASKS, TaskSpec, generate
-from softlog.logic import canonical
+from softlog.logic import canonical, ILPProblem
 from softlog.parser import parse_atom, parse_clause
-from softlog.problem import ILPProblem
 from softlog.prover import ProofConfig, eval_counts
-from softlog.refine import refine
 from softlog.run import default_beam_config
-from softlog.search import BeamConfig, beam_search, naive_generate
+from softlog.search import BeamConfig, beam_search, naive_generate, refine
 
 
 @pytest.fixture
@@ -164,8 +162,6 @@ class TestBeamSearch:
 
     def test_reachability(self, pq_lang, worked_problem):
         # every returned clause is within beam_steps refinements of the seed
-        from softlog.refine import refine
-
         cfg = BeamConfig(beam_size=3, beam_steps=2)
         got = beam_search(list(worked_problem.initial_clauses), worked_problem, cfg,
                           proof_cfg=ProofConfig(2))

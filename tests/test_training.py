@@ -6,9 +6,8 @@ from softlog import training
 from softlog.datasets import TASKS, TaskSpec, generate, split
 from softlog.grounding import ground_context
 from softlog.infer import MULTI, PAIR, WeightSet, infer
-from softlog.logic import Atom, Clause, Const, Var
+from softlog.logic import Atom, Clause, Const, ILPProblem, Var
 from softlog.parser import parse_atom
-from softlog.problem import ILPProblem
 from softlog.training import (
     TrainConfig,
     _loss_and_grad,
@@ -251,7 +250,7 @@ class TestConfigValidation:
         [("m", 0), ("steps", 0), ("gamma", 0.0), ("gamma", -1e-5),
          ("gamma", float("nan")), ("epochs", -5), ("batch_frac", 0.0),
          ("batch_frac", -1.0), ("batch_frac", 1.5), ("lr", -1.0), ("lr", 0.0),
-         ("weight_mode", "Multi")],
+         ("gamma", float("inf")), ("lr", float("inf")), ("weight_mode", "Multi")],
     )
     def test_bad_field_refused_before_any_work(self, field, value):
         # refused when the config is built, before any problem is touched

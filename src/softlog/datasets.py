@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .logic import Atom, Clause, Const, Func, ILPProblem, Language, Term
+from .logic import LIST_CELL, NIL, Atom, Clause, Const, Func, ILPProblem, Language, Term
 from .parser import parse_clause, parse_problem, problem_to_text
 from .prover import ProofConfig, entails
 
@@ -22,13 +22,11 @@ ORACLE_DEPTH = 12
 # generate gives up on a class after this many rejected draws in a row
 MAX_REJECTED_RUN = 10_000
 
-NIL = Const("*")
-
 
 def make_list(elems: Sequence[str]) -> Term:
     t: Term = NIL
     for e in reversed(elems):
-        t = Func("f", (Const(e), t))
+        t = Func(LIST_CELL, (Const(e), t))
     return t
 
 

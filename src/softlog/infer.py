@@ -38,6 +38,7 @@ holds 2·|C|²·Σ widths floats in its mixture terms.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,6 +47,7 @@ import numpy as np
 MULTI = "multi"
 PAIR = "pair"
 ONE_HOT_LOGIT = 200.0  # WeightSet.one_hot: the rest of a row gets mass < e**-200
+RANDOM_SCALE = 0.1  # WeightSet.random: standard deviation of the initial logits
 
 
 # ---------------------------------------------------------------------------
@@ -61,12 +63,17 @@ def _softor_n(xs: np.ndarray, gamma: float):
     return m + gamma * np.log(s), e / s
 
 
+def check_gamma(gamma: float, name: str = "gamma") -> None:
+    """Refuse a gamma that is not finite and normal: dividing by a subnormal one overflows."""
+    if not sys.float_info.min <= gamma < np.inf:
+        raise ValueError(f"{name} must be positive, finite and normal, got {gamma}")
+
+
 def softor(xs: np.ndarray, gamma: float) -> np.ndarray:
     """Smooth maximum gamma * log(sum(exp(x / gamma))) over the rows, in
     max-shifted form.  A single row comes back exactly (log of one
     exponential of zero)."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    check_gamma(gamma)
     return _softor_n(np.asarray(xs, dtype=np.float64), gamma)[0]
 
 
@@ -119,11 +126,10 @@ class WeightSet:
         n_clauses: int,
         seed: int,
         mode: str = MULTI,
-        scale: float = 0.1,
     ) -> "WeightSet":
         rng = np.random.default_rng(seed)
         shape = (m, n_clauses) if mode == MULTI else (n_clauses, n_clauses)
-        return cls(mode, scale * rng.standard_normal(shape))
+        return cls(mode, RANDOM_SCALE * rng.standard_normal(shape))
 
     @classmethod
     def one_hot(
@@ -223,8 +229,7 @@ def infer(
     Returns the final valuation, or (valuation, tape) when ``record`` so the
     caller can run :func:`backward`.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    check_gamma(gamma)
     if widths is not None and len(widths) != steps:
         raise ValueError(f"need one width per step ({steps}), got {len(widths)}")
     v = np.asarray(v0, dtype=np.float64)

@@ -1,5 +1,5 @@
-"""First-order syntax with function symbols: terms, atoms, clauses, matching,
-and the ILP problem (examples, background, language) written in it.
+"""First-order syntax with function symbols: terms, atoms, clauses, their
+text, matching, and the ILP problem (examples, background, language).
 
 Everything here is an immutable value that caches its hash, so instances are
 usable as dict keys in the hot paths (grounding, memoized proving) and safe
@@ -8,7 +8,7 @@ constructor, which hashes it anew in the loading process.  Terms and atoms
 also cache their groundness, computed once at construction, so the variable
 walk, substitution and matching pass over ground subterms without looking
 inside, and substituting into a ground term or atom returns that same value,
-shared.
+shared.  ``repr`` is their ``to_text`` without list sugar.
 """
 from __future__ import annotations
 
@@ -24,6 +24,33 @@ CANON_VARS = ("x", "y", "z", "v", "w", "u")
 # the variables beyond it.
 DEFAULT_VARIABLES = CANON_VARS[:5]
 _ground = attrgetter("ground")  # all(map(_ground, args)): faster than a generator
+# Deepest function nesting of a term in a problem or a refinement.  Equality,
+# the prover and the grounding recurse up to four frames per level: a term this
+# deep goes through a whole ``softlog train`` within the recursion limit of 1000.
+MAX_TERM_DEPTH = 200
+
+
+def to_text(e: Expr, sugar: bool = False) -> str:
+    """The text of a term, atom or clause, as the parser reads it; ``sugar`` writes
+    lists as ``[a,b]``, ``[a|x]`` and ``[]``.  Two frames per nesting level."""
+    t = type(e)
+    if t is Var or t is Const:
+        return "[]" if sugar and e == NIL else e.name
+    if t is Clause:
+        head = to_text(e.head, sugar)
+        body = ", ".join([to_text(b, sugar) for b in e.body])
+        return f"{head} :- {body}" if e.body else head
+    if t is Atom:
+        args = ",".join([to_text(a, sugar) for a in e.args])
+        return f"{e.pred}({args})" if e.args else e.pred
+    if sugar and e.name == LIST_CELL and len(e.args) == 2:
+        elems = []
+        while type(e) is Func and e.name == LIST_CELL and len(e.args) == 2:
+            elems.append(to_text(e.args[0], True))
+            e = e.args[1]
+        tail = "" if e == NIL else "|" + to_text(e, True)
+        return f"[{','.join(elems)}{tail}]"
+    return f"{e.name}({','.join([to_text(a, sugar) for a in e.args])})"
 
 
 class _Value:
@@ -41,6 +68,8 @@ class _Value:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    __repr__ = to_text
 
 
 class Term(_Value):
@@ -61,9 +90,6 @@ class _Symbol(Term):
     def __init__(self, name: str):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_hash", hash((self._tag, name)))
-
-    def __repr__(self):
-        return self.name
 
 
 class Const(_Symbol):
@@ -116,9 +142,6 @@ class Func(Term):
     def __hash__(self):
         return self._hash
 
-    def __repr__(self):
-        return f"{self.name}({','.join(map(repr, self.args))})"
-
 
 class Atom(_Value):
     """Predicate applied to terms.  ``true``/``false`` are reserved nullary atoms.
@@ -147,15 +170,13 @@ class Atom(_Value):
     def __hash__(self):
         return self._hash
 
-    def __repr__(self):
-        if not self.args:
-            return self.pred
-        return f"{self.pred}({','.join(map(repr, self.args))})"
-
 
 TRUE = Atom("true")
 FALSE = Atom("false")
 RESERVED_PREDS = frozenset({"true", "false"})
+# A list is a chain of binary LIST_CELL(head, tail) terms that ends in NIL.
+LIST_CELL = "f"
+NIL = Const("*")
 
 
 class Clause(_Value):
@@ -183,11 +204,6 @@ class Clause(_Value):
 
     def __hash__(self):
         return self._hash
-
-    def __repr__(self):
-        if not self.body:
-            return repr(self.head)
-        return f"{self.head!r} :- {', '.join(map(repr, self.body))}"
 
 
 Expr = Union[Term, Atom, Clause]
@@ -240,7 +256,7 @@ class Language:
 
     @property
     def has_list_sugar(self) -> bool:
-        return self.func_arity("f") == 2 and "*" in self.constants
+        return self.func_arity(LIST_CELL) == 2 and NIL.name in self.constants
 
     def __repr__(self):
         return (
@@ -262,10 +278,13 @@ class ILPProblem:
     name: str = ""
 
     def __post_init__(self):
-        for group, atoms in (("pos", self.pos), ("neg", self.neg), ("bg", self.background)):
-            for a in atoms:
-                if not a.ground:
-                    raise ValueError(f"{group} example must be ground: {a!r}")
+        parts = self.pos, self.neg, self.background, self.initial_clauses
+        for group, items in zip(("pos", "neg", "bg", "init"), parts):
+            for i, e in enumerate(items):
+                if type(e) is Atom and not e.ground:
+                    raise ValueError(f"{group} example must be ground: {e!r}")
+                if nest_depth(e) > MAX_TERM_DEPTH:
+                    raise ValueError(f"{group} {i}: terms nest deeper than {MAX_TERM_DEPTH}")
 
     @property
     def examples(self) -> tuple[Atom, ...]:

@@ -1,9 +1,9 @@
-"""Textual syntax: terms, atoms, clauses, and whole problem files.
+"""Parsing terms, atoms, clauses, and reading and writing whole problem files.
 
 Statements are period-terminated; ``#`` starts a comment.  List sugar
-(``[a,b]``, ``[x|y]``, ``[]``) is available whenever the language declares a
-binary function symbol ``f`` together with the constant ``*``, and the printer
-re-emits it under the same condition so parse/print round-trips.
+(``[a,b]``, ``[x|y]``, ``[]``) is available whenever the language declares the
+list cell ``LIST_CELL``/2 and the constant ``NIL``; the printers re-emit it under
+the same condition (``logic.to_text``), so parse/print round-trips.
 """
 from __future__ import annotations
 
@@ -17,11 +17,15 @@ from .logic import (
     DEFAULT_VARIABLES,
     Func,
     ILPProblem,
+    LIST_CELL,
     Language,
+    MAX_TERM_DEPTH,
+    NIL,
     RESERVED_PREDS,
     Term,
     Var,
     check_range_restricted,
+    to_text,
 )
 
 
@@ -46,10 +50,6 @@ _TOKEN_RE = re.compile(
 )
 # an ``ident`` can name anything, a ``literal`` only a constant or an arity
 _NAME_KINDS = ("ident", "literal")
-# Deepest function nesting of a parsed term.  Term equality, printing, the
-# prover and the grounding recurse up to four frames per level: a term this
-# deep goes through a whole ``softlog train`` within the default limit of 1000.
-MAX_TERM_DEPTH = 200
 
 
 class _Tokens:
@@ -104,7 +104,7 @@ def _items(parse, ts: _Tokens, lang: Language) -> list:
 
 def _open(ts: _Tokens, line: int, col: int) -> None:
     """Enter one more function application, at the term starting at
-    (line, col)."""
+    (line, col); the count bounds the parser's own recursion."""
     ts.depth += 1
     if ts.depth > MAX_TERM_DEPTH:
         raise ParseError(f"term nested deeper than {MAX_TERM_DEPTH} functions", line, col)
@@ -141,13 +141,11 @@ def _parse_term(ts: _Tokens, lang: Language) -> Term:
 
 def _parse_list(ts: _Tokens, lang: Language, line: int, col: int) -> Term:
     if not lang.has_list_sugar:
-        raise ParseError(
-            "list notation requires function f/2 and constant '*'", line, col
-        )
-    nil: Term = Const("*")
+        msg = f"list notation requires function {LIST_CELL}/2 and constant '{NIL}'"
+        raise ParseError(msg, line, col)
     if ts.peek() == "]":
         ts.next()
-        return nil
+        return NIL
     depth = ts.depth
 
     def element(ts: _Tokens, lang: Language) -> Term:
@@ -156,14 +154,14 @@ def _parse_list(ts: _Tokens, lang: Language, line: int, col: int) -> Term:
         return _parse_term(ts, lang)
 
     elems = _items(element, ts, lang)
-    tail = nil
+    tail: Term = NIL
     if ts.peek() == "|":
         ts.next()
         tail = _parse_term(ts, lang)
     ts.depth = depth
     ts.expect("]")
     for e in reversed(elems):
-        tail = Func("f", (e, tail))
+        tail = Func(LIST_CELL, (e, tail))
     return tail
 
 
@@ -236,34 +234,15 @@ def parse_clause(text: str, lang: Language) -> Clause:
 
 def print_term(t: Term, lang: Optional[Language] = None) -> str:
     """Render a term; uses list sugar when the language supports it."""
-    if lang is not None and lang.has_list_sugar:
-        if t == Const("*"):
-            return "[]"
-        if type(t) is Func and t.name == "f" and len(t.args) == 2:
-            elems = []
-            cur: Term = t
-            while type(cur) is Func and cur.name == "f" and len(cur.args) == 2:
-                elems.append(print_term(cur.args[0], lang))
-                cur = cur.args[1]
-            if cur == Const("*"):
-                return f"[{','.join(elems)}]"
-            return f"[{','.join(elems)}|{print_term(cur, lang)}]"
-    if type(t) is Func:
-        return f"{t.name}({','.join(print_term(a, lang) for a in t.args)})"
-    return t.name  # type: ignore[union-attr]
+    return to_text(t, lang is not None and lang.has_list_sugar)
 
 
 def print_atom(a: Atom, lang: Optional[Language] = None) -> str:
-    if not a.args:
-        return a.pred
-    return f"{a.pred}({','.join(print_term(t, lang) for t in a.args)})"
+    return to_text(a, lang is not None and lang.has_list_sugar)
 
 
 def print_clause(c: Clause, lang: Optional[Language] = None) -> str:
-    if not c.body:
-        return print_atom(c.head, lang)
-    body = ", ".join(print_atom(b, lang) for b in c.body)
-    return f"{print_atom(c.head, lang)} :- {body}"
+    return to_text(c, lang is not None and lang.has_list_sugar)
 
 
 # ---------------------------------------------------------------------------

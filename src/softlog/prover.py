@@ -11,7 +11,6 @@ Depth exhaustion returns False: an under-approximation, by design.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -44,10 +43,9 @@ class ProofConfig:
 class _Prover:
     def __init__(self, program: Sequence[Clause], facts: Iterable[Atom]):
         self.facts = {TRUE, *facts}
-        self.clauses_by_pred = defaultdict(list)
         for c in program:
             check_range_restricted(c)
-            self.clauses_by_pred[(c.head.pred, len(c.head.args))].append(c)
+        self.program = program
         self.memo: dict[tuple[Atom, int], bool] = {}
 
     def provable(self, goal: Atom, depth: int) -> bool:
@@ -62,7 +60,7 @@ class _Prover:
             return hit
         result = False
         if depth >= 1:
-            for c in self.clauses_by_pred.get((goal.pred, len(goal.args)), ()):
+            for c in self.program:  # unify refuses another predicate or arity
                 theta = unify(c.head, goal)
                 if theta is None:
                     continue

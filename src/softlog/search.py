@@ -16,6 +16,7 @@ from .logic import (
     Func,
     ILPProblem,
     Language,
+    MAX_TERM_DEPTH,
     Var,
     apply_subst,
     canonical,
@@ -90,11 +91,11 @@ def refine(
     clause's maximum nest depth stays within ``n_nest`` plus the depth
     inherited from the lineage seed (``base_nest``; defaults to the depth of
     ``c`` itself so refining an externally supplied deep clause is never
-    vacuously empty).  Output never contains ``c`` or alpha-duplicates.
+    vacuously empty), at most ``MAX_TERM_DEPTH``.  No ``c`` or alpha-duplicates.
     """
     if base_nest is None:
         base_nest = nest_depth(c)
-    cap = cfg.n_nest + base_nest
+    cap = min(cfg.n_nest + base_nest, MAX_TERM_DEPTH)
     out: list[Clause] = []
     seen = {canonical(c)}
     for op in (rho_fun, rho_sub, rho_rep, rho_add):

@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .grounding import FALSE_INDEX, TRUE_INDEX, GroundContext
-from .infer import MULTI, PAIR, WeightSet, backward, infer
+from .infer import MULTI, PAIR, WeightSet, backward, check_gamma, infer
 from .logic import Atom, Clause, ILPProblem, canonical
 from .prover import MAX_HORIZON
 
@@ -47,8 +47,7 @@ class TrainConfig:
             raise ValueError(
                 f"TrainConfig.steps must be >= 1 and <= {MAX_HORIZON}, got {self.steps}"
             )
-        if not 0 < self.gamma < math.inf:
-            raise ValueError(f"TrainConfig.gamma must be positive and finite, got {self.gamma}")
+        check_gamma(self.gamma, "TrainConfig.gamma")
         if not 0 < self.lr < math.inf:
             raise ValueError(f"TrainConfig.lr must be positive and finite, got {self.lr}")
         if self.epochs < 0:

@@ -480,6 +480,39 @@ def refinement_bound(c: Clause, lang: Language) -> int:
     return total
 
 
+def reference_print_term(t: Term, lang: Optional[Language] = None) -> str:
+    """The term printer the parser had before ``logic.to_text``: list sugar
+    when the language has it, else the plain text ``repr`` gives."""
+    if lang is not None and lang.has_list_sugar:
+        if t == Const("*"):
+            return "[]"
+        if type(t) is Func and t.name == "f" and len(t.args) == 2:
+            elems = []
+            cur: Term = t
+            while type(cur) is Func and cur.name == "f" and len(cur.args) == 2:
+                elems.append(reference_print_term(cur.args[0], lang))
+                cur = cur.args[1]
+            if cur == Const("*"):
+                return f"[{','.join(elems)}]"
+            return f"[{','.join(elems)}|{reference_print_term(cur, lang)}]"
+    if type(t) is Func:
+        return f"{t.name}({','.join(reference_print_term(a, lang) for a in t.args)})"
+    return t.name  # type: ignore[union-attr]
+
+
+def reference_print_atom(a: Atom, lang: Optional[Language] = None) -> str:
+    if not a.args:
+        return a.pred
+    return f"{a.pred}({','.join(reference_print_term(t, lang) for t in a.args)})"
+
+
+def reference_print_clause(c: Clause, lang: Optional[Language] = None) -> str:
+    if not c.body:
+        return reference_print_atom(c.head, lang)
+    body = ", ".join(reference_print_atom(b, lang) for b in c.body)
+    return f"{reference_print_atom(c.head, lang)} :- {body}"
+
+
 def print_term_compact(t: Term) -> str:
     """Render naturals s(s(...(0))) as s^n(0); display only, not parseable."""
     n = 0

@@ -37,6 +37,12 @@ def e(n):
     return Atom("e", (nat(n),))
 
 
+def scaled_weights(m, n_clauses, seed, mode, scale):
+    """WeightSet.random's draw at another standard deviation."""
+    shape = (m, n_clauses) if mode == MULTI else (n_clauses, n_clauses)
+    return WeightSet(mode, scale * np.random.default_rng(seed).standard_normal(shape))
+
+
 DOUBLE_STEP = Clause(Atom("e", (Func("s", (Func("s", (x,)),)),)), (Atom("e", (x,)),))
 FACT = Clause(Atom("e", (x,)))
 ATOMS6 = [FALSE, TRUE, e(0), e(1), e(2), e(4)]
@@ -145,6 +151,17 @@ class TestSoftor:
         w = WeightSet.random(2, 2, seed=0, mode=mode)
         with pytest.raises(ValueError, match="gamma"):
             infer(ctx6.x, ctx6.v0, w, 2, gamma=0.0)
+
+    # an infinite gamma gives infinite valuations, and dividing by a
+    # subnormal one overflows even on rows within [0, 1]
+    @pytest.mark.parametrize("gamma", [float("inf"), 1e-320])
+    @pytest.mark.parametrize("mode", [MULTI, PAIR])
+    def test_gamma_must_be_finite_and_normal(self, ctx6, mode, gamma):
+        with pytest.raises(ValueError, match="gamma must be positive, finite"):
+            softor(np.array([[0.1, 0.5], [0.2, 0.3]]), gamma)
+        w = WeightSet.random(2, 2, seed=0, mode=mode)
+        with pytest.raises(ValueError, match="gamma must be positive, finite"):
+            infer(ctx6.x, ctx6.v0, w, 2, gamma=gamma)
 
 
 class TestStep:
@@ -305,7 +322,7 @@ def test_one_softor_step_matches_nested_softors(
     xt[:, 1, :] = 1
     v0 = (rng.random(n_atoms) < 0.5).astype(float) if binary else rng.random(n_atoms)
     v0[0], v0[1] = 0.0, 1.0
-    w = WeightSet.random(3, n_clauses, seed=seed, mode=mode, scale=scale)
+    w = scaled_weights(3, n_clauses, seed, mode, scale)
     grad_out = rng.standard_normal(n_atoms)
 
     v_ref, tape_ref = reference_infer(xt, v0, w, steps, gamma, record=True)
@@ -353,7 +370,7 @@ class TestWidths:
         rng = np.random.default_rng(3)
         xt = rng.integers(0, 40, size=(5, 40, 2))
         v0 = rng.random(40)
-        w = WeightSet.random(2, 5, seed=3, mode=mode, scale=1.0)
+        w = scaled_weights(2, 5, 3, mode, 1.0)
         grad_out = rng.random(40)
         v, tape = infer(xt, v0, w, 3, 1e-2, record=True)
         v_w, tape_w = infer(xt, v0, w, 3, 1e-2, record=True, widths=[40] * 3)
@@ -374,7 +391,7 @@ def shifted_valuations(shift: int, mode: str, m: int = 1):
     n_clauses, n_atoms, steps = 30, 200, 3
     xt = rng.integers(0, n_atoms, size=(n_clauses, n_atoms, 2))
     v0 = rng.random(n_atoms)
-    w = WeightSet.random(m, n_clauses, seed=shift, mode=mode, scale=1.0)
+    w = scaled_weights(m, n_clauses, shift, mode, 1.0)
     v = infer(xt, v0, w, steps, 1e-2)
 
     extra = rng.integers(0, n_atoms + shift, size=(n_clauses, shift, 2))
@@ -421,7 +438,7 @@ def test_pair_softor_equals_two_operand_softor(body, gamma):
         v0 = rng.random(n_atoms)
         v0[rng.random(n_atoms) < 0.3] = 0.0
         v0[rng.random(n_atoms) < 0.3] = 1.0
-        w = WeightSet.random(1, n_clauses, seed=body, mode=PAIR, scale=1.0)
+        w = scaled_weights(1, n_clauses, body, PAIR, 1.0)
         _, tape = infer(xt, v0, w, 1, gamma, record=True)
         gv = v0[xt]
         cm = gv[..., 0]

@@ -4,18 +4,22 @@ import pickle
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from softlog import logic
+from softlog.datasets import TaskSpec, generate
 from softlog.logic import (
+    MAX_TERM_DEPTH,
     Atom,
     Clause,
     Const,
     FALSE,
     Func,
+    ILPProblem,
     Language,
     TRUE,
     Var,
@@ -292,6 +296,39 @@ class TestStructure:
         assert not subsumes(specific, general)
 
 
+class TestNestingBound:
+    """``MAX_TERM_DEPTH`` holds for a problem built in Python as for a file."""
+
+    @pytest.mark.parametrize("where", ["pos", "bg", "init"])
+    def test_problem_refuses_a_term_past_the_bound(self, where):
+        lang = Language(predicates=[("e", 1)], functions=[("s", 1)], constants=["0"])
+
+        def build(depth):
+            parts = {"pos": (Atom("e", (Const("0"),)),), "background": (),
+                     "initial_clauses": (Clause(Atom("e", (x,))),)}
+            if where == "init":
+                parts["initial_clauses"] = (Clause(Atom("e", (s(x, depth),))),)
+            else:
+                key = "pos" if where == "pos" else "background"
+                parts[key] = (Atom("e", (s(Const("0"), depth),)),)
+            return ILPProblem(neg=(), language=lang, **parts)
+
+        assert build(MAX_TERM_DEPTH)
+        with pytest.raises(ValueError, match=f"{where} 0: terms nest deeper than {MAX_TERM_DEPTH}"):
+            build(MAX_TERM_DEPTH + 1)
+
+    def test_deep_initial_clause_is_refused_not_overflowed(self):
+        # printing its rank key once overflowed the stack inside the beam
+        problem = generate(TaskSpec("plus", seed=0))
+        deep = Clause(Atom("plus", (x, y, s(z, 246))))
+        with pytest.raises(ValueError, match=f"deeper than {MAX_TERM_DEPTH}"):
+            replace(problem, initial_clauses=(deep,))
+
+    def test_repr_past_the_bound(self):
+        deep = Clause(Atom("e", (s(x, 300),)), (Atom("e", (x,)),))
+        assert repr(deep) == "e(" + "s(" * 300 + "x" + ")" * 301 + " :- e(x)"
+
+
 class TestPickle:
     """Values cross process boundaries: pickling and copying rebuild them
     through their constructors, so a load re-hashes them."""
@@ -304,8 +341,6 @@ class TestPickle:
 
     @pytest.mark.parametrize("how", sorted(COPIES))
     def test_values_and_problems_round_trip(self, how):
-        from softlog.datasets import TaskSpec, generate
-
         again = self.COPIES[how]
         f = Func("f", (a, Func("g", (x,))))
         values = [a, x, f, Atom("p", (f, b)), Clause(Atom("p", (x,)), (Atom("q", (x, a)),))]
@@ -324,8 +359,6 @@ class TestPickle:
         ]
 
     def test_problem_from_another_hash_seed(self, tmp_path):
-        from softlog.datasets import TaskSpec, generate
-
         seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
         src = str(Path(logic.__file__).resolve().parents[1])
         path = tmp_path / "problem.pkl"

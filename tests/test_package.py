@@ -1,4 +1,5 @@
 """The package namespace: each submodule stays reachable under its own name."""
+import ast
 import importlib
 import os
 import pkgutil
@@ -37,3 +38,21 @@ def test_import_loads_only_numpy_beyond_the_standard_library():
     assert "softlog" in out and "numpy" in out
     third_party = [m for m in out if m not in sys.stdlib_module_names]
     assert sorted(third_party) == ["numpy", "softlog"]
+
+
+def test_modules_import_each_other_relatively():
+    """No module imports ``softlog`` by absolute name, so a second checkout
+    of the package can be imported beside this one under another name (an
+    in-process A/B of two versions)."""
+    absolute = []
+    for path in sorted(Path(softlog.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            absolute += [f"{path.name}:{node.lineno}" for name in names
+                         if name.split(".")[0] == "softlog"]
+    assert absolute == []

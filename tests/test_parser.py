@@ -2,9 +2,18 @@ import random
 
 import pytest
 
-from softlog.logic import Atom, Clause, Const, Func, Var, nest_depth
-from softlog.parser import (
+from softlog.logic import (
     MAX_TERM_DEPTH,
+    Atom,
+    Clause,
+    Const,
+    Func,
+    Language,
+    Var,
+    nest_depth,
+    to_text,
+)
+from softlog.parser import (
     ParseError,
     parse_atom,
     parse_clause,
@@ -15,7 +24,14 @@ from softlog.parser import (
     print_term,
     problem_to_text,
 )
-from conftest import print_term_compact, random_atom
+from conftest import (
+    print_term_compact,
+    random_atom,
+    random_term,
+    reference_print_atom,
+    reference_print_clause,
+    reference_print_term,
+)
 
 
 def test_list_print_and_parse(list_lang):
@@ -55,6 +71,29 @@ def test_roundtrip_random_atoms(list_lang):
     for _ in range(300):
         atom = random_atom(rng, list_lang, depth=3)
         assert parse_atom(print_atom(atom, list_lang), list_lang) == atom
+
+
+@pytest.mark.parametrize("lang_name", ["pq_lang", "nat_lang", "list_lang"])
+def test_one_printer_matches_the_reference_printers(lang_name, request):
+    """``to_text``, ``repr`` and the parser's printers write, byte for byte,
+    what the parser's own three printers wrote before ``to_text`` replaced
+    them: plain text without sugar, list sugar with it (pq's f/1 is no list
+    cell), over random terms, atoms and clauses."""
+    lang = request.getfixturevalue(lang_name)
+    sugar = Language(functions=[("f", 2)], constants=["*"])
+    rng = random.Random(lang_name)
+    for _ in range(2000):
+        body = [random_atom(rng, lang) for _ in range(rng.randrange(3))]
+        drawn = (
+            (random_term(rng, lang, depth=3), print_term, reference_print_term),
+            (random_atom(rng, lang, depth=3), print_atom, reference_print_atom),
+            (Clause(random_atom(rng, lang), body), print_clause, reference_print_clause),
+        )
+        for e, printer, reference in drawn:
+            plain = reference(e)
+            assert repr(e) == to_text(e) == printer(e) == plain
+            assert printer(e, lang) == reference(e, lang)
+            assert to_text(e, True) == reference(e, sugar)
 
 
 def test_roundtrip_clause(list_lang):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from softlog.logic import (
+    MAX_TERM_DEPTH,
     Atom,
     Clause,
     Const,
@@ -185,6 +186,13 @@ class TestRefine:
         flat = parse_clause("e(x)", lang)
         for r in refine(flat, lang, RefinementConfig(n_body=1, n_nest=1)):
             assert nest_depth(r) <= 1
+
+    def test_nest_cap_stops_at_the_term_bound(self):
+        lang = Language(predicates=[("e", 1)], functions=[("s", 1)], constants=["0"])
+        deep = "s(" * MAX_TERM_DEPTH + "x" + ")" * MAX_TERM_DEPTH
+        out = refine(parse_clause(f"e({deep})", lang), lang, RefinementConfig(n_nest=5))
+        assert out
+        assert max(map(nest_depth, out)) == MAX_TERM_DEPTH
 
     def test_all_refinements_subsumed_by_parent(self, ex_lang):
         rng = random.Random(5)

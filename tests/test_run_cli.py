@@ -554,7 +554,8 @@ class TestCli:
          ("--batch-frac", "0", "batch_frac"), ("--batch-frac", "-1", "batch_frac"),
          ("--lr", "-1", "lr"), ("--gamma", "0", "gamma"), ("--T", "0", "steps"),
          ("--T", "255", "steps"), ("--seed", "-1", "seed"),
-         ("--gamma", "inf", "gamma"), ("--lr", "inf", "lr")],
+         ("--gamma", "inf", "gamma"), ("--lr", "inf", "lr"),
+         ("--gamma", "1e-320", "gamma")],
     )
     def test_bad_train_config_exits_2(self, flag, value, field, monkeypatch, capsys):
         import softlog.run

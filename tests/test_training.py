@@ -250,7 +250,8 @@ class TestConfigValidation:
         [("m", 0), ("steps", 0), ("gamma", 0.0), ("gamma", -1e-5),
          ("gamma", float("nan")), ("epochs", -5), ("batch_frac", 0.0),
          ("batch_frac", -1.0), ("batch_frac", 1.5), ("lr", -1.0), ("lr", 0.0),
-         ("gamma", float("inf")), ("lr", float("inf")), ("weight_mode", "Multi")],
+         ("gamma", float("inf")), ("lr", float("inf")), ("weight_mode", "Multi"),
+         ("gamma", 1e-320)],
     )
     def test_bad_field_refused_before_any_work(self, field, value):
         # refused when the config is built, before any problem is touched

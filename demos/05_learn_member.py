@@ -1,24 +1,18 @@
 """End-to-end learning on the list-membership task, desk scale.
 
-Pipeline: generate labeled examples, beam-search candidate clauses, enumerate
+One job, the member task at seed 1 with the task's defaults, runs the whole
+pipeline: generate labeled examples, beam-search candidate clauses, enumerate
 ground atoms, train clause weights by gradient descent, extract the program.
 
 Run: python demos/05_learn_member.py   (about half a minute)
 """
-from softlog import TaskSpec, generate
-from softlog.run import default_beam_config, default_train_config, run_problem
+from softlog import Job, run_job
 from softlog.parser import print_atom
 
-problem = generate(TaskSpec("member", n_per_class=50, seed=1))
+result = run_job(Job("member", seed=1))
+problem, rec = result.problem, result.record
 print("sample positives:", [print_atom(a, problem.language) for a in problem.pos[:3]])
 print("sample negatives:", [print_atom(a, problem.language) for a in problem.neg[:3]])
-
-result = run_problem(
-    problem,
-    default_train_config("member", seed=1),
-    default_beam_config("member"),
-)
-rec = result.record
 
 print(f"\ncandidate clauses: {rec.n_clauses}, ground atoms: {rec.n_atoms}, "
       f"parameters: {rec.param_count}")

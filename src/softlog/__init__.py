@@ -57,6 +57,6 @@ from .datasets import (
     save_problem,
     split,
 )
-from .run import RunRecord, run_problem, sweep
+from .run import Job, RunRecord, run_job, run_problem, sweep
 
 __version__ = "0.1.0"

@@ -13,18 +13,8 @@ import sys
 from pathlib import Path
 
 from .datasets import TASKS, TaskSpec, generate, load_problem, save_problem
-from .run import (
-    SWEEP_METRICS,
-    default_beam_config,
-    default_train_config,
-    evaluate_saved,
-    run_problem,
-    save_weights,
-    strict_json,
-    sweep,
-)
-from .search import BeamConfig, RefinementConfig
-from .training import TrainConfig, TrainingDiverged
+from .run import SWEEP_METRICS, Job, evaluate_saved, run_job, save_weights, strict_json, sweep
+from .training import TrainingDiverged
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -72,21 +62,6 @@ def _given(args, *keys) -> dict:
     return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
 
 
-def _configs(args, task: str):
-    overrides = _given(
-        args, "m", "steps", "gamma", "lr", "epochs", "batch_frac", "weight_mode"
-    )
-    beam_over = _given(args, "beam_size", "beam_steps")
-    if task in TASKS:
-        tc = default_train_config(task, seed=args.seed, **overrides)
-        bc = default_beam_config(task, **beam_over)
-    else:
-        tc = TrainConfig(seed=args.seed, **overrides)
-        bc = BeamConfig(**beam_over)
-    rc = RefinementConfig(**_given(args, "n_body", "n_nest"))
-    return tc, bc, rc
-
-
 def cmd_gen(args) -> int:
     spec = TaskSpec(args.task, n_per_class=args.n, seed=args.seed)
     problem = generate(spec)
@@ -97,17 +72,17 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     problem, task = _resolve_problem(args)
-    tc, bc, rc = _configs(args, task)
-    if problem is None:  # drawn once the configs, --seed among them, are checked
-        problem = generate(TaskSpec(task, n_per_class=args.n, seed=args.seed))
-    result = run_problem(
-        problem,
-        tc,
-        bc,
-        rc,
+    job = Job(
+        task,
+        seed=args.seed,
+        n_per_class=args.n,
+        train=_given(args, "m", "steps", "gamma", "lr", "epochs", "batch_frac", "weight_mode"),
+        beam=_given(args, "beam_size", "beam_steps"),
+        refine=_given(args, "n_body", "n_nest"),
         naive_n=args.naive_gen,
         **_given(args, "noise", "split_frac"),
     )
+    result = run_job(job, problem)
     rec = result.record
     print(strict_json(rec.summary(), indent=2))
     if args.out:
@@ -127,8 +102,8 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
-    if args.values:
-        values = [float(v) for v in args.values.split(",")]
+    if args.values is not None:
+        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     elif args.axis == "noise":
         values = [round(0.05 * i, 2) for i in range(11)]
     else:

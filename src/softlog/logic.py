@@ -9,6 +9,11 @@ also cache their groundness, computed once at construction, so the variable
 walk, substitution and matching pass over ground subterms without looking
 inside, and substituting into a ground term or atom returns that same value,
 shared.  ``repr`` is their ``to_text`` without list sugar.
+
+Terms cache their nesting depth too, so ``nest_depth``, which enforces
+``MAX_TERM_DEPTH``, never recurses.  ``to_text``, ``variables``,
+``apply_subst``, ``unify`` and ``canonical`` do, a few frames per level:
+each runs only on terms the bound admitted or on a library caller's own term.
 """
 from __future__ import annotations
 
@@ -24,6 +29,7 @@ CANON_VARS = ("x", "y", "z", "v", "w", "u")
 # the variables beyond it.
 DEFAULT_VARIABLES = CANON_VARS[:5]
 _ground = attrgetter("ground")  # all(map(_ground, args)): faster than a generator
+_depth = attrgetter("depth")
 # Deepest function nesting of a term in a problem or a refinement.  Equality,
 # the prover and the grounding recurse up to four frames per level: a term this
 # deep goes through a whole ``softlog train`` within the recursion limit of 1000.
@@ -75,7 +81,8 @@ class _Value:
 class Term(_Value):
     """Base class for constants, variables, and compound terms.
 
-    ``ground`` is True when the term contains no variable.
+    ``ground`` is True when the term contains no variable, and ``depth`` is
+    its function-nesting depth.
     """
 
     __slots__ = ()
@@ -86,6 +93,7 @@ class _Symbol(Term):
 
     __slots__ = ("name", "_hash")
     _fields = ("name",)
+    depth = 0
 
     def __init__(self, name: str):
         object.__setattr__(self, "name", name)
@@ -119,7 +127,7 @@ class Var(_Symbol):
 class Func(Term):
     """Application of a function symbol to argument terms (arity >= 1)."""
 
-    __slots__ = ("name", "args", "ground", "_hash")
+    __slots__ = ("name", "args", "ground", "depth", "_hash")
     _fields = ("name", "args")
 
     def __init__(self, name: str, args: Iterable[Term]):
@@ -129,6 +137,7 @@ class Func(Term):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "args", args)
         object.__setattr__(self, "ground", all(map(_ground, args)))
+        object.__setattr__(self, "depth", 1 + max(map(_depth, args)))
         object.__setattr__(self, "_hash", hash(("f", name, args)))
 
     def __eq__(self, other):
@@ -281,10 +290,11 @@ class ILPProblem:
         parts = self.pos, self.neg, self.background, self.initial_clauses
         for group, items in zip(("pos", "neg", "bg", "init"), parts):
             for i, e in enumerate(items):
-                if type(e) is Atom and not e.ground:
-                    raise ValueError(f"{group} example must be ground: {e!r}")
+                # the depth first: printing a term past the bound could overflow
                 if nest_depth(e) > MAX_TERM_DEPTH:
                     raise ValueError(f"{group} {i}: terms nest deeper than {MAX_TERM_DEPTH}")
+                if type(e) is Atom and not e.ground:
+                    raise ValueError(f"{group} example must be ground: {e!r}")
 
     @property
     def examples(self) -> tuple[Atom, ...]:
@@ -330,14 +340,13 @@ def check_range_restricted(c: Clause) -> None:
 
 
 def nest_depth(e: Expr) -> int:
-    """Maximum function-nesting depth of any term in the expression."""
-    if type(e) is Func:
-        return 1 + max(map(nest_depth, e.args))
+    """Maximum function-nesting depth of any term in the expression, read
+    from the terms' ``depth`` slots."""
     if type(e) is Atom:
-        return max(map(nest_depth, e.args), default=0)
+        return max(map(_depth, e.args), default=0)
     if type(e) is Clause:
         return max(map(nest_depth, (e.head, *e.body)))
-    return 0
+    return e.depth
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,43 @@ def default_beam_config(task: str, **overrides) -> BeamConfig:
     return BeamConfig(**base)
 
 
+@dataclass(frozen=True)
+class Job:
+    """One run: a task, seed and examples per class as in ``TaskSpec``, field
+    overrides of the train, beam and refinement configs, and the settings of
+    ``run_problem``.  A job pickles, so a worker process can take it as it is."""
+
+    task: str
+    seed: int = 0
+    n_per_class: int = 50
+    train: dict = field(default_factory=dict)
+    beam: dict = field(default_factory=dict)
+    refine: dict = field(default_factory=dict)
+    noise: float = 0.0
+    split_frac: float = 0.7
+    naive_n: Optional[int] = None
+    clause_cap: Optional[int] = None
+
+
+def run_job(job: Job, problem: Optional[ILPProblem] = None) -> RunResult:
+    """Run ``job`` on ``problem`` (a problem file's), or on the problem its
+    task, seed and size draw.  A task in ``TASKS`` starts from that task's
+    configs, any other name from the configs' own defaults.  The configs are
+    built first, so a bad setting fails before a problem is drawn."""
+    if job.task in TASKS:
+        tc = default_train_config(job.task, seed=job.seed, **job.train)
+        bc = default_beam_config(job.task, **job.beam)
+    else:
+        tc = TrainConfig(seed=job.seed, **job.train)
+        bc = BeamConfig(**job.beam)
+    rc = RefinementConfig(**job.refine)
+    if problem is None:
+        problem = generate(TaskSpec(job.task, n_per_class=job.n_per_class, seed=job.seed))
+    return run_problem(
+        problem, tc, bc, rc, job.noise, job.split_frac, job.naive_n, job.clause_cap
+    )
+
+
 def run_problem(
     problem: ILPProblem,
     train_cfg: TrainConfig,
@@ -332,6 +369,8 @@ def sweep(
         raise ValueError(f"axis must be {' or '.join(map(repr, SWEEP_METRICS))}")
     if method not in ("naive", "beam"):
         raise ValueError("method must be 'naive' or 'beam'")
+    if not values:
+        raise ValueError("at least one value is required")
     if not seeds:
         raise ValueError("at least one seed is required")
     if axis == "noise":
@@ -342,12 +381,9 @@ def sweep(
             if not float(value).is_integer():
                 raise ValueError(f"nclause values must be whole numbers, got {value}")
     rows = []
-    for seed in seeds:
-        problem = generate(TaskSpec(task, n_per_class=n_per_class, seed=seed))
-        tc = default_train_config(task, seed=seed, **config_overrides)
-        bc = default_beam_config(task)
-        for value in values:
-            record = run_problem(problem, tc, bc, **{key: cast(value)}).record
-            rows.append((float(value), seed, getattr(record, SWEEP_METRICS[axis])))
+    for value in values:
+        for seed in seeds:
+            job = Job(task, seed, n_per_class, train=config_overrides, **{key: cast(value)})
+            rows.append((float(value), seed, getattr(run_job(job).record, SWEEP_METRICS[axis])))
     rows.sort(key=lambda r: (r[0], r[1]))
     return rows

@@ -32,7 +32,7 @@ from softlog.logic import (
 )
 from softlog.parser import parse_atom, parse_clause
 from softlog.prover import ProofConfig
-from softlog.run import default_beam_config, default_train_config, run_problem
+from softlog.run import Job, default_beam_config, run_job
 from softlog.search import BeamConfig, beam_search, refine
 from softlog.training import TrainConfig, extract_program, train
 from conftest import (
@@ -53,20 +53,10 @@ TABLE4_EXACT = {
 }
 
 
-def _run(task, seed, **kw):
-    problem = generate(TaskSpec(task, n_per_class=50, seed=seed))
-    return run_problem(
-        problem,
-        default_train_config(task, seed=seed),
-        default_beam_config(task),
-        **kw,
-    )
-
-
 @pytest.fixture(scope="module")
 def clean_runs():
     return {
-        (task, seed): _run(task, seed)
+        (task, seed): run_job(Job(task, seed))
         for task in sorted(TASKS)
         for seed in SEEDS
     }
@@ -75,7 +65,7 @@ def clean_runs():
 @pytest.fixture(scope="module")
 def noisy_runs():
     return {
-        (task, noise, seed): _run(task, seed, noise=noise)
+        (task, noise, seed): run_job(Job(task, seed, noise=noise))
         for task in ("member", "subtree")
         for noise in (0.1, 0.3)
         for seed in SEEDS
@@ -287,12 +277,8 @@ def test_criterion_6_beam_vs_naive(clean_runs):
         )
         assert best.test_auc == 1.0, f"{task}: best AUC {best.test_auc}"
         assert best.n_clauses <= 40, f"{task}: |C| = {best.n_clauses}"
-        naive = [
-            _run(task, s, naive_n=10).record.test_auc for s in SEEDS
-        ]
-        capped = [
-            _run(task, s, clause_cap=10).record.test_auc for s in SEEDS
-        ]
+        naive = [run_job(Job(task, s, naive_n=10)).record.test_auc for s in SEEDS]
+        capped = [run_job(Job(task, s, clause_cap=10)).record.test_auc for s in SEEDS]
         assert np.mean(naive) < np.mean(capped), (
             f"{task}: naive {np.mean(naive):.3f} !< beam {np.mean(capped):.3f}"
         )

@@ -1,6 +1,6 @@
 """Demos 01-05 run to completion, each as its own process from the
 repository root with ``PYTHONPATH=src``; together they take a few seconds.
-``06_noise_robustness.py`` is left out: its 18 training runs (about 20 s)
+``06_noise_robustness.py`` is left out: its 18 training runs (about 12 s)
 repeat the noise sweep of ``test_acceptance.py``'s criterion 5, which
 asserts the same trend on member and subtree.
 """

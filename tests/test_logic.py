@@ -324,6 +324,16 @@ class TestNestingBound:
         with pytest.raises(ValueError, match=f"deeper than {MAX_TERM_DEPTH}"):
             replace(problem, initial_clauses=(deep,))
 
+    @pytest.mark.parametrize("inner, depth", [(Const("0"), 5000), (x, 600)],
+                             ids=["ground", "non-ground"])
+    def test_deep_example_is_refused_not_overflowed(self, inner, depth):
+        # the bound reads cached depths, and its check runs before the
+        # groundness check's message prints the atom
+        lang = Language(predicates=[("e", 1)], functions=[("s", 1)], constants=["0"])
+        with pytest.raises(ValueError, match=f"pos 0: terms nest deeper than {MAX_TERM_DEPTH}"):
+            ILPProblem(pos=(Atom("e", (s(inner, depth),)),), neg=(), background=(),
+                       language=lang)
+
     def test_repr_past_the_bound(self):
         deep = Clause(Atom("e", (s(x, 300),)), (Atom("e", (x,)),))
         assert repr(deep) == "e(" + "s(" * 300 + "x" + ")" * 301 + " :- e(x)"
@@ -347,6 +357,7 @@ class TestPickle:
         for v in values:
             w = again(v)
             assert type(w) is type(v) and w == v and hash(w) == hash(v)
+            assert nest_depth(w) == nest_depth(v)
             with pytest.raises(AttributeError, match=f"{type(v).__name__} is immutable"):
                 w._hash = 0
         problem = generate(TaskSpec("append", n_per_class=5, seed=0))
@@ -468,16 +479,25 @@ def _ground_by_definition(t):
     return True
 
 
+def _depth_by_definition(t):
+    if type(t) is Func:
+        return 1 + max(_depth_by_definition(a) for a in t.args)
+    return 0
+
+
 @settings(max_examples=100, derandomize=True)
 @given(
     t=hyp_terms(depth=3),
     theta=st.dictionaries(st.sampled_from([x, y, z]), hyp_terms()),
 )
 def test_cached_groundness(t, theta):
-    """``ground`` agrees with the recursive definition, also on terms that
-    substitution builds, and substituting into a ground term shares it."""
+    """``ground`` and ``depth`` agree with their recursive definitions, also
+    on terms that substitution builds, and substituting into a ground term
+    shares it."""
     assert t.ground == _ground_by_definition(t)
+    assert t.depth == _depth_by_definition(t)
     out = apply_subst(t, theta)
     assert out.ground == _ground_by_definition(out)
+    assert out.depth == _depth_by_definition(out)
     if t.ground:
         assert out is t

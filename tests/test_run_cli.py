@@ -1,7 +1,9 @@
 import argparse
+import inspect
 import io
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -16,9 +18,11 @@ from softlog.cli import build_parser, main
 from softlog.datasets import TaskSpec, generate, load_problem, save_problem
 from softlog.prover import MAX_HORIZON, ProofConfig
 from softlog.run import (
+    Job,
     default_beam_config,
     default_train_config,
     evaluate_saved,
+    run_job,
     run_problem,
     save_weights,
     sweep,
@@ -40,10 +44,7 @@ def strict_loads(text):
 
 @pytest.fixture(scope="module")
 def member_result():
-    problem = generate(TaskSpec("member", n_per_class=12, seed=0))
-    tc = default_train_config("member", seed=0, **FAST)
-    bc = default_beam_config("member")
-    return run_problem(problem, tc, bc)
+    return run_job(Job("member", n_per_class=12, train=FAST))
 
 
 @pytest.fixture
@@ -66,11 +67,8 @@ class TestRunProblem:
         assert len(r.dataset_hash) == 16
 
     def test_reproducible(self):
-        problem = generate(TaskSpec("member", n_per_class=12, seed=0))
-        tc = default_train_config("member", seed=0, **FAST)
-        bc = default_beam_config("member")
-        a = run_problem(problem, tc, bc).record
-        b = run_problem(problem, tc, bc).record
+        job = Job("member", n_per_class=12, train=FAST)
+        a, b = run_job(job).record, run_job(job).record
         assert a.loss_samples == b.loss_samples
         assert a.test_mse == b.test_mse
         da, db = json.loads(a.to_json()), json.loads(b.to_json())
@@ -147,13 +145,42 @@ class TestRunProblem:
             run_problem(problem, tc, default_beam_config("member"), naive_n=6, clause_cap=4)
 
 
+class TestJob:
+    def test_pickled_job_runs_the_same(self):
+        # a worker process receives its job pickled
+        job = Job("member", 1, 8, train={"epochs": 20}, beam={"beam_size": 2}, noise=0.1)
+        back = pickle.loads(pickle.dumps(job))
+        assert back == job
+        a, b = run_job(job), run_job(back)
+        da, db = json.loads(a.record.to_json()), json.loads(b.record.to_json())
+        da.pop("runtime_s"), db.pop("runtime_s")
+        assert da == db
+        assert a.weights.w.tobytes() == b.weights.w.tobytes()
+
+    def test_bad_config_fails_before_a_problem_is_drawn(self, monkeypatch):
+        import softlog.run
+
+        def no_generate(*a, **kw):
+            raise AssertionError("a problem was drawn for a refused job")
+
+        monkeypatch.setattr(softlog.run, "generate", no_generate)
+        with pytest.raises(ValueError, match="TrainConfig.m must be >= 1"):
+            run_job(Job("member", train={"m": 0}))
+
+    def test_every_run_setting_is_a_job_field(self):
+        # a new run_problem setting has to reach sweeps, the CLI and the
+        # acceptance matrix, which all run jobs
+        params = inspect.signature(run_problem).parameters
+        settings = {k: p.default for k, p in params.items()
+                    if k not in ("problem", "train_cfg", "beam_cfg", "refine_cfg")}
+        defaults = {f.name: f.default for f in fields(Job)}
+        assert settings.keys() <= defaults.keys()
+        assert settings == {k: defaults[k] for k in settings}
+
+
 def _cell(seed, metric, **kw):
-    """One sweep cell run directly: the sweep's problem, default configs and
-    epochs=60."""
-    problem = generate(TaskSpec("member", n_per_class=10, seed=seed))
-    tc = default_train_config("member", seed=seed, epochs=60)
-    record = run_problem(problem, tc, default_beam_config("member"), **kw).record
-    return getattr(record, metric)
+    """One sweep cell run directly: the sweep's job, with epochs=60."""
+    return getattr(run_job(Job("member", seed, 10, train={"epochs": 60}, **kw)).record, metric)
 
 
 class TestSweep:
@@ -185,8 +212,10 @@ class TestSweep:
     def test_validation(self):
         with pytest.raises(ValueError):
             sweep("member", "bogus", [1], [0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one seed"):
             sweep("member", "noise", [0.1], [])
+        with pytest.raises(ValueError, match="at least one value"):
+            sweep("member", "noise", [], [0])
 
 
 class TestCli:
@@ -522,6 +551,15 @@ class TestCli:
                      "--seeds", "", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_sweep_empty_values_error(self, tmp_path, capsys):
+        # an empty list is refused, not read as "the default grid"
+        out = tmp_path / "x.csv"
+        code = main(["sweep", "--task", "member", "--axis", "noise", "--values", "",
+                     "--seeds", "0", "--n", "4", "--out", str(out)])
+        assert code == 2
+        assert "at least one value is required" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_console_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "softlog.cli", "--help"],
@@ -531,13 +569,13 @@ class TestCli:
         assert "gen" in proc.stdout and "sweep" in proc.stdout
 
     def test_diverged_training_exits_3(self, monkeypatch, capsys):
-        from softlog import cli
+        import softlog.run
         from softlog.training import TrainingDiverged
 
         def boom(*a, **kw):
             raise TrainingDiverged("non-finite loss at epoch 3")
 
-        monkeypatch.setattr(cli, "run_problem", boom)
+        monkeypatch.setattr(softlog.run, "train", boom)
         code = main(["train", "--task", "member", "--n", "5", "--epochs", "5"])
         assert code == 3
 
@@ -698,15 +736,12 @@ class TestCli:
             assert f"line 18, column {7 + 2 * MAX_TERM_DEPTH}" in err
             assert f"nested deeper than {MAX_TERM_DEPTH}" in err
 
-    def test_reloaded_task_keeps_its_defaults(self, tmp_path):
-        from softlog.cli import _configs, _resolve_problem
-
-        prob = tmp_path / "plus.pl"
+    def test_reloaded_task_keeps_its_defaults(self, tmp_path, capsys):
+        prob, out = tmp_path / "plus.pl", tmp_path / "run"
         assert main(["gen", "--task", "plus", "--n", "4", "--out", str(prob)]) == 0
-        args = build_parser().parse_args(["train", str(prob)])
-        _, task = _resolve_problem(args)
-        tc, _, _ = _configs(args, task)
-        assert (tc.m, tc.steps) == (3, 8)
+        assert main(["train", str(prob), "--epochs", "5", "--out", str(out)]) == 0
+        config = json.loads((out / "run.json").read_text())["config"]
+        assert (config["m"], config["steps"]) == (3, 8)
 
     def test_sweep_beam_method(self, tmp_path):
         out = tmp_path / "beam.csv"

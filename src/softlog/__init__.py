@@ -26,7 +26,7 @@ from .parser import (
     print_term,
 )
 from .prover import ProofConfig, entails
-from .search import BeamConfig, RefinementConfig, beam_search, naive_generate
+from .search import BeamConfig, beam_search, naive_generate
 from .search import rho_add, rho_fun, rho_rep, rho_sub
 from .grounding import (
     GroundContext,

@@ -77,8 +77,7 @@ def cmd_train(args) -> int:
         seed=args.seed,
         n_per_class=args.n,
         train=_given(args, "m", "steps", "gamma", "lr", "epochs", "batch_frac", "weight_mode"),
-        beam=_given(args, "beam_size", "beam_steps"),
-        refine=_given(args, "n_body", "n_nest"),
+        beam=_given(args, "beam_size", "beam_steps", "n_body", "n_nest"),
         naive_n=args.naive_gen,
         **_given(args, "noise", "split_frac"),
     )

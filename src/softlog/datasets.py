@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .logic import LIST_CELL, NIL, Atom, Clause, Const, Func, ILPProblem, Language, Term
-from .parser import parse_clause, parse_problem, problem_to_text
+from .parser import parse_clause, parse_problem, print_atom, problem_to_text
 from .prover import ProofConfig, entails
 
 ORACLE_DEPTH = 12
@@ -396,9 +396,17 @@ def split(
     problem: ILPProblem, split_frac: float, seed: int
 ) -> tuple[ILPProblem, list[tuple[Atom, int]]]:
     """Stratified split: floor(split_frac * n) of each class goes to training;
-    the rest come back as labeled test atoms."""
+    the rest come back as labeled test atoms.  An example that repeats, in
+    its class or in the other, is refused: its copies could land on both
+    sides of the split, or carry both labels."""
     if not 0.0 < split_frac <= 1.0:
         raise ValueError(f"split_frac must be in (0, 1], got {split_frac}")
+    first: dict = {}  # example -> where it first appears, "pos i" or "neg i"
+    for cls, atoms in (("pos", problem.pos), ("neg", problem.neg)):
+        for i, a in enumerate(atoms):
+            if first.setdefault(a, f"{cls} {i}") != f"{cls} {i}":
+                text = print_atom(a, problem.language)
+                raise ValueError(f"{cls} {i} repeats {first[a]}: {text}")
     rng = random.Random(seed)
 
     def cut(atoms):

@@ -24,8 +24,8 @@ mode) or the pairwise smooth-ors and their first operands' coefficients
 (pair mode), and the smooth-or coefficients of the stacked rows.
 The backward sweep reads only the tape and never re-runs a step: coef[0]
 carries the gradient to the previous valuation and coef[1:] to the
-mixtures.  Over n atoms, a step keeps O(|C|·n·B) floats in multi mode, B the
-body length, and two arrays of shape (|C|, |C|, n) in pair mode: the
+mixtures.  ``tape_floats`` counts what a step keeps per atom.  Pair mode's
+mixture terms are two arrays of shape (|C|, |C|, n) over n atoms: the
 second operands' coefficients are the first's with the clause axes swapped.
 
 ``infer`` can compute a shrinking prefix of the atoms at each step (its
@@ -33,8 +33,8 @@ second operands' coefficients are the first's with the clause axes swapped.
 only the atoms that step computed, and the backward sweep scatters each
 step's gradient into the previous step's prefix.  Training passes one
 batch's dependency cone ordered by hop distance, so step k's prefix holds
-the atoms within T - k hops of the batch, and a recorded pair-mode pass
-holds 2·|C|²·Σ widths floats in its mixture terms.
+the atoms within T - k hops of the batch, and a recorded pass holds at most
+``tape_floats`` · Σ widths floats.
 """
 from __future__ import annotations
 
@@ -67,6 +67,12 @@ def check_gamma(gamma: float, name: str = "gamma") -> None:
     """Refuse a gamma that is not finite and normal: dividing by a subnormal one overflows."""
     if not sys.float_info.min <= gamma < np.inf:
         raise ValueError(f"{name} must be positive, finite and normal, got {gamma}")
+
+
+def check_mode(mode: str, name: str = "weight mode") -> None:
+    """Refuse a weight mode other than ``multi`` and ``pair``."""
+    if mode not in (MULTI, PAIR):
+        raise ValueError(f"{name} must be {MULTI!r} or {PAIR!r}, got {mode!r}")
 
 
 def softor(xs: np.ndarray, gamma: float) -> np.ndarray:
@@ -110,12 +116,11 @@ class WeightSet:
     w: np.ndarray
 
     def __post_init__(self):
-        if self.mode not in (MULTI, PAIR):
-            raise ValueError(
-                f"weight mode must be {MULTI!r} or {PAIR!r}, got {self.mode!r}"
-            )
+        check_mode(self.mode)
         if self.w.ndim != 2:
             raise ValueError(f"weights must be a matrix, got shape {self.w.shape}")
+        if not self.w.shape[1]:
+            raise ValueError(f"weights must cover at least one clause, got shape {self.w.shape}")
         if self.mode == PAIR and self.w.shape[0] != self.w.shape[1]:
             raise ValueError(f"pair weights must be square, got shape {self.w.shape}")
 
@@ -150,6 +155,17 @@ class WeightSet:
                 w[i, j] = ONE_HOT_LOGIT
         return cls(mode, w)
 
+    def choices(self) -> list[tuple[int, float]]:
+        """The reverse of ``one_hot``: (clause index, confidence) pairs, the
+        argmax clause of each slot (multi) or both clauses of the argmax pair
+        (pair), each with its softmax mass."""
+        dist = self.distribution()
+        if self.mode == MULTI:
+            return [(int(i), float(row[i])) for i, row in zip(dist.argmax(axis=1), dist)]
+        i, j = np.unravel_index(int(np.argmax(dist)), dist.shape)
+        conf = float(dist[i, j])
+        return [(int(i), conf), (int(j), conf)]
+
     @property
     def n_clauses(self) -> int:
         return self.w.shape[1]
@@ -176,6 +192,17 @@ class Tape:
     # per step, over the atoms it computed: (its index tensor, _prod_except
     # of the gather, mixture terms, coef)
     steps: list
+
+
+def tape_floats(mode: str, m: int, n_clauses: int, body: int) -> int:
+    """The most floats a recorded step keeps per atom, B = ``body`` the longest
+    body: index cells and products of the other subgoals (|C|·B each, no
+    products when B = 1), mixture terms (|C| clause outputs; in pair mode the
+    smooth-ors and first operands' coefficients, |C|² each) and m + 1 (pair: 2)
+    coefficients of the stacked rows."""
+    if mode == MULTI:
+        return 2 * n_clauses * body + n_clauses + m + 1
+    return 2 * n_clauses * body + 2 * n_clauses**2 + 2
 
 
 def _step(v: np.ndarray, x: np.ndarray, dist: np.ndarray, mode: str, gamma: float) -> tuple:

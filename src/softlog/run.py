@@ -25,7 +25,7 @@ from .infer import WeightSet
 from .logic import Clause, ILPProblem
 from .parser import parse_clause, print_clause
 from .prover import ProofConfig
-from .search import BeamConfig, RefinementConfig, beam_search, naive_generate
+from .search import BeamConfig, beam_search, naive_generate
 from .training import TrainConfig, extract_program, make_labels, metrics, predictions, train
 
 log = logging.getLogger(__name__)
@@ -118,7 +118,7 @@ def default_beam_config(task: str, **overrides) -> BeamConfig:
 @dataclass(frozen=True)
 class Job:
     """One run: a task, seed and examples per class as in ``TaskSpec``, field
-    overrides of the train, beam and refinement configs, and the settings of
+    overrides of the train and beam configs, and the settings of
     ``run_problem``.  A job pickles, so a worker process can take it as it is."""
 
     task: str
@@ -126,7 +126,6 @@ class Job:
     n_per_class: int = 50
     train: dict = field(default_factory=dict)
     beam: dict = field(default_factory=dict)
-    refine: dict = field(default_factory=dict)
     noise: float = 0.0
     split_frac: float = 0.7
     naive_n: Optional[int] = None
@@ -144,19 +143,15 @@ def run_job(job: Job, problem: Optional[ILPProblem] = None) -> RunResult:
     else:
         tc = TrainConfig(seed=job.seed, **job.train)
         bc = BeamConfig(**job.beam)
-    rc = RefinementConfig(**job.refine)
     if problem is None:
         problem = generate(TaskSpec(job.task, n_per_class=job.n_per_class, seed=job.seed))
-    return run_problem(
-        problem, tc, bc, rc, job.noise, job.split_frac, job.naive_n, job.clause_cap
-    )
+    return run_problem(problem, tc, bc, job.noise, job.split_frac, job.naive_n, job.clause_cap)
 
 
 def run_problem(
     problem: ILPProblem,
     train_cfg: TrainConfig,
     beam_cfg: BeamConfig,
-    refine_cfg: RefinementConfig = RefinementConfig(),
     noise: float = 0.0,
     split_frac: float = 0.7,
     naive_n: Optional[int] = None,
@@ -185,12 +180,10 @@ def run_problem(
             )
 
     if naive_n is not None:
-        clauses = naive_generate(
-            list(problem.initial_clauses), train_problem, naive_n, refine_cfg
-        )
+        clauses = naive_generate(list(problem.initial_clauses), train_problem, naive_n, beam_cfg)
     else:
         clauses = beam_search(
-            list(problem.initial_clauses), train_problem, beam_cfg, refine_cfg,
+            list(problem.initial_clauses), train_problem, beam_cfg,
             ProofConfig(max_depth=train_cfg.steps), max_clauses=clause_cap,
         )
 
@@ -212,7 +205,6 @@ def run_problem(
         config={
             **{k: v for k, v in asdict(train_cfg).items() if k != "seed"},
             **asdict(beam_cfg),
-            **asdict(refine_cfg),
             "noise": noise,
             "split_frac": split_frac,
             "naive_n": naive_n,

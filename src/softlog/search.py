@@ -30,13 +30,19 @@ log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class RefinementConfig:
-    """Syntactic biases: maximum body length and function-nesting allowance."""
+class BeamConfig:
+    """The clause search: the beam's width and rounds, and the syntactic
+    biases of the refinement space, maximum body length and function-nesting
+    allowance."""
 
+    beam_size: int = 10
+    beam_steps: int = 5
     n_body: int = 1
     n_nest: int = 1
 
     def __post_init__(self):
+        if self.beam_size < 1 or self.beam_steps < 1:
+            raise ValueError("beam_size and beam_steps must be >= 1")
         if self.n_body < 0 or self.n_nest < 0:
             raise ValueError("n_body and n_nest must be >= 0")
 
@@ -82,7 +88,7 @@ def rho_add(c: Clause, lang: Language) -> list[Clause]:
 def refine(
     c: Clause,
     lang: Language,
-    cfg: RefinementConfig = RefinementConfig(),
+    cfg: BeamConfig = BeamConfig(),
     base_nest: Optional[int] = None,
 ) -> list[Clause]:
     """Union of the four operators, bias-filtered and deduplicated.
@@ -110,21 +116,10 @@ def refine(
     return out
 
 
-@dataclass(frozen=True)
-class BeamConfig:
-    beam_size: int = 10
-    beam_steps: int = 5
-
-    def __post_init__(self):
-        if self.beam_size < 1 or self.beam_steps < 1:
-            raise ValueError("beam_size and beam_steps must be >= 1")
-
-
 def beam_search(
     initial: list[Clause],
     problem: ILPProblem,
     cfg: BeamConfig,
-    refine_cfg: RefinementConfig = RefinementConfig(),
     proof_cfg: ProofConfig = ProofConfig(),
     max_clauses: Optional[int] = None,
 ) -> list[Clause]:
@@ -180,7 +175,7 @@ def beam_search(
                     break
             if not rounds_left:  # no round is left to open a refinement
                 continue
-            for r in refine(c, problem.language, refine_cfg, base_nest=base_nest):
+            for r in refine(c, problem.language, cfg, base_nest=base_nest):
                 rk = canonical(r)
                 if rk in collected or rk in buffer:
                     continue
@@ -204,10 +199,10 @@ def naive_generate(
     initial: list[Clause],
     problem: ILPProblem,
     n_clause: int,
-    refine_cfg: RefinementConfig = RefinementConfig(),
+    cfg: BeamConfig = BeamConfig(),
 ) -> list[Clause]:
     """Breadth-first refinement with no example-based scoring, stopping once
-    ``n_clause`` alpha-distinct clauses are collected."""
+    ``n_clause`` alpha-distinct clauses are collected from ``cfg``'s space."""
     if not initial:
         raise ValueError("at least one initial clause is required")
     if n_clause < 1:
@@ -223,5 +218,5 @@ def naive_generate(
             continue
         seen.add(key)
         out.append(canonical_in(c, problem.language.variables))
-        queue.extend(refine(c, problem.language, refine_cfg, base_nest=base_nest))
+        queue.extend(refine(c, problem.language, cfg, base_nest=base_nest))
     return out

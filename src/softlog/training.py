@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .grounding import FALSE_INDEX, TRUE_INDEX, GroundContext
-from .infer import MULTI, PAIR, WeightSet, backward, check_gamma, infer
+from .infer import MULTI, WeightSet, backward, check_gamma, check_mode, infer, tape_floats
 from .logic import Atom, Clause, ILPProblem, canonical
 from .prover import MAX_HORIZON
 
@@ -58,11 +58,7 @@ class TrainConfig:
             raise ValueError(
                 f"TrainConfig.batch_frac must be in (0, 1], got {self.batch_frac}"
             )
-        if self.weight_mode not in (MULTI, PAIR):
-            raise ValueError(
-                f"TrainConfig.weight_mode must be {MULTI!r} or {PAIR!r}, "
-                f"got {self.weight_mode!r}"
-            )
+        check_mode(self.weight_mode, "TrainConfig.weight_mode")
 
 
 @dataclass(frozen=True)
@@ -170,11 +166,9 @@ def train(
     of a batch atom (see ``_hops`` and ``_on_cone``), the atoms whose step-k
     valuations can still reach a label.  The result equals a pass over all of
     G in real arithmetic, and the recorded pass holds per-step arrays over
-    those prefixes, not over |G|: per atom-step at most (m + 1) + |C|·(2B + 1)
-    floats in multi mode (coefficients, clause outputs, and index cells and
-    subgoal products, |C|·B each; B the longest body) and 2 + 2·|C|² + 2·|C|·B
-    in pair mode (two coefficients, the pairwise smooth-ors and their first
-    operands' coefficients, and the same index cells and subgoal products).
+    those prefixes, not over |G|: at most ``infer.tape_floats`` per
+    atom-step.  A run whose largest draw would record more than
+    ``TAPE_FLOATS`` is refused before any weight is made.
 
     The weights cover the grounding's clauses, one per row of ``ctx.x``.
     Returns the trained weights and the per-epoch loss history.  Identical
@@ -192,8 +186,7 @@ def train(
     # alone computes an atom h hops away at max(0, T - h) steps
     reach = (cfg.steps - np.minimum(hops, cfg.steps)).sum(axis=1, dtype=np.int64)
     most = min(cfg.steps * len(ctx), int(np.sort(reach)[-batch:].sum()))
-    per_step = (2 + 2 * n_clauses * (n_clauses + body) if cfg.weight_mode == PAIR
-                else cfg.m + 1 + n_clauses * (2 * body + 1))
+    per_step = tape_floats(cfg.weight_mode, cfg.m, n_clauses, body)
     if per_step * most > TAPE_FLOATS:
         raise ValueError(
             f"{cfg.weight_mode} mode would record up to {per_step * most:,} floats "
@@ -234,32 +227,15 @@ def train(
 
 
 def extract_program(weights: WeightSet, clauses: Sequence[Clause]) -> LearnedProgram:
-    """Discretize the weights: argmax clause per slot (multi) or the argmax
-    pair (pair), deduplicated by canonical form."""
-    dist = weights.distribution()
-    picks: list[tuple[int, float]] = []
-    if weights.mode == MULTI:
-        for row in dist:
-            i = int(np.argmax(row))
-            picks.append((i, float(row[i])))
-    else:
-        i, j = np.unravel_index(int(np.argmax(dist)), dist.shape)
-        conf = float(dist[i, j])
-        picks = [(int(i), conf), (int(j), conf)]
-    chosen: dict = {}
-    out: list[tuple[Clause, float]] = []
-    for i, conf in picks:
+    """Discretize the weights (``WeightSet.choices``), deduplicated by
+    canonical form."""
+    best: dict = {}  # canonical form -> (first clause of that form, best confidence)
+    for i, conf in weights.choices():
         key = canonical(clauses[i])
-        if key in chosen:
-            k = chosen[key]
-            out[k] = (out[k][0], max(out[k][1], conf))
-        else:
-            chosen[key] = len(out)
-            out.append((clauses[i], conf))
-    return LearnedProgram(
-        clauses=tuple(c for c, _ in out),
-        confidences=tuple(conf for _, conf in out),
-    )
+        first, top = best.get(key, (clauses[i], conf))
+        best[key] = (first, max(top, conf))
+    return LearnedProgram(tuple(c for c, _ in best.values()),
+                          tuple(conf for _, conf in best.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import logging
 import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -29,8 +28,6 @@ from softlog.logic import (
 from softlog.parser import print_term
 from softlog.prover import ProofConfig, eval_counts
 from softlog.training import PRED_CLIP
-
-log = logging.getLogger(__name__)
 
 
 @pytest.fixture
@@ -248,47 +245,19 @@ def forward_closure(
 # against (enumeration, then a second match of every clause on every atom)
 # ---------------------------------------------------------------------------
 
-def reference_enumerate_atoms(
-    problem: ILPProblem,
-    clauses: Sequence[Clause],
-    steps: int,
-    extra_seeds: Iterable[Atom] = (),
-) -> list[Atom]:
-    """Backward-chain from the examples, background, and any extra seeds for
-    ``steps`` rounds, collecting every ground subgoal.
-
-    Atoms keep their discovery order: the seeds first (false, true, positives,
-    negatives, background, extras), then per round in clause order, seed order,
-    body position order.  Each round matches only the atoms the previous round
-    added: older atoms already put all of their subgoals into the set.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    for c in clauses:
-        check_range_restricted(c)
-    seeds = (*problem.pos, *problem.neg, *problem.background, *extra_seeds)
-    atoms: list[Atom] = list(dict.fromkeys((FALSE, TRUE, *seeds)))
-    seen = set(atoms)
-    frontier = atoms[2:]
+def rescan_enumeration(problem, program, steps):
+    """Reference enumeration: every round matches every atom found so far."""
+    atoms = list(dict.fromkeys([FALSE, TRUE, *problem.examples, *problem.background]))
     for _ in range(steps):
-        fresh: list[Atom] = []
-        for c in clauses:
-            if not c.body:
-                continue
-            for g in frontier:
-                theta = unify(c.head, g)
-                if theta is None:
-                    continue
-                for b in c.body:
-                    sub = apply_subst(b, theta)
-                    if sub not in seen:
-                        seen.add(sub)
-                        fresh.append(sub)
-        atoms.extend(fresh)
-        if not fresh:
-            break
-        frontier = fresh
-    log.info("grounding: |G|=%d", len(atoms))
+        subgoals = [
+            apply_subst(b, theta)
+            for c in program
+            for g in atoms[2:]
+            if (theta := unify(c.head, g)) is not None
+            for b in c.body
+        ]
+        known = set(atoms)
+        atoms += [a for a in dict.fromkeys(subgoals) if a not in known]
     return atoms
 
 

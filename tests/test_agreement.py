@@ -15,7 +15,7 @@ from conftest import (
     forward_closure,
     reference_build_index_tensor,
     reference_cone,
-    reference_enumerate_atoms,
+    rescan_enumeration,
 )
 from softlog.datasets import TASKS, TaskSpec, generate, split
 from softlog.grounding import (
@@ -35,7 +35,6 @@ from softlog.logic import (
     Var,
     apply_subst,
     canonical,
-    unify,
     variables,
 )
 from softlog.prover import ProofConfig, entails, eval_counts
@@ -152,46 +151,23 @@ def test_engines_agree_on_enumerated_atoms(pq_lang, nat_lang, data):
         assert (len(pos), len(neg)) == (p, n)
 
 
-def rescan_enumeration(problem, program, steps):
-    """Reference enumeration: every round matches every atom found so far."""
-    atoms = list(dict.fromkeys([FALSE, TRUE, *problem.examples, *problem.background]))
-    for _ in range(steps):
-        subgoals = [
-            apply_subst(b, theta)
-            for c in program
-            for g in atoms[2:]
-            if (theta := unify(c.head, g)) is not None
-            for b in c.body
-        ]
-        known = set(atoms)
-        atoms += [a for a in dict.fromkeys(subgoals) if a not in known]
-    return atoms
-
-
-@settings(max_examples=200, **DRAWN)
-@given(data=st.data())
-def test_frontier_enumeration_matches_rescan(pq_lang, nat_lang, data):
-    program, problem, steps = data.draw(instances(pq_lang, nat_lang))
-    atoms = enumerate_atoms(problem, program, steps)
-    target(float(len(atoms)), label="enumerated atoms")
-    assert atoms == rescan_enumeration(problem, program, steps)
-
-
 def same_context(ctx, atoms, program):
     assert list(ctx.atoms) == atoms
     assert ctx.index == {a: j for j, a in enumerate(atoms)}
     assert np.array_equal(ctx.x, reference_build_index_tensor(program, atoms))
 
 
-@settings(max_examples=150, **DRAWN)
+@settings(max_examples=200, **DRAWN)
 @given(data=st.data())
 def test_one_pass_grounding_matches_two_passes(pq_lang, nat_lang, data):
-    """The one pass gives the atoms, index and tensor of enumerating first
-    and matching every clause on every atom afterwards."""
+    """The one pass gives, after each round, the atoms, index and tensor of
+    enumerating first, each round re-matching every atom found so far, and
+    matching every clause on every atom afterwards."""
     program, problem, steps = data.draw(instances(pq_lang, nat_lang))
     for rounds in range(1, steps + 1):
-        atoms = reference_enumerate_atoms(problem, program, rounds)
+        atoms = rescan_enumeration(problem, program, rounds)
         same_context(ground_context(problem, program, rounds), atoms, program)
+    assert enumerate_atoms(problem, program, steps) == atoms
     target(float(len(atoms)), label="enumerated atoms")
     # zero growth rounds over a drawn atom list that leaves subgoals out
     kept = data.draw(st.permutations(atoms[2:]))

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from softlog.datasets import (
@@ -132,6 +134,19 @@ class TestSplit:
         a = split(problem, 0.7, seed=3)
         b = split(problem, 0.7, seed=3)
         assert a[0].pos == b[0].pos and a[1] == b[1]
+
+    def test_repeated_example_refused(self):
+        # a repeat could land on both sides of the split, or carry both labels
+        problem = generate(TaskSpec("member", n_per_class=5, seed=0))
+        pos, neg = problem.pos, problem.neg
+        text = print_atom(pos[1], problem.language)
+        for examples, message in (
+            ((pos + pos[1:2], neg), f"pos 5 repeats pos 1: {text}"),
+            ((pos, neg + pos[1:2]), f"neg 5 repeats pos 1: {text}"),
+            ((pos, neg[:1] + neg), f"neg 1 repeats neg 0: "),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                split(problem.with_examples(*examples), 0.7, seed=0)
 
 
 class TestFiles:

@@ -351,7 +351,8 @@ class TestWeightSet:
         [("Multi", (2, 3), "weight mode must be 'multi' or 'pair'"),
          ("multi", (3,), "weights must be a matrix"),
          ("pair", (3, 3, 1), "weights must be a matrix"),
-         ("pair", (2, 3), "pair weights must be square")],
+         ("pair", (2, 3), "pair weights must be square"),
+         ("multi", (1, 0), "weights must cover at least one clause")],
     )
     def test_malformed_weights_refused(self, mode, shape, message):
         with pytest.raises(ValueError, match=message):

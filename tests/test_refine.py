@@ -14,7 +14,7 @@ from softlog.logic import (
 )
 from softlog.parser import parse_clause
 from softlog.search import (
-    RefinementConfig,
+    BeamConfig,
     refine,
     rho_add,
     rho_fun,
@@ -166,10 +166,10 @@ class TestRefine:
 
     def test_body_length_filter(self, ex_lang):
         c = parse_clause("p(x,y) :- q(x,y)", ex_lang)
-        out = refine(c, ex_lang, RefinementConfig(n_body=1, n_nest=1))
+        out = refine(c, ex_lang, BeamConfig(n_body=1, n_nest=1))
         assert all(len(r.body) <= 1 for r in out)
         # nothing with two body atoms; rho_add output was filtered entirely
-        out2 = refine(c, ex_lang, RefinementConfig(n_body=2, n_nest=1))
+        out2 = refine(c, ex_lang, BeamConfig(n_body=2, n_nest=1))
         assert any(len(r.body) == 2 for r in out2)
 
     def test_nest_filter_step_relative(self):
@@ -178,19 +178,19 @@ class TestRefine:
             variables=["x", "y", "z", "v", "w"],
         )
         deep = parse_clause("e(s(s(x))) :- e(x)", lang)
-        out = refine(deep, lang, RefinementConfig(n_body=1, n_nest=1))
+        out = refine(deep, lang, BeamConfig(n_body=1, n_nest=1))
         # the inherited depth-2 head does not empty the result
         assert out
         assert all(nest_depth(r) <= nest_depth(deep) + 1 for r in out)
         # from a flat clause the cap is absolute
         flat = parse_clause("e(x)", lang)
-        for r in refine(flat, lang, RefinementConfig(n_body=1, n_nest=1)):
+        for r in refine(flat, lang, BeamConfig(n_body=1, n_nest=1)):
             assert nest_depth(r) <= 1
 
     def test_nest_cap_stops_at_the_term_bound(self):
         lang = Language(predicates=[("e", 1)], functions=[("s", 1)], constants=["0"])
         deep = "s(" * MAX_TERM_DEPTH + "x" + ")" * MAX_TERM_DEPTH
-        out = refine(parse_clause(f"e({deep})", lang), lang, RefinementConfig(n_nest=5))
+        out = refine(parse_clause(f"e({deep})", lang), lang, BeamConfig(n_nest=5))
         assert out
         assert max(map(nest_depth, out)) == MAX_TERM_DEPTH
 
@@ -212,4 +212,4 @@ class TestRefine:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            RefinementConfig(n_body=-1)
+            BeamConfig(n_body=-1)

@@ -8,7 +8,7 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +16,7 @@ import pytest
 
 from softlog.cli import build_parser, main
 from softlog.datasets import TaskSpec, generate, load_problem, save_problem
+from softlog.parser import print_atom
 from softlog.prover import MAX_HORIZON, ProofConfig
 from softlog.run import (
     Job,
@@ -27,7 +28,7 @@ from softlog.run import (
     save_weights,
     sweep,
 )
-from softlog.search import BeamConfig, RefinementConfig
+from softlog.search import BeamConfig
 from softlog.training import TrainConfig
 
 FAST = dict(epochs=120)
@@ -172,7 +173,7 @@ class TestJob:
         # acceptance matrix, which all run jobs
         params = inspect.signature(run_problem).parameters
         settings = {k: p.default for k, p in params.items()
-                    if k not in ("problem", "train_cfg", "beam_cfg", "refine_cfg")}
+                    if k not in ("problem", "train_cfg", "beam_cfg")}
         defaults = {f.name: f.default for f in fields(Job)}
         assert settings.keys() <= defaults.keys()
         assert settings == {k: defaults[k] for k in settings}
@@ -411,6 +412,8 @@ class TestCli:
             "dropped": ({**saved, "clauses": saved["clauses"][1:]},
                         f"do not fit the file's {n - 1} clauses"),
             "list": ([saved], "list.json: a weight file holds a JSON object"),
+            "empty": ({**saved, "w": [[]], "clauses": []},
+                      "empty.json: weights must cover at least one clause, got shape (1, 0)"),
             **{
                 f"{key}-{type(value).__name__}": (
                     {**saved, key: value},
@@ -486,6 +489,21 @@ class TestCli:
         prob.write_text(text)
         assert main(["train", str(prob), "--epochs", "5"]) == 2
         assert capsys.readouterr().err == f"error: {prob}: {message}\n"
+
+    @pytest.mark.parametrize("cls", ["pos", "neg"])
+    def test_repeated_example_exits_2(self, cls, saved_member, tmp_path, capsys):
+        # a repeat could be trained on and scored as held out, or carry both labels
+        prob, weights, _ = saved_member
+        problem = load_problem(prob)
+        text = print_atom(problem.pos[0], problem.language)
+        bad = tmp_path / "repeat.pl"
+        bad.write_text(prob.read_text() + f"{cls} {text}.\n")
+        n = len(problem.pos if cls == "pos" else problem.neg)
+        message = f"error: {cls} {n} repeats pos 0: {text}\n"
+        assert main(["train", str(bad), "--epochs", "0"]) == 2
+        assert capsys.readouterr().err == message
+        assert main(["eval", str(bad), "--weights", str(weights)]) == 2
+        assert capsys.readouterr().err == message
 
     def test_gen_refuses_more_examples_than_the_task_has(self, tmp_path, capsys):
         # plus has 54 distinct positives at its default size
@@ -663,7 +681,7 @@ class TestCli:
 
         plain = config()
         run_args = {"noise", "split_frac", "naive_n", "clause_cap"}
-        settings = {f.name for c in (TrainConfig, BeamConfig, RefinementConfig)
+        settings = {f.name for c in (TrainConfig, BeamConfig)
                     for f in fields(c)} - {"seed"}
         assert set(plain) == settings | run_args
         assert (plain["noise"], plain["beam_size"]) == (0.0, 3)
@@ -672,6 +690,26 @@ class TestCli:
         assert set(changed) == set(plain)
         assert changed["noise"] == 0.1
         assert changed["beam_size"] == 5
+
+    @pytest.mark.parametrize("name", [f.name for c in (TrainConfig, BeamConfig)
+                                      for f in fields(c) if f.name != "seed"])
+    def test_every_setting_reaches_run_json_through_its_flag(self, name, tmp_path, capsys):
+        # one flag per settable field, with a value other than member's default
+        flag, text, value = {
+            "m": ("--m", "3", 3), "steps": ("--T", "3", 3),
+            "gamma": ("--gamma", "0.001", 0.001), "lr": ("--lr", "0.05", 0.05),
+            "epochs": ("--epochs", "1", 1), "batch_frac": ("--batch-frac", "0.5", 0.5),
+            "weight_mode": ("--weight-mode", "pair", "pair"),
+            "beam_size": ("--beam-size", "2", 2), "beam_steps": ("--beam-steps", "2", 2),
+            "n_body": ("--n-body", "2", 2), "n_nest": ("--n-nest", "2", 2),
+        }[name]
+        defaults = {**asdict(default_train_config("member")),
+                    **asdict(default_beam_config("member"))}
+        assert defaults[name] != value
+        out = tmp_path / "run"
+        assert main(["train", "--task", "member", "--n", "5", "--epochs", "0",
+                     "--out", str(out), flag, text]) == 0
+        assert json.loads((out / "run.json").read_text())["config"][name] == value
 
     def test_run_json_records_the_confidences(self, tmp_path, capsys):
         out = tmp_path / "run"

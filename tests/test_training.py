@@ -5,9 +5,9 @@ from conftest import reference_cone, reference_cross_entropy
 from softlog import training
 from softlog.datasets import TASKS, TaskSpec, generate, split
 from softlog.grounding import ground_context
-from softlog.infer import MULTI, PAIR, WeightSet, infer
+from softlog.infer import MULTI, PAIR, WeightSet, infer, tape_floats
 from softlog.logic import Atom, Clause, Const, ILPProblem, Var
-from softlog.parser import parse_atom
+from softlog.parser import parse_atom, parse_clause
 from softlog.training import (
     TrainConfig,
     _loss_and_grad,
@@ -242,6 +242,40 @@ class TestTrain:
         self.assert_tape_budget_is_exact(
             monkeypatch, MULTI, lambda m, c, b: m + 1 + c * (2 * b + 1)
         )
+
+
+    @pytest.mark.parametrize("mode", [MULTI, PAIR])
+    @pytest.mark.parametrize("body", [1, 2])
+    def test_tape_floats_count_the_recorded_tape(self, body, mode, monkeypatch):
+        # one epoch's recorded pass holds tape_floats per atom each step
+        # computes; one-atom bodies keep no products of the other subgoals
+        # (None), so with B = 1 the tape holds less
+        m, steps = 2, 3
+        problem = generate(TaskSpec("member", n_per_class=5, seed=0))
+        clauses = [*TASKS["member"].ground_truth, *problem.initial_clauses]
+        if body == 2:
+            clauses.append(parse_clause("mem(x,f(y,z)) :- mem(x,z), mem(y,z)",
+                                        problem.language))
+        ctx = ground_context(problem, clauses, steps)
+        assert ctx.x.shape[2] == body
+        tapes, record = [], training.infer
+
+        def spy(*args, **kwargs):
+            out = record(*args, **kwargs)
+            tapes.append(out[1])
+            return out
+
+        monkeypatch.setattr(training, "infer", spy)
+        train(problem, ctx, TrainConfig(m=m, steps=steps, epochs=1, weight_mode=mode,
+                                        batch_frac=0.5))
+        (tape,) = tapes
+        kept = 0
+        for x, others, mix, coef in tape.steps:
+            arrays = (x, others, *(mix if mode == PAIR else (mix,)), coef)
+            kept += sum(arr.size for arr in arrays if arr is not None)
+        atom_steps = sum(rec[0].shape[1] for rec in tape.steps)
+        bound = tape_floats(mode, m, len(clauses), body) * atom_steps
+        assert kept == bound if body == 2 else kept <= bound
 
 
 class TestConfigValidation:

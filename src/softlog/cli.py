@@ -99,10 +99,18 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _entries(flag: str, text: str, read) -> list:
+    """The comma-separated entries of a flag's value, each read by ``read``."""
+    try:
+        return [read(entry) for entry in text.split(",") if entry.strip()]
+    except ValueError as e:  # names the entry
+        raise ValueError(f"{flag}: {e}") from None
+
+
 def cmd_sweep(args) -> int:
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+    seeds = _entries("--seeds", args.seeds, int)
     if args.values is not None:
-        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+        values = _entries("--values", args.values, float)
     elif args.axis == "noise":
         values = [round(0.05 * i, 2) for i in range(11)]
     else:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .logic import LIST_CELL, NIL, Atom, Clause, Const, Func, ILPProblem, Language, Term
+from .logic import Atom, Clause, Const, Func, ILPProblem, Language, Term, list_term
 from .parser import parse_clause, parse_problem, print_atom, problem_to_text
 from .prover import ProofConfig, entails
 
@@ -24,10 +24,7 @@ MAX_REJECTED_RUN = 10_000
 
 
 def make_list(elems: Sequence[str]) -> Term:
-    t: Term = NIL
-    for e in reversed(elems):
-        t = Func(LIST_CELL, (Const(e), t))
-    return t
+    return list_term([Const(e) for e in elems])
 
 
 def make_nat(n: int) -> Term:

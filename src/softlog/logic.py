@@ -17,9 +17,10 @@ each runs only on terms the bound admitted or on a library caller's own term.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 # Canonical variable alphabet used for alpha-renaming, and the variable pool
 # of the benchmark tasks; overflow names only appear for clauses with more
@@ -34,6 +35,10 @@ _depth = attrgetter("depth")
 # the prover and the grounding recurse up to four frames per level: a term this
 # deep goes through a whole ``softlog train`` within the recursion limit of 1000.
 MAX_TERM_DEPTH = 200
+# The token grammar of names: an identifier can name anything, a literal
+# only a constant.  The parser's tokens are built from these patterns.
+IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+LITERAL = r"[0-9]+|\*"
 
 
 def to_text(e: Expr, sugar: bool = False) -> str:
@@ -188,6 +193,13 @@ LIST_CELL = "f"
 NIL = Const("*")
 
 
+def list_term(elems: Sequence[Term], tail: Term = NIL) -> Term:
+    """The list of ``elems`` followed by ``tail``: one LIST_CELL per element."""
+    for e in reversed(elems):
+        tail = Func(LIST_CELL, (e, tail))
+    return tail
+
+
 class Clause(_Value):
     """Definite clause ``head :- body``; a fact pattern when the body is empty.
 
@@ -219,37 +231,46 @@ Expr = Union[Term, Atom, Clause]
 Subst = dict  # Var -> Term
 
 
+@dataclass(frozen=True)
 class Language:
-    """Vocabulary: predicates, function symbols, constants, and an ordered
-    finite variable pool."""
+    """Vocabulary: predicates and function symbols with their arities,
+    constants, and an ordered finite variable pool.  Construction checks
+    every rule of the problem language, so a language that constructs is one
+    that a problem file can declare."""
 
-    __slots__ = ("predicates", "functions", "constants", "variables")
+    predicates: tuple[tuple[str, int], ...] = ()
+    functions: tuple[tuple[str, int], ...] = ()
+    constants: tuple[str, ...] = ()
+    variables: tuple[str, ...] = DEFAULT_VARIABLES
 
-    def __init__(
-        self,
-        predicates: Iterable[tuple[str, int]] = (),
-        functions: Iterable[tuple[str, int]] = (),
-        constants: Iterable[str] = (),
-        variables: Iterable[str] = DEFAULT_VARIABLES,
-    ):
-        self.predicates = tuple(predicates)
-        self.functions = tuple(functions)
-        self.constants = tuple(constants)
-        self.variables = tuple(variables)
-        for cat, names in (
-            ("predicate", [p for p, _ in self.predicates]),
-            ("function", [f for f, _ in self.functions]),
-            ("constant", list(self.constants)),
-            ("variable", list(self.variables)),
+    def __post_init__(self):
+        for field in ("predicates", "functions", "constants", "variables"):
+            object.__setattr__(self, field, tuple(getattr(self, field)))
+        for kind, names, pattern in (
+            ("predicate", [p for p, _ in self.predicates], IDENT),
+            ("function symbol", [f for f, _ in self.functions], IDENT),
+            ("constant", self.constants, f"{IDENT}|{LITERAL}"),
+            ("variable", self.variables, f"(?=[a-z]){IDENT}"),
         ):
-            if len(names) != len(set(names)):
-                raise ValueError(f"duplicate {cat} names")
-        bad = RESERVED_PREDS & {p for p, _ in self.predicates}
-        if bad:
-            raise ValueError(f"reserved predicate names: {sorted(bad)}")
-        bad = [f"{f}/{n}" for f, n in self.functions if n < 1]
-        if bad:
-            raise ValueError(f"function symbols have arity >= 1: {bad}")
+            seen = set()
+            for name in names:
+                if not (type(name) is str and re.fullmatch(pattern, name)):
+                    raise ValueError(f"bad {kind} name {name!r}")
+                if name in seen:
+                    raise ValueError(f"duplicate {kind} {name!r}")
+                seen.add(name)
+        clash = set(self.constants).intersection(self.variables)
+        if clash:
+            raise ValueError(f"{min(clash)!r} is both a constant and a variable")
+        for name, _ in self.predicates:
+            if name in RESERVED_PREDS:
+                raise ValueError(f"{name!r} is a reserved atom name")
+        for kind, entries, least in (
+            ("predicates", self.predicates, 0), ("function symbols", self.functions, 1)
+        ):
+            for name, n in entries:
+                if not (type(n) is int and n >= least):
+                    raise ValueError(f"{kind} have arity >= {least}, found '{name}/{n}'")
 
     def pred_arity(self, name: str) -> Optional[int]:
         for p, n in self.predicates:
@@ -267,12 +288,6 @@ class Language:
     def has_list_sugar(self) -> bool:
         return self.func_arity(LIST_CELL) == 2 and NIL.name in self.constants
 
-    def __repr__(self):
-        return (
-            f"Language(preds={self.predicates}, funcs={self.functions}, "
-            f"consts={self.constants}, vars={self.variables})"
-        )
-
 
 @dataclass(frozen=True)
 class ILPProblem:
@@ -287,6 +302,8 @@ class ILPProblem:
     name: str = ""
 
     def __post_init__(self):
+        if self.name and not re.fullmatch(IDENT, self.name):
+            raise ValueError(f"bad task name {self.name!r}")
         parts = self.pos, self.neg, self.background, self.initial_clauses
         for group, items in zip(("pos", "neg", "bg", "init"), parts):
             for i, e in enumerate(items):

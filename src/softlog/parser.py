@@ -8,6 +8,7 @@ the same condition (``logic.to_text``), so parse/print round-trips.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from typing import Optional
 
 from .logic import (
@@ -16,8 +17,10 @@ from .logic import (
     Const,
     DEFAULT_VARIABLES,
     Func,
+    IDENT,
     ILPProblem,
     LIST_CELL,
+    LITERAL,
     Language,
     MAX_TERM_DEPTH,
     NIL,
@@ -25,6 +28,7 @@ from .logic import (
     Term,
     Var,
     check_range_restricted,
+    list_term,
     to_text,
 )
 
@@ -37,19 +41,17 @@ class ParseError(ValueError):
 
 
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<nl>\n)
   | (?P<ws>[^\S\n]+)
   | (?P<comment>\#[^\n]*)
   | (?P<arrow>:-)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<literal>[0-9]+|\*)
+  | (?P<ident>{IDENT})
+  | (?P<literal>{LITERAL})
   | (?P<punct>[()\[\],.|/])
     """,
     re.VERBOSE,
 )
-# an ``ident`` can name anything, a ``literal`` only a constant or an arity
-_NAME_KINDS = ("ident", "literal")
 
 
 class _Tokens:
@@ -114,7 +116,7 @@ def _parse_term(ts: _Tokens, lang: Language) -> Term:
     val, kind, line, col = ts.next()
     if val == "[":
         return _parse_list(ts, lang, line, col)
-    if kind not in _NAME_KINDS:
+    if kind not in ("ident", "literal"):
         raise ParseError(f"expected a term, found {val!r}", line, col)
     if ts.peek() == "(":
         arity = lang.func_arity(val)
@@ -160,9 +162,7 @@ def _parse_list(ts: _Tokens, lang: Language, line: int, col: int) -> Term:
         tail = _parse_term(ts, lang)
     ts.depth = depth
     ts.expect("]")
-    for e in reversed(elems):
-        tail = Func(LIST_CELL, (e, tail))
-    return tail
+    return list_term(elems, tail)
 
 
 def _parse_atom(ts: _Tokens, lang: Language) -> Atom:
@@ -249,6 +249,32 @@ def print_clause(c: Clause, lang: Optional[Language] = None) -> str:
 # Problem files
 # ---------------------------------------------------------------------------
 
+def _language(decls: list) -> Language:
+    """The language of the declarations ``(keyword, entry, (line, col))`` in
+    file order, or a ParseError at the first one that ``Language`` refuses:
+    a duplicate or a clash is reported at its second declaration."""
+
+    def declared(k: int):
+        """The language of the first ``k`` declarations, or its refusal."""
+        fields = {"pred": [], "func": [], "const": [], "var": list(DEFAULT_VARIABLES)}
+        for kw, entry, _ in decls[:k]:
+            if not (kw == "var" and entry in fields["var"]):  # else in the pool
+                fields[kw].append(entry)
+        try:
+            return Language(*fields.values())
+        except ValueError as e:
+            return e
+
+    lang = declared(len(decls))
+    if type(lang) is Language:
+        return lang
+    # Every rule is broken by one name or by two, so the language of the first
+    # k declarations, once refused, is refused for every larger k: bisect for
+    # the least k, which re-checks log(n) prefixes where one at a time is n².
+    k = bisect_left(range(len(decls)), True, key=lambda k: type(declared(k + 1)) is ValueError)
+    raise ParseError(str(declared(k + 1)), *decls[k][2])
+
+
 def parse_problem(text: str) -> ILPProblem:
     """Parse a problem file into an ILPProblem.  Declarations may appear
     anywhere in the file: all of them are read before any clause or atom."""
@@ -263,56 +289,35 @@ def parse_problem(text: str) -> ILPProblem:
     if lo < len(toks):
         raise ParseError("statement missing terminating '.'", *toks[lo][2:])
 
-    preds: list[tuple[str, int]] = []
-    funcs: list[tuple[str, int]] = []
-    consts: list[str] = []
-    variables = list(DEFAULT_VARIABLES)
+    decls = []
     windows = {kw: [] for kw in ("init", "bg", "pos", "neg")}  # body token spans
     task = ""
     for lo, hi in statements:
         kw, _, line, col = toks[lo]
         body = toks[lo + 1 : hi]
-        vals, kinds = [t[0] for t in body], [t[1] for t in body]
-        name = "".join(vals)
+        vals = [t[0] for t in body]
+        name = " ".join(vals)
         at = body[0][2:] if body else (line, col)
         if kw in windows:
             windows[kw].append((lo + 1, hi))
         elif kw == "task":
             if task:
                 raise ParseError("duplicate task statement", line, col)
-            if kinds != ["ident"]:
+            if [t[1] for t in body] != ["ident"]:
                 raise ParseError(f"bad task name {name!r}", *at)
             task = name
         elif kw in ("pred", "func"):
-            if not (len(vals) == 3 and kinds[0] == "ident" and vals[1] == "/"
-                    and vals[2].isdigit()):
+            if not (len(vals) == 3 and vals[1] == "/" and vals[2].isdigit()):
                 raise ParseError(f"expected name/arity, found {name!r}", *at)
-            if kw == "pred" and vals[0] in RESERVED_PREDS:
-                raise ParseError(f"{vals[0]!r} is a reserved atom name", *at)
-            if kw == "func" and int(vals[2]) < 1:
-                raise ParseError(f"function symbols have arity >= 1, found {name!r}", *at)
-            (preds if kw == "pred" else funcs).append((vals[0], int(vals[2])))
-        elif kw == "const":
-            if len(kinds) != 1 or kinds[0] not in _NAME_KINDS:
-                raise ParseError(f"bad constant name {name!r}", *at)
-            if name in variables:
-                raise ParseError(
-                    f"{name!r} is a variable name and cannot be a constant", *at
-                )
-            consts.append(name)
-        elif kw == "var":
-            if kinds != ["ident"] or not "a" <= name[0] <= "z":
-                raise ParseError(f"bad variable name {name!r}", *at)
-            if name in consts:
-                raise ParseError(
-                    f"{name!r} is a constant name and cannot be a variable", *at
-                )
-            if name not in variables:
-                variables.append(name)
+            decls.append((kw, (vals[0], int(vals[2])), at))
+        elif kw in ("const", "var"):
+            if len(vals) != 1:
+                raise ParseError(f"expected one name, found {name!r}", *at)
+            decls.append((kw, name, at))
         else:
             raise ParseError(f"unknown statement {kw!r}", line, col)
 
-    lang = Language(preds, funcs, consts, variables)
+    lang = _language(decls)
 
     def parsed(kw: str) -> tuple:
         out = []

@@ -286,8 +286,34 @@ class TestStructure:
             Language(predicates=[("true", 0)])
 
     def test_language_rejects_a_nullary_function(self):
-        with pytest.raises(ValueError, match=r"function symbols have arity >= 1: \['g/0'\]"):
+        with pytest.raises(ValueError, match=r"function symbols have arity >= 1, found 'g/0'"):
             Language(predicates=[("p", 1)], functions=[("f", 1), ("g", 0)])
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"constants": ["a b"]}, "bad constant name 'a b'"),
+        ({"variables": ["X"]}, "bad variable name 'X'"),
+        ({"constants": ["-1"]}, "bad constant name '-1'"),
+        ({"predicates": [("p", -1)]}, "predicates have arity >= 0, found 'p/-1'"),
+        ({"constants": ["x"], "variables": ["x"]}, "'x' is both a constant and a variable"),
+        ({"constants": ["a", "b", "a"]}, "duplicate constant 'a'"),
+    ], ids=["spaced-constant", "upper-variable", "signed-constant", "negative-arity",
+            "clash", "duplicate"])
+    def test_language_refuses_what_no_file_can_declare(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Language(**fields)
+
+    def test_problem_refuses_a_name_no_file_can_hold(self):
+        lang = Language(predicates=[("p", 0)])
+        assert ILPProblem((), (), (), lang, name="my_task").name == "my_task"
+        with pytest.raises(ValueError, match="^bad task name 'my task'$"):
+            ILPProblem((), (), (), lang, name="my task")
+
+    def test_equal_vocabularies_compare_equal(self):
+        make = lambda: Language([("p", 1)], [("f", 2)], ["a", "*"], ["x", "y"])
+        assert make() == make() and hash(make()) == hash(make())
+        assert make() != Language([("p", 1)], [("f", 2)], ["a", "*"], ["y", "x"])
+        problems = [ILPProblem((Atom("p", (a,)),), (), (), make()) for _ in range(2)]
+        assert problems[0] == problems[1]
 
     def test_subsumes(self):
         general = Clause(Atom("p", (x, y)))

@@ -1,13 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from softlog.logic import (
+    DEFAULT_VARIABLES,
+    IDENT,
+    LITERAL,
     MAX_TERM_DEPTH,
+    RESERVED_PREDS,
     Atom,
     Clause,
     Const,
     Func,
+    ILPProblem,
     Language,
     Var,
     nest_depth,
@@ -27,6 +33,7 @@ from softlog.parser import (
 from conftest import (
     print_term_compact,
     random_atom,
+    random_ground_atom,
     random_term,
     reference_print_atom,
     reference_print_clause,
@@ -154,12 +161,7 @@ def test_parse_problem_roundtrip():
     assert problem.language.pred_arity("mem") == 2
     assert len(problem.pos) == 1 and len(problem.neg) == 1
     assert problem.initial_clauses[0] == Clause(Atom("mem", (Var("x"), Var("y"))))
-    text = problem_to_text(problem)
-    again = parse_problem(text)
-    assert again.pos == problem.pos
-    assert again.neg == problem.neg
-    assert again.background == problem.background
-    assert problem_to_text(again) == text
+    assert parse_problem(problem_to_text(problem)) == problem
 
 
 def test_empty_statements_skipped():
@@ -194,14 +196,61 @@ def test_problem_rejects_a_nullary_function():
 
 
 def test_problem_rejects_variable_named_constant():
-    with pytest.raises(ParseError, match="variable name"):
+    with pytest.raises(ParseError, match="'x' is both a constant and a variable"):
         parse_problem("pred p/1. const x.")
     # a declared variable and constant clash in either order, at the second
-    clashes = (("var u. const u.", "variable"), ("const u. var u.", "constant"))
-    for decls, message in clashes:
-        with pytest.raises(ParseError, match=f"'u' is a {message} name") as err:
+    for decls in ("var u. const u.", "const u. var u."):
+        with pytest.raises(ParseError, match="'u' is both a constant and a variable") as err:
             parse_problem(f"pred p/1. {decls} pos p(u).")
         assert (err.value.line, err.value.col) == (1, 24)
+
+
+@pytest.mark.parametrize("decl, col, message", [
+    ("pred p/2.", 8, "duplicate predicate 'p'"),
+    ("func f/2.", 8, "duplicate function symbol 'f'"),
+    ("const a.", 9, "duplicate constant 'a'"),
+])
+def test_problem_rejects_a_duplicate_at_the_second_declaration(decl, col, message):
+    text = f"pred p/1.\nfunc f/1.\nconst a.\npos p(a).\n  {decl}\n"
+    with pytest.raises(ParseError, match=message) as err:
+        parse_problem(text)
+    assert (err.value.line, err.value.col) == (5, col)
+
+
+# names drawn from the token grammar, as a problem file's declarations
+_idents = st.from_regex(IDENT, fullmatch=True)
+
+
+def _named(names, arities):
+    return st.lists(st.tuples(names, arities), min_size=1, max_size=3,
+                    unique_by=lambda e: e[0])
+
+
+@st.composite
+def problems(draw):
+    """A problem over a language drawn from the name grammar, with random
+    ground examples and background and head-only initial clauses."""
+    preds = draw(_named(_idents.filter(lambda p: p not in RESERVED_PREDS),
+                        st.integers(0, 3)))
+    funcs = draw(_named(_idents, st.integers(1, 3)))
+    variables = DEFAULT_VARIABLES + tuple(draw(st.lists(
+        st.from_regex("[a-z][A-Za-z0-9_]*", fullmatch=True).filter(
+            lambda v: v not in DEFAULT_VARIABLES), max_size=2, unique=True)))
+    constants = draw(st.lists(
+        st.from_regex(f"{IDENT}|{LITERAL}", fullmatch=True).filter(
+            lambda c: c not in variables), min_size=1, max_size=4, unique=True))
+    lang = Language(preds, funcs, constants, variables)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    atoms = lambda: tuple(random_ground_atom(rng, lang) for _ in range(rng.randrange(4)))
+    init = tuple(Clause(random_atom(rng, lang)) for _ in range(rng.randrange(3)))
+    name = draw(st.one_of(st.just(""), _idents))
+    return ILPProblem(atoms(), atoms(), atoms(), lang, init, name)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(problem=problems())
+def test_problem_text_round_trips(problem):
+    assert parse_problem(problem_to_text(problem)) == problem
 
 
 def test_problem_extra_variable():

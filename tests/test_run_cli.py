@@ -564,6 +564,18 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, entries, message", [
+        ("--values", "0.1,a", "--values: could not convert string to float: 'a'"),
+        ("--seeds", "0,x", "--seeds: invalid literal for int() with base 10: 'x'"),
+    ], ids=["values", "seeds"])
+    def test_sweep_bad_list_entry_names_its_flag(self, flag, entries, message, tmp_path,
+                                                 capsys):
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--task", "member", "--axis", "noise", flag, entries]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_sweep_empty_seeds_error(self, tmp_path):
         code = main(["sweep", "--task", "member", "--axis", "noise",
                      "--seeds", "", "--out", str(tmp_path / "x.csv")])

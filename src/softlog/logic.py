@@ -39,6 +39,8 @@ MAX_TERM_DEPTH = 200
 # only a constant.  The parser's tokens are built from these patterns.
 IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 LITERAL = r"[0-9]+|\*"
+_is_ident, _is_constant, _is_variable = (
+    re.compile(p).fullmatch for p in (IDENT, f"{IDENT}|{LITERAL}", f"(?=[a-z]){IDENT}"))
 
 
 def to_text(e: Expr, sugar: bool = False) -> str:
@@ -246,15 +248,15 @@ class Language:
     def __post_init__(self):
         for field in ("predicates", "functions", "constants", "variables"):
             object.__setattr__(self, field, tuple(getattr(self, field)))
-        for kind, names, pattern in (
-            ("predicate", [p for p, _ in self.predicates], IDENT),
-            ("function symbol", [f for f, _ in self.functions], IDENT),
-            ("constant", self.constants, f"{IDENT}|{LITERAL}"),
-            ("variable", self.variables, f"(?=[a-z]){IDENT}"),
+        for kind, names, is_name in (
+            ("predicate", [p for p, _ in self.predicates], _is_ident),
+            ("function symbol", [f for f, _ in self.functions], _is_ident),
+            ("constant", self.constants, _is_constant),
+            ("variable", self.variables, _is_variable),
         ):
             seen = set()
             for name in names:
-                if not (type(name) is str and re.fullmatch(pattern, name)):
+                if not (type(name) is str and is_name(name)):
                     raise ValueError(f"bad {kind} name {name!r}")
                 if name in seen:
                     raise ValueError(f"duplicate {kind} {name!r}")
@@ -273,16 +275,10 @@ class Language:
                     raise ValueError(f"{kind} have arity >= {least}, found '{name}/{n}'")
 
     def pred_arity(self, name: str) -> Optional[int]:
-        for p, n in self.predicates:
-            if p == name:
-                return n
-        return None
+        return next((n for p, n in self.predicates if p == name), None)
 
     def func_arity(self, name: str) -> Optional[int]:
-        for f, n in self.functions:
-            if f == name:
-                return n
-        return None
+        return next((n for f, n in self.functions if f == name), None)
 
     @property
     def has_list_sugar(self) -> bool:
@@ -302,7 +298,7 @@ class ILPProblem:
     name: str = ""
 
     def __post_init__(self):
-        if self.name and not re.fullmatch(IDENT, self.name):
+        if self.name and not _is_ident(self.name):
             raise ValueError(f"bad task name {self.name!r}")
         parts = self.pos, self.neg, self.background, self.initial_clauses
         for group, items in zip(("pos", "neg", "bg", "init"), parts):

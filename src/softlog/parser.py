@@ -8,7 +8,6 @@ the same condition (``logic.to_text``), so parse/print round-trips.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from typing import Optional
 
 from .logic import (
@@ -16,6 +15,7 @@ from .logic import (
     Clause,
     Const,
     DEFAULT_VARIABLES,
+    Expr,
     Func,
     IDENT,
     ILPProblem,
@@ -232,48 +232,18 @@ def parse_clause(text: str, lang: Language) -> Clause:
 # Printing
 # ---------------------------------------------------------------------------
 
-def print_term(t: Term, lang: Optional[Language] = None) -> str:
-    """Render a term; uses list sugar when the language supports it."""
-    return to_text(t, lang is not None and lang.has_list_sugar)
+def print_term(e: Expr, lang: Optional[Language] = None) -> str:
+    """Render a term, atom or clause; uses list sugar when the language
+    supports it."""
+    return to_text(e, lang is not None and lang.has_list_sugar)
 
 
-def print_atom(a: Atom, lang: Optional[Language] = None) -> str:
-    return to_text(a, lang is not None and lang.has_list_sugar)
-
-
-def print_clause(c: Clause, lang: Optional[Language] = None) -> str:
-    return to_text(c, lang is not None and lang.has_list_sugar)
+print_atom = print_clause = print_term
 
 
 # ---------------------------------------------------------------------------
 # Problem files
 # ---------------------------------------------------------------------------
-
-def _language(decls: list) -> Language:
-    """The language of the declarations ``(keyword, entry, (line, col))`` in
-    file order, or a ParseError at the first one that ``Language`` refuses:
-    a duplicate or a clash is reported at its second declaration."""
-
-    def declared(k: int):
-        """The language of the first ``k`` declarations, or its refusal."""
-        fields = {"pred": [], "func": [], "const": [], "var": list(DEFAULT_VARIABLES)}
-        for kw, entry, _ in decls[:k]:
-            if not (kw == "var" and entry in fields["var"]):  # else in the pool
-                fields[kw].append(entry)
-        try:
-            return Language(*fields.values())
-        except ValueError as e:
-            return e
-
-    lang = declared(len(decls))
-    if type(lang) is Language:
-        return lang
-    # Every rule is broken by one name or by two, so the language of the first
-    # k declarations, once refused, is refused for every larger k: bisect for
-    # the least k, which re-checks log(n) prefixes where one at a time is n².
-    k = bisect_left(range(len(decls)), True, key=lambda k: type(declared(k + 1)) is ValueError)
-    raise ParseError(str(declared(k + 1)), *decls[k][2])
-
 
 def parse_problem(text: str) -> ILPProblem:
     """Parse a problem file into an ILPProblem.  Declarations may appear
@@ -289,9 +259,10 @@ def parse_problem(text: str) -> ILPProblem:
     if lo < len(toks):
         raise ParseError("statement missing terminating '.'", *toks[lo][2:])
 
-    decls = []
+    decls = {"pred": [], "func": [], "const": [], "var": list(DEFAULT_VARIABLES)}
+    lang = Language()
     windows = {kw: [] for kw in ("init", "bg", "pos", "neg")}  # body token spans
-    task = ""
+    task, task_at = "", None
     for lo, hi in statements:
         kw, _, line, col = toks[lo]
         body = toks[lo + 1 : hi]
@@ -300,24 +271,25 @@ def parse_problem(text: str) -> ILPProblem:
         at = body[0][2:] if body else (line, col)
         if kw in windows:
             windows[kw].append((lo + 1, hi))
-        elif kw == "task":
-            if task:
-                raise ParseError("duplicate task statement", line, col)
-            if [t[1] for t in body] != ["ident"]:
-                raise ParseError(f"bad task name {name!r}", *at)
-            task = name
         elif kw in ("pred", "func"):
             if not (len(vals) == 3 and vals[1] == "/" and vals[2].isdigit()):
                 raise ParseError(f"expected name/arity, found {name!r}", *at)
-            decls.append((kw, (vals[0], int(vals[2])), at))
-        elif kw in ("const", "var"):
-            if len(vals) != 1:
-                raise ParseError(f"expected one name, found {name!r}", *at)
-            decls.append((kw, name, at))
-        else:
+            decls[kw].append((vals[0], int(vals[2])))
+        elif kw not in ("const", "var", "task"):
             raise ParseError(f"unknown statement {kw!r}", line, col)
-
-    lang = _language(decls)
+        elif not vals or (len(vals) > 1 and kw != "task"):  # ILPProblem checks a task name
+            raise ParseError(f"expected one name, found {name!r}", *at)
+        elif kw == "task":
+            if task_at:
+                raise ParseError("duplicate task statement", line, col)
+            task, task_at = name, at
+        elif not (kw == "var" and name in decls["var"]):  # else in the pool
+            decls[kw].append(name)
+        if kw in decls:  # declared through Language, which owns the rules
+            try:
+                lang = Language(*decls.values())
+            except ValueError as e:
+                raise ParseError(str(e), *at) from None
 
     def parsed(kw: str) -> tuple:
         out = []
@@ -334,18 +306,17 @@ def parse_problem(text: str) -> ILPProblem:
             out.append(a)
         return tuple(out)
 
-    return ILPProblem(
-        pos=parsed("pos"),
-        neg=parsed("neg"),
-        background=parsed("bg"),
-        language=lang,
-        initial_clauses=parsed("init"),
-        name=task,
-    )
+    pos, neg, bg, init = map(parsed, ("pos", "neg", "bg", "init"))
+    try:
+        return ILPProblem(pos, neg, bg, lang, init, task)
+    except ValueError as e:  # the task name: the atoms and clauses are checked
+        raise ParseError(str(e), *task_at) from None
 
 
 def problem_to_text(problem: ILPProblem) -> str:
-    """Serialize a problem; load(save(p)) round-trips."""
+    """Serialize a problem.  A file's variable pool is ``DEFAULT_VARIABLES``
+    and the names it declares after them, so parse(print(p)) == p whenever
+    ``p``'s pool starts with ``DEFAULT_VARIABLES``."""
     lang = problem.language
     lines = [f"task {problem.name}."] if problem.name else []
     for p, n in lang.predicates:

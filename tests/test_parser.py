@@ -229,7 +229,8 @@ def _named(names, arities):
 @st.composite
 def problems(draw):
     """A problem over a language drawn from the name grammar, with random
-    ground examples and background and head-only initial clauses."""
+    ground examples and background and head-only initial clauses.  Its
+    variable pool starts with DEFAULT_VARIABLES, as a problem file's does."""
     preds = draw(_named(_idents.filter(lambda p: p not in RESERVED_PREDS),
                         st.integers(0, 3)))
     funcs = draw(_named(_idents, st.integers(1, 3)))

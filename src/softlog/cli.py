@@ -7,13 +7,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import logging
 import os
 import sys
 from pathlib import Path
 
 from .datasets import TASKS, TaskSpec, generate, load_problem, save_problem
-from .run import SWEEP_METRICS, Job, evaluate_saved, run_job, save_weights, strict_json, sweep
+from .run import SWEEP_METRICS, Job, evaluate_saved, run_job, save_weights, sweep
 from .training import TrainingDiverged
 
 EXIT_OK = 0
@@ -83,7 +84,7 @@ def cmd_train(args) -> int:
     )
     result = run_job(job, problem)
     rec = result.record
-    print(strict_json(rec.summary(), indent=2))
+    print(json.dumps(rec.summary(), allow_nan=False, indent=2, sort_keys=True))
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -95,7 +96,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     problem = load_problem(args.problem)
-    print(strict_json(evaluate_saved(problem, args.weights), indent=2))
+    print(json.dumps(evaluate_saved(problem, args.weights), allow_nan=False, indent=2,
+                     sort_keys=True))
     return EXIT_OK
 
 

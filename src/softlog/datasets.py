@@ -369,13 +369,23 @@ def generate(spec: TaskSpec) -> ILPProblem:
     )
 
 
+def check_noise(noise: float) -> None:
+    if not 0.0 <= noise <= 1.0:
+        raise ValueError(f"noise must be in [0, 1], got {noise}")
+
+
+def check_split_frac(split_frac: float, name: str = "split_frac") -> None:
+    """``name`` is how the message calls the setting."""
+    if not 0.0 < split_frac <= 1.0:
+        raise ValueError(f"{name} must be in (0, 1], got {split_frac}")
+
+
 def inject_noise(problem: ILPProblem, noise: float, seed: int) -> ILPProblem:
     """Flip exactly floor(noise * #examples) labels, moving the chosen
     atoms between the positive and negative sets.  Selection is by atom (from
     the canonically sorted example list), so flipping twice with the same
     seed restores the original class sets."""
-    if not 0.0 <= noise <= 1.0:
-        raise ValueError(f"noise must be in [0, 1], got {noise}")
+    check_noise(noise)
     n = int(noise * (len(problem.pos) + len(problem.neg)))
     if n == 0:
         return problem
@@ -396,8 +406,7 @@ def split(
     the rest come back as labeled test atoms.  An example that repeats, in
     its class or in the other, is refused: its copies could land on both
     sides of the split, or carry both labels."""
-    if not 0.0 < split_frac <= 1.0:
-        raise ValueError(f"split_frac must be in (0, 1], got {split_frac}")
+    check_split_frac(split_frac)
     first: dict = {}  # example -> where it first appears, "pos i" or "neg i"
     for cls, atoms in (("pos", problem.pos), ("neg", problem.neg)):
         for i, a in enumerate(atoms):
@@ -423,7 +432,17 @@ def split(
 # ---------------------------------------------------------------------------
 
 def save_problem(problem: ILPProblem, path) -> None:
-    Path(path).write_text(problem_to_text(problem), encoding="utf-8")
+    """Write ``problem``'s file, refusing a problem that ``load_problem``
+    would not read back equal."""
+    text = problem_to_text(problem)
+    try:
+        back = parse_problem(text)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    if back != problem:
+        pool, read = (",".join(p.language.variables) for p in (problem, back))
+        raise ValueError(f"{path}: variable pool {pool} would read back as {read}")
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_problem(path) -> ILPProblem:

@@ -15,6 +15,8 @@ import numpy as np
 from .datasets import (
     TASKS,
     TaskSpec,
+    check_noise,
+    check_split_frac,
     generate,
     inject_noise,
     problem_hash,
@@ -25,7 +27,7 @@ from .infer import WeightSet
 from .logic import Clause, ILPProblem
 from .parser import parse_clause, print_clause
 from .prover import ProofConfig
-from .search import BeamConfig, beam_search, naive_generate
+from .search import BeamConfig, beam_search, check_clause_budget, naive_generate
 from .training import TrainConfig, extract_program, make_labels, metrics, predictions, train
 
 log = logging.getLogger(__name__)
@@ -43,17 +45,10 @@ WEIGHT_KEYS = {
 SWEEP_METRICS = {"noise": "test_mse", "nclause": "test_auc"}
 
 
-def strict_json(fields: dict, **kwargs) -> str:
-    """RFC 8259 JSON, which has no NaN: a NaN field (a metric with no atoms to
-    score) is written as null, and a non-finite float anywhere else raises."""
-    fields = {k: None if isinstance(v, float) and math.isnan(v) else v
-              for k, v in fields.items()}
-    return json.dumps(fields, allow_nan=False, **kwargs)
-
-
 @dataclass
 class RunRecord:
-    """Everything needed to describe and reproduce one training run."""
+    """Everything needed to describe and reproduce one training run.  The
+    test metrics are None when the run holds no atoms out."""
 
     task: str
     seed: int
@@ -64,32 +59,20 @@ class RunRecord:
     param_count: int
     loss_samples: list
     train_mse: float
-    test_mse: float
+    test_mse: Optional[float]
     train_auc: float
-    test_auc: float
+    test_auc: Optional[float]
     runtime_s: float
     program: list
     # softmax confidence of each extracted clause, aligned with ``program``
     confidences: list = field(default_factory=list)
 
     def summary(self) -> dict:
-        return {
-            "task": self.task,
-            "seed": self.seed,
-            "m": self.config.get("m"),
-            "T": self.config.get("steps"),
-            "n_clauses": self.n_clauses,
-            "n_atoms": self.n_atoms,
-            "params": self.param_count,
-            "train_mse": self.train_mse,
-            "test_mse": self.test_mse,
-            "auc": self.test_auc,
-            "runtime_s": self.runtime_s,
-            "program_text": self.program,
-        }
+        """The record without its loss samples."""
+        return {k: v for k, v in asdict(self).items() if k != "loss_samples"}
 
     def to_json(self) -> str:
-        return strict_json(asdict(self), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), allow_nan=False, indent=2, sort_keys=True)
 
 
 @dataclass
@@ -119,7 +102,9 @@ def default_beam_config(task: str, **overrides) -> BeamConfig:
 class Job:
     """One run: a task, seed and examples per class as in ``TaskSpec``, field
     overrides of the train and beam configs, and the settings of
-    ``run_problem``.  A job pickles, so a worker process can take it as it is."""
+    ``run_problem``.  A job checks every setting when it is built, so a bad
+    one fails before a problem is drawn.  A job pickles, so a worker process
+    can take it as it is."""
 
     task: str
     seed: int = 0
@@ -131,18 +116,25 @@ class Job:
     naive_n: Optional[int] = None
     clause_cap: Optional[int] = None
 
+    def __post_init__(self):
+        self.configs()
+        check_noise(self.noise)
+        check_split_frac(self.split_frac)
+        check_clause_budget(self.naive_n, self.clause_cap)
+
+    def configs(self) -> tuple[TrainConfig, BeamConfig]:
+        """The train and beam configs: a task in ``TASKS`` starts from that
+        task's, any other name from the configs' own defaults."""
+        if self.task in TASKS:
+            return (default_train_config(self.task, seed=self.seed, **self.train),
+                    default_beam_config(self.task, **self.beam))
+        return TrainConfig(seed=self.seed, **self.train), BeamConfig(**self.beam)
+
 
 def run_job(job: Job, problem: Optional[ILPProblem] = None) -> RunResult:
     """Run ``job`` on ``problem`` (a problem file's), or on the problem its
-    task, seed and size draw.  A task in ``TASKS`` starts from that task's
-    configs, any other name from the configs' own defaults.  The configs are
-    built first, so a bad setting fails before a problem is drawn."""
-    if job.task in TASKS:
-        tc = default_train_config(job.task, seed=job.seed, **job.train)
-        bc = default_beam_config(job.task, **job.beam)
-    else:
-        tc = TrainConfig(seed=job.seed, **job.train)
-        bc = BeamConfig(**job.beam)
+    task, seed and size draw."""
+    tc, bc = job.configs()
     if problem is None:
         problem = generate(TaskSpec(job.task, n_per_class=job.n_per_class, seed=job.seed))
     return run_problem(problem, tc, bc, job.noise, job.split_frac, job.naive_n, job.clause_cap)
@@ -166,8 +158,7 @@ def run_problem(
     ``clause_cap`` instead keeps the beam but stops it at the given clause
     budget.
     """
-    if naive_n is not None and clause_cap is not None:
-        raise ValueError("give naive_n (no beam) or clause_cap (a capped beam), not both")
+    check_clause_budget(naive_n, clause_cap)
     t0 = time.perf_counter()
     seed = train_cfg.seed
     train_problem, test_labels = split(problem, split_frac, seed)
@@ -227,7 +218,7 @@ def run_problem(
         program=[print_clause(c, lang) for c in program],
         confidences=list(program.confidences),
     )
-    log.info("run %s", strict_json(record.summary()))
+    log.info("run %s", json.dumps(record.summary(), allow_nan=False, sort_keys=True))
     return RunResult(record, weights, list(clauses), problem, test_labels)
 
 
@@ -239,11 +230,11 @@ def evaluate(
     steps: int,
     gamma: float,
 ) -> dict:
-    """Metrics on held-out atoms, NaN if none.  They are grounded as the only
+    """Metrics on held-out atoms, None if none.  They are grounded as the only
     examples: a seed's valuation after ``steps`` rounds depends only on atoms
     the grounding reaches from it, so the training examples are not needed."""
     if not test_labels:
-        return {"auc": float("nan"), "mse": float("nan")}
+        return {"auc": None, "mse": None}
     pos, neg = ([a for a, y in test_labels if y == k] for k in (1, 0))
     ctx = ground_context(train_problem.with_examples(pos, neg), clauses, steps)
     return _score(test_labels, ctx, weights, steps, gamma)
@@ -312,9 +303,8 @@ def _read_weights(text: str, problem: ILPProblem):
         raise ValueError("weight file entry 'clauses' must hold strings")
     # the entries obey the saved run's TrainConfig rules and split's rule
     TrainConfig(steps=payload["steps"], gamma=payload["gamma"], seed=payload["seed"])
-    if not 0 < payload["split_frac"] <= 1:
-        raise ValueError(f"weight file entry 'split_frac' must be in (0, 1], "
-                         f"got {payload['split_frac']}")
+    check_split_frac(payload["split_frac"], "weight file entry 'split_frac'")
+    _check_matrix(payload["w"])
     weights = WeightSet(payload["mode"], np.array(payload["w"], dtype=np.float64))
     clauses = []
     for i, text in enumerate(payload["clauses"]):
@@ -330,14 +320,31 @@ def _read_weights(text: str, problem: ILPProblem):
     return weights, clauses, payload
 
 
+def _check_matrix(w: list) -> None:
+    """Every row of a weight file's ``w`` is a list of numbers, as long as the
+    first row."""
+    for i, row in enumerate(w):
+        if type(row) is not list:
+            raise ValueError(f"weight file entry 'w'[{i}] must be list, got {row!r:.40}")
+        if len(row) != len(w[0]):
+            raise ValueError(f"weight file entry 'w'[{i}] must hold {len(w[0])} "
+                             f"numbers as 'w'[0] does, got {len(row)}")
+        for j, cell in enumerate(row):
+            if type(cell) not in _NUMBER:
+                raise ValueError(f"weight file entry 'w'[{i}][{j}] must be int or float, "
+                                 f"got {cell!r:.40}")
+
+
 def evaluate_saved(problem: ILPProblem, weights_path) -> dict:
-    """Recreate the recorded split and recompute held-out metrics.  Label noise
-    flips only training examples, which ``evaluate`` does not read."""
+    """The saved run's ``test_auc`` and ``test_mse``, recomputed on the
+    recorded split.  Label noise flips only training examples, which
+    ``evaluate`` does not read."""
     weights, clauses, payload = load_weights(weights_path, problem)
     train_problem, test_labels = split(problem, payload["split_frac"], payload["seed"])
-    return evaluate(
+    m = evaluate(
         train_problem, clauses, weights, test_labels, payload["steps"], payload["gamma"]
     )
+    return {"test_auc": m["auc"], "test_mse": m["mse"]}
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +379,10 @@ def sweep(
         for value in values:
             if not float(value).is_integer():
                 raise ValueError(f"nclause values must be whole numbers, got {value}")
-    rows = []
-    for value in values:
-        for seed in seeds:
-            job = Job(task, seed, n_per_class, train=config_overrides, **{key: cast(value)})
-            rows.append((float(value), seed, getattr(run_job(job).record, SWEEP_METRICS[axis])))
+    # every cell's job is built, and so checked, before any runs
+    cells = [(value, Job(task, seed, n_per_class, train=config_overrides, **{key: cast(value)}))
+             for value in values for seed in seeds]
+    rows = [(float(value), job.seed, getattr(run_job(job).record, SWEEP_METRICS[axis]))
+            for value, job in cells]
     rows.sort(key=lambda r: (r[0], r[1]))
     return rows

@@ -116,6 +116,17 @@ def refine(
     return out
 
 
+def check_clause_budget(naive_n: Optional[int] = None, clause_cap: Optional[int] = None) -> None:
+    """A run's clause budget: ``naive_n`` clauses of unscored generation or a
+    beam capped at ``clause_cap`` clauses, not both, and each at least 1."""
+    if naive_n is not None and clause_cap is not None:
+        raise ValueError("give naive_n (no beam) or clause_cap (a capped beam), not both")
+    if naive_n is not None and naive_n < 1:
+        raise ValueError("n_clause must be >= 1")
+    if clause_cap is not None and clause_cap < 1:
+        raise ValueError(f"max_clauses must be >= 1, got {clause_cap}")
+
+
 def beam_search(
     initial: list[Clause],
     problem: ILPProblem,
@@ -143,8 +154,7 @@ def beam_search(
     """
     if not initial:
         raise ValueError("at least one initial clause is required")
-    if max_clauses is not None and max_clauses < 1:
-        raise ValueError(f"max_clauses must be >= 1, got {max_clauses}")
+    check_clause_budget(clause_cap=max_clauses)
     base_nest = max(nest_depth(c) for c in initial)
     scored: dict = {}  # canonical clause -> (cover, rank key)
     collected: dict = {}  # canonical clause -> clause in the language's variables
@@ -205,8 +215,7 @@ def naive_generate(
     ``n_clause`` alpha-distinct clauses are collected from ``cfg``'s space."""
     if not initial:
         raise ValueError("at least one initial clause is required")
-    if n_clause < 1:
-        raise ValueError("n_clause must be >= 1")
+    check_clause_budget(naive_n=n_clause)
     base_nest = max(nest_depth(c) for c in initial)
     out: list[Clause] = []
     seen = set()

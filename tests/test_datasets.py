@@ -14,7 +14,7 @@ from softlog.datasets import (
     save_problem,
     split,
 )
-from softlog.logic import Const, Func, ILPProblem
+from softlog.logic import Atom, Const, Func, ILPProblem, Language
 from softlog.parser import parse_problem, print_atom, print_clause, problem_to_text
 from softlog.prover import ProofConfig, entails
 
@@ -162,6 +162,26 @@ class TestFiles:
         problem = generate(TaskSpec("member", n_per_class=5, seed=0))
         text = problem_to_text(problem)
         assert "[" in text and "f(" not in text
+
+    def test_save_refuses_a_problem_that_does_not_parse(self, tmp_path):
+        # an example whose predicate the language does not declare
+        problem = ILPProblem((Atom("q", (Const("zz"),)),), (), (),
+                             Language([("p", 1)], constants=["a"]))
+        path = tmp_path / "q.pl"
+        with pytest.raises(ValueError) as refused:
+            save_problem(problem, path)
+        assert str(refused.value) == f"{path}: line 3, column 5: undeclared predicate 'q'"
+        assert not path.exists()
+
+    def test_save_refuses_a_pool_that_does_not_read_back(self, tmp_path):
+        # a file can only extend the pool x,y,z,v,w
+        problem = ILPProblem((Atom("p", (Const("a"),)),), (), (),
+                             Language([("p", 1)], constants=["a"], variables=["x", "y", "z"]))
+        path = tmp_path / "xyz.pl"
+        with pytest.raises(ValueError) as refused:
+            save_problem(problem, path)
+        assert str(refused.value) == f"{path}: variable pool x,y,z would read back as x,y,z,v,w"
+        assert not path.exists()
 
     def test_extra_variable_declared(self):
         text = problem_to_text(generate(TaskSpec("member", n_per_class=3, seed=0)))

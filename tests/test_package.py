@@ -56,3 +56,21 @@ def test_modules_import_each_other_relatively():
             absolute += [f"{path.name}:{node.lineno}" for name in names
                          if name.split(".")[0] == "softlog"]
     assert absolute == []
+
+
+def test_every_json_writer_refuses_nan():
+    """Every ``json.dump`` and ``json.dumps`` call passes ``allow_nan=False``:
+    a NaN is an error, never written as the non-JSON ``NaN``.  An undefined
+    metric is None where it arises."""
+    writers, loose = set(), []
+    for path in sorted(Path(softlog.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("dump", "dumps")
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"):
+                writers.add(path.name)
+                if not any(k.arg == "allow_nan" and isinstance(k.value, ast.Constant)
+                           and k.value.value is False for k in node.keywords):
+                    loose.append(f"{path.name}:{node.lineno}")
+    assert {"cli.py", "run.py"} <= writers
+    assert loose == []

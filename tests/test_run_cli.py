@@ -8,7 +8,7 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +76,13 @@ class TestRunProblem:
         da.pop("runtime_s"), db.pop("runtime_s")
         assert da == db
 
+    def test_records_without_held_out_atoms_compare_equal(self):
+        # the undefined test metrics are None, which equals itself
+        job = Job("member", n_per_class=10, train={"epochs": 20}, split_frac=1.0)
+        a, b = (replace(run_job(job).record, runtime_s=0.0) for _ in range(2))
+        assert a.test_auc is a.test_mse is None
+        assert a == b
+
     def test_record_serializes(self, member_result):
         payload = json.loads(member_result.record.to_json())
         assert payload["task"] == "member"
@@ -123,8 +130,8 @@ class TestRunProblem:
         wpath = tmp_path / "weights.json"
         save_weights(wpath, member_result)
         m = evaluate_saved(member_result.problem, wpath)
-        assert m["mse"] == member_result.record.test_mse
-        assert m["auc"] == member_result.record.test_auc
+        assert m["test_mse"] == member_result.record.test_mse
+        assert m["test_auc"] == member_result.record.test_auc
 
     def test_naive_generation_mode(self):
         problem = generate(TaskSpec("member", n_per_class=12, seed=0))
@@ -167,6 +174,18 @@ class TestJob:
         monkeypatch.setattr(softlog.run, "generate", no_generate)
         with pytest.raises(ValueError, match="TrainConfig.m must be >= 1"):
             run_job(Job("member", train={"m": 0}))
+        for settings, message in [
+            ({"noise": 1.5}, r"noise must be in \[0, 1\], got 1.5"),
+            ({"split_frac": 0.0}, r"split_frac must be in \(0, 1\], got 0.0"),
+            ({"naive_n": 5, "clause_cap": 5}, "not both"),
+            ({"naive_n": 0}, "n_clause must be >= 1"),
+            ({"clause_cap": 0}, "max_clauses must be >= 1, got 0"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                run_job(Job("member", **settings))
+        # a sweep checks every cell before it runs the first
+        with pytest.raises(ValueError, match=r"noise must be in \[0, 1\], got 1.5"):
+            sweep("member", "noise", [0.0, 1.5], [0])
 
     def test_every_run_setting_is_a_job_field(self):
         # a new run_problem setting has to reach sweeps, the CLI and the
@@ -250,7 +269,7 @@ class TestCli:
         capsys.readouterr()
         assert main(["eval", str(prob), "--weights", str(outdir / "weights.json")]) == 0
         shown = json.loads(capsys.readouterr().out)
-        assert shown["mse"] == rec["test_mse"]
+        assert shown["test_mse"] == rec["test_mse"]
 
     def test_eval_of_a_noisy_run(self, tmp_path, capsys):
         # noise flips training examples only, so eval does not redraw it and
@@ -268,21 +287,21 @@ class TestCli:
             capsys.readouterr()
             assert main(["eval", str(prob), "--weights", str(weights)]) == 0
             got = strict_loads(capsys.readouterr().out)
-            assert got == {"auc": rec["test_auc"], "mse": rec["test_mse"]}
+            assert got == {"test_auc": rec["test_auc"], "test_mse": rec["test_mse"]}
 
     def test_train_pair_mode_param_count(self, tmp_path, capsys):
         code = main(["train", "--task", "member", "--n", "10", "--seed", "0",
                      "--epochs", "40", "--weight-mode", "pair"])
         assert code == 0
         rec = json.loads(capsys.readouterr().out)
-        assert rec["params"] == rec["n_clauses"] ** 2
+        assert rec["param_count"] == rec["n_clauses"] ** 2
 
     def test_train_epochs_zero_reports_initial_metrics(self, capsys):
         code = main(["train", "--task", "member", "--n", "10", "--seed", "0",
                      "--epochs", "0"])
         assert code == 0
         rec = json.loads(capsys.readouterr().out)
-        assert 0.0 <= rec["auc"] <= 1.0
+        assert 0.0 <= rec["test_auc"] <= 1.0
 
     def test_missing_weights_is_config_error(self, tmp_path, capsys):
         prob = tmp_path / "p.pl"
@@ -372,12 +391,44 @@ class TestCli:
         logged = strict_loads(line.removeprefix("run "))
         rec = strict_loads((outdir / "run.json").read_text())
         assert printed == logged
-        assert printed["test_mse"] is printed["auc"] is None
+        assert printed["test_mse"] is printed["test_auc"] is None
         assert rec["test_mse"] is rec["test_auc"] is None
         assert 0.0 <= rec["train_auc"] <= 1.0
         assert main(["eval", str(prob), "--weights", str(outdir / "weights.json")]) == 0
         shown = strict_loads(capsys.readouterr().out)
-        assert shown == {"auc": printed["auc"], "mse": printed["test_mse"]}
+        assert shown == {"test_auc": printed["test_auc"], "test_mse": printed["test_mse"]}
+
+    @pytest.mark.parametrize("flags", [[], ["--split-frac", "1.0"]], ids=["held-out", "split-1"])
+    def test_train_v_and_eval_print_the_run_record(self, flags, tmp_path, capsys, caplog):
+        # train prints run.json without the loss samples, in its layout; the
+        # -v line logs the same dict; eval prints run.json's test metrics
+        outdir = tmp_path / "run"
+        with caplog.at_level("INFO", logger="softlog.run"):
+            assert main(["-v", "train", "--task", "member", "--n", "10", "--epochs", "20",
+                         "--out", str(outdir), *flags]) == 0
+        printed = capsys.readouterr().out.split("\nwrote ")[0]
+        rec = strict_loads((outdir / "run.json").read_text())
+        del rec["loss_samples"]
+        assert printed == json.dumps(rec, indent=2, sort_keys=True)
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "softlog.run"]
+        assert strict_loads(line.removeprefix("run ")) == rec
+        prob = tmp_path / "member.pl"
+        assert main(["gen", "--task", "member", "--n", "10", "--out", str(prob)]) == 0
+        capsys.readouterr()
+        assert main(["eval", str(prob), "--weights", str(outdir / "weights.json")]) == 0
+        shown = strict_loads(capsys.readouterr().out)
+        assert shown == {"test_auc": rec["test_auc"], "test_mse": rec["test_mse"]}
+
+    def test_nan_metric_exits_2(self, monkeypatch, capsys):
+        # None marks a metric with nothing to score; a NaN is an error
+        import softlog.run
+
+        monkeypatch.setattr(softlog.run, "evaluate",
+                            lambda *a: {"auc": float("nan"), "mse": float("nan")})
+        assert main(["train", "--task", "member", "--n", "5", "--epochs", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Out of range float values are not JSON compliant" in err
 
     def test_one_class_training_split_exits_2_before_the_beam(
         self, tmp_path, monkeypatch, capsys
@@ -458,6 +509,25 @@ class TestCli:
         assert main(["eval", str(prob), "--weights", str(weights)]) == 2
         assert capsys.readouterr().err == f"error: {weights}: {message}\n"
 
+    @pytest.mark.parametrize("case, message", [
+        ("null", "weight file entry 'w'[0][1] must be int or float, got None"),
+        ("true", "weight file entry 'w'[0][1] must be int or float, got True"),
+        ("string", "weight file entry 'w'[0][1] must be int or float, got '1.0'"),
+        ("ragged", "weight file entry 'w'[1] must hold {n} numbers as 'w'[0] does, got {more}"),
+    ], ids=["null", "true", "string", "ragged"])
+    def test_weight_cell_that_is_no_number_exits_2(self, case, message, saved_member, capsys):
+        prob, weights, saved = saved_member
+        w = saved["w"]
+        n = len(w[0])
+        if case == "ragged":
+            w[1].append(0.0)
+        else:
+            w[0][1] = {"null": None, "true": True, "string": "1.0"}[case]
+        weights.write_text(json.dumps(saved))
+        assert main(["eval", str(prob), "--weights", str(weights)]) == 2
+        expected = message.format(n=n, more=n + 1)
+        assert capsys.readouterr().err == f"error: {weights}: {expected}\n"
+
     @pytest.mark.parametrize("case", ["truncated", "clause"])
     def test_unreadable_weight_file_exits_2_naming_it(self, case, saved_member, capsys):
         prob, weights, saved = saved_member
@@ -529,7 +599,7 @@ class TestCli:
         capsys.readouterr()
         assert main(["eval", str(prob), "--weights", str(unclamped)]) == 0
         got = strict_loads(capsys.readouterr().out)
-        assert got == {"auc": rec["test_auc"], "mse": rec["test_mse"]}
+        assert got == {"test_auc": rec["test_auc"], "test_mse": rec["test_mse"]}
         assert main(["eval", str(prob), "--weights", str(clamped)]) == 2
         err = capsys.readouterr().err
         assert f"{clamped}: weight file entry 'clamp' must be false" in err

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .logic import Atom, Clause, Const, Func, ILPProblem, Language, Term, list_term
+from .logic import Atom, Clause, Const, Func, ILPProblem, Term, check_field_types, list_term
 from .parser import parse_clause, parse_problem, print_atom, problem_to_text
 from .prover import ProofConfig, entails
 
@@ -41,6 +41,7 @@ class TaskSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_per_class < 0:
             raise ValueError(f"TaskSpec.n_per_class must be >= 0, got {self.n_per_class}")
         if self.seed < 0:
@@ -49,10 +50,7 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class TaskDef:
-    name: str
-    language: Language
-    background: tuple[Atom, ...]
-    initial_clauses: tuple[Clause, ...]
+    problem: ILPProblem  # the header: name, language, background, initial clauses
     ground_truth: tuple[Clause, ...]
     default_size: int
     m: int
@@ -61,6 +59,9 @@ class TaskDef:
     beam_steps: int
     sample_pos: Callable
     sample_neg_shape: Callable
+
+    language = property(lambda td: td.problem.language)
+    initial_clauses = property(lambda td: td.problem.initial_clauses)
 
 
 # ---------------------------------------------------------------------------
@@ -235,18 +236,11 @@ def _task(header: str, program: Sequence[str], **fields) -> TaskDef:
     the function-refinement operator with only five names (each
     application consumes one live variable and needs two unused ones)."""
     p = parse_problem(header + " var u.")
-    return TaskDef(
-        name=p.name,
-        language=p.language,
-        background=p.background,
-        initial_clauses=p.initial_clauses,
-        ground_truth=tuple(parse_clause(t, p.language) for t in program),
-        **fields,
-    )
+    return TaskDef(p, tuple(parse_clause(t, p.language) for t in program), **fields)
 
 
 TASKS = {
-    td.name: td
+    td.problem.name: td
     for td in (
         _task(
             "task member. pred mem/2. func f/2. const a. const b. const c. const *."
@@ -337,7 +331,7 @@ def generate(spec: TaskSpec) -> ILPProblem:
 
     pos: list[Atom] = []
     neg: list[Atom] = []
-    seen = set(td.background)
+    seen = set(td.problem.background)
     for out, sample, kind in (
         (pos, td.sample_pos, "positive"), (neg, td.sample_neg_shape, "negative")
     ):
@@ -345,7 +339,7 @@ def generate(spec: TaskSpec) -> ILPProblem:
         while len(out) < spec.n_per_class:
             a = sample(rng, td.default_size)
             if a in seen or (
-                out is neg and entails(td.ground_truth, td.background, a, oracle_cfg)
+                out is neg and entails(td.ground_truth, td.problem.background, a, oracle_cfg)
             ):
                 rejected += 1
                 if rejected == MAX_REJECTED_RUN:
@@ -359,14 +353,7 @@ def generate(spec: TaskSpec) -> ILPProblem:
             seen.add(a)
             out.append(a)
 
-    return ILPProblem(
-        pos=tuple(pos),
-        neg=tuple(neg),
-        background=td.background,
-        language=td.language,
-        initial_clauses=td.initial_clauses,
-        name=spec.task,
-    )
+    return td.problem.with_examples(pos, neg)
 
 
 def check_noise(noise: float) -> None:

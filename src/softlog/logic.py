@@ -17,8 +17,9 @@ each runs only on terms the bound admitted or on a library caller's own term.
 """
 from __future__ import annotations
 
+import numbers
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence, Union
 
@@ -285,10 +286,20 @@ class Language:
         return self.func_arity(LIST_CELL) == 2 and NIL.name in self.constants
 
 
+class ProblemError(ValueError):
+    """A refused part of a problem: ``index`` in ``group`` (pos, neg, bg or init)."""
+
+    def __init__(self, group: str, index: int, message: str):
+        super().__init__(f"{group} {index}: {message}")
+        self.group, self.index = group, index
+
+
 @dataclass(frozen=True)
 class ILPProblem:
     """Positive/negative ground examples, background facts, a language, and
-    the initial clauses the refinement search grows from."""
+    the initial clauses the refinement search grows from.  Construction checks
+    every rule on these parts: the grounding gives ``true`` and ``false`` rows
+    of their own, so neither is an example or a fact."""
 
     pos: tuple[Atom, ...]
     neg: tuple[Atom, ...]
@@ -305,9 +316,13 @@ class ILPProblem:
             for i, e in enumerate(items):
                 # the depth first: printing a term past the bound could overflow
                 if nest_depth(e) > MAX_TERM_DEPTH:
-                    raise ValueError(f"{group} {i}: terms nest deeper than {MAX_TERM_DEPTH}")
+                    raise ProblemError(group, i, f"terms nest deeper than {MAX_TERM_DEPTH}")
                 if type(e) is Atom and not e.ground:
-                    raise ValueError(f"{group} example must be ground: {e!r}")
+                    text = to_text(e, self.language.has_list_sugar)
+                    raise ProblemError(group, i, f"atoms must be ground: {text}")
+                if type(e) is Atom and e.pred in RESERVED_PREDS:
+                    raise ProblemError(group, i, f"{e.pred!r} is reserved and cannot be "
+                                                 "an example or a background fact")
 
     @property
     def examples(self) -> tuple[Atom, ...]:
@@ -315,6 +330,24 @@ class ILPProblem:
 
     def with_examples(self, pos, neg) -> "ILPProblem":
         return replace(self, pos=tuple(pos), neg=tuple(neg))
+
+
+# The values a settings field admits, by its annotation: a bool is neither an
+# int nor a float here, though Python counts it as both.
+_ADMITS = {"int": numbers.Integral, "float": numbers.Real, "str": str, "dict": dict}
+
+
+def check_field_types(settings) -> None:
+    """Refuse a field of the dataclass ``settings`` whose value its annotation
+    does not admit, naming the field; ``Optional[...]`` admits None too."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        kind = f.type.removeprefix("Optional[").removesuffix("]")
+        if value is None and kind != f.type:
+            continue
+        if isinstance(value, bool) or not isinstance(value, _ADMITS[kind]):
+            raise ValueError(
+                f"{type(settings).__name__}.{f.name} must be {kind}, got {value!r:.40}")
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .logic import (
     Language,
     MAX_TERM_DEPTH,
     NIL,
+    ProblemError,
     RESERVED_PREDS,
     Term,
     Var,
@@ -292,24 +293,19 @@ def parse_problem(text: str) -> ILPProblem:
                 raise ParseError(str(e), *at) from None
 
     def parsed(kw: str) -> tuple:
+        parse, what = (_parse_clause, "clause") if kw == "init" else (_parse_atom, "atom")
         out = []
         for lo, hi in windows[kw]:
             ts.i, ts.end = lo, hi
-            if kw == "init":
-                out.append(_parse_all(_parse_clause, "clause", ts, lang))
-                continue
-            a = _parse_all(_parse_atom, "atom", ts, lang)
-            if not a.ground:
-                raise ParseError(
-                    f"{kw} atoms must be ground: {print_atom(a, lang)}", *toks[lo][2:]
-                )
-            out.append(a)
+            out.append(_parse_all(parse, what, ts, lang))
         return tuple(out)
 
     pos, neg, bg, init = map(parsed, ("pos", "neg", "bg", "init"))
     try:
         return ILPProblem(pos, neg, bg, lang, init, task)
-    except ValueError as e:  # the task name: the atoms and clauses are checked
+    except ProblemError as e:  # at the statement of the refused part
+        raise ParseError(str(e), *toks[windows[e.group][e.index][0]][2:]) from None
+    except ValueError as e:  # the task name
         raise ParseError(str(e), *task_at) from None
 
 

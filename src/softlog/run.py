@@ -24,7 +24,7 @@ from .datasets import (
 )
 from .grounding import ground_context
 from .infer import WeightSet
-from .logic import Clause, ILPProblem
+from .logic import Clause, ILPProblem, check_field_types
 from .parser import parse_clause, print_clause
 from .prover import ProofConfig
 from .search import BeamConfig, beam_search, check_clause_budget, naive_generate
@@ -67,12 +67,26 @@ class RunRecord:
     # softmax confidence of each extracted clause, aligned with ``program``
     confidences: list = field(default_factory=list)
 
+    def __post_init__(self):
+        values = {k: getattr(self, k) for k in ("train_mse", "test_mse", "train_auc", "test_auc")}
+        values.update((f"confidences[{i}]", c) for i, c in enumerate(self.confidences))
+        values.update((f"loss_samples[{i}]", s[1]) for i, s in enumerate(self.loss_samples))
+        check_finite(values, "RunRecord.")
+
     def summary(self) -> dict:
         """The record without its loss samples."""
         return {k: v for k, v in asdict(self).items() if k != "loss_samples"}
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), allow_nan=False, indent=2, sort_keys=True)
+
+
+def check_finite(values: dict, prefix: str = "") -> None:
+    """Refuse a NaN or infinite value by its name: JSON holds neither, and a
+    metric with nothing to score is None."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{prefix}{name} is {value}, not a finite number")
 
 
 @dataclass
@@ -117,6 +131,7 @@ class Job:
     clause_cap: Optional[int] = None
 
     def __post_init__(self):
+        check_field_types(self)
         self.configs()
         check_noise(self.noise)
         check_split_frac(self.split_frac)
@@ -218,7 +233,8 @@ def run_problem(
         program=[print_clause(c, lang) for c in program],
         confidences=list(program.confidences),
     )
-    log.info("run %s", json.dumps(record.summary(), allow_nan=False, sort_keys=True))
+    if log.isEnabledFor(logging.INFO):
+        log.info("run %s", json.dumps(record.summary(), allow_nan=False, sort_keys=True))
     return RunResult(record, weights, list(clauses), problem, test_labels)
 
 
@@ -272,6 +288,8 @@ def load_weights(path, problem: ILPProblem):
         return _read_weights(Path(path).read_text(encoding="utf-8"), problem)
     except (ValueError, OverflowError) as e:  # overflow: an int no float holds
         raise ValueError(f"{path}: {e}") from None
+    except RecursionError:  # the JSON reader recurses once per nested array or object
+        raise ValueError(f"{path}: JSON nested too deep to read") from None
 
 
 def _finite(number: str) -> float:
@@ -344,7 +362,9 @@ def evaluate_saved(problem: ILPProblem, weights_path) -> dict:
     m = evaluate(
         train_problem, clauses, weights, test_labels, payload["steps"], payload["gamma"]
     )
-    return {"test_auc": m["auc"], "test_mse": m["mse"]}
+    out = {"test_auc": m["auc"], "test_mse": m["mse"]}
+    check_finite(out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .logic import (
     apply_subst,
     canonical,
     canonical_in,
+    check_field_types,
     nest_depth,
     variables,
 )
@@ -41,6 +42,7 @@ class BeamConfig:
     n_nest: int = 1
 
     def __post_init__(self):
+        check_field_types(self)
         if self.beam_size < 1 or self.beam_steps < 1:
             raise ValueError("beam_size and beam_steps must be >= 1")
         if self.n_body < 0 or self.n_nest < 0:

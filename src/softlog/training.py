@@ -12,7 +12,7 @@ import numpy as np
 
 from .grounding import FALSE_INDEX, TRUE_INDEX, GroundContext
 from .infer import MULTI, WeightSet, backward, check_gamma, check_mode, infer, tape_floats
-from .logic import Atom, Clause, ILPProblem, canonical
+from .logic import Atom, Clause, ILPProblem, canonical, check_field_types
 from .prover import MAX_HORIZON
 
 log = logging.getLogger(__name__)
@@ -41,6 +41,7 @@ class TrainConfig:
     weight_mode: str = MULTI
 
     def __post_init__(self):
+        check_field_types(self)
         if self.m < 1:
             raise ValueError(f"TrainConfig.m must be >= 1, got {self.m}")
         if not 1 <= self.steps <= MAX_HORIZON:

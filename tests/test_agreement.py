@@ -231,7 +231,7 @@ def test_one_hot_reference_weights_predict_what_the_prover_proves(task):
     train_problem, _ = split(generate(TaskSpec(task, n_per_class=20, seed=0)), 0.7, 0)
     cfg = ProofConfig(td.steps)
     clauses = beam_search(
-        list(td.initial_clauses), train_problem, default_beam_config(task), proof_cfg=cfg
+        list(td.problem.initial_clauses), train_problem, default_beam_config(task), proof_cfg=cfg
     )
     found = {canonical(c) for c in clauses}
     clauses += [c for c in td.ground_truth if canonical(c) not in found]

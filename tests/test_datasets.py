@@ -56,11 +56,11 @@ class TestGenerate:
         problem = generate(TaskSpec(task, n_per_class=12, seed=1))
         td = TASKS[task]
         for atom in problem.pos:
-            assert entails(td.ground_truth, td.background, atom, ORACLE), (
+            assert entails(td.ground_truth, td.problem.background, atom, ORACLE), (
                 f"positive not entailed: {print_atom(atom, td.language)}"
             )
         for atom in problem.neg:
-            assert not entails(td.ground_truth, td.background, atom, ORACLE), (
+            assert not entails(td.ground_truth, td.problem.background, atom, ORACLE), (
                 f"negative entailed: {print_atom(atom, td.language)}"
             )
 
@@ -81,8 +81,8 @@ class TestGenerate:
         problem = generate(TaskSpec(task, n_per_class=5, seed=3))
         td = TASKS[task]
         assert problem.language is td.language
-        assert problem.background == td.background
-        assert problem.initial_clauses == td.initial_clauses
+        assert problem.background == td.problem.background
+        assert problem.initial_clauses == td.problem.initial_clauses
 
 
 def test_unknown_task_rejected():
@@ -243,11 +243,8 @@ class TestTaskDefaults:
         assert list(TASKS) == list(pins)
         for name, (header, program, table) in pins.items():
             td = TASKS[name]
-            assert td.name == name
-            bare = ILPProblem(
-                (), (), td.background, td.language, td.initial_clauses, name
-            )
-            assert problem_to_text(bare) == header
+            assert td.problem.name == name
+            assert problem_to_text(td.problem) == header
             assert [print_clause(c, td.language) for c in td.ground_truth] == program
             assert (td.default_size, td.m, td.steps, td.beam_size,
                     td.beam_steps) == table

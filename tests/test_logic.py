@@ -21,6 +21,7 @@ from softlog.logic import (
     Func,
     ILPProblem,
     Language,
+    ProblemError,
     TRUE,
     Var,
     apply_subst,
@@ -307,6 +308,20 @@ class TestStructure:
         assert ILPProblem((), (), (), lang, name="my_task").name == "my_task"
         with pytest.raises(ValueError, match="^bad task name 'my task'$"):
             ILPProblem((), (), (), lang, name="my task")
+
+    @pytest.mark.parametrize("field, group, atom, message", [
+        ("pos", "pos", TRUE, "'true' is reserved and cannot be an example or a background fact"),
+        ("neg", "neg", Atom("p", (x,)), r"atoms must be ground: p\(x\)"),
+        ("background", "bg", FALSE, "'false' is reserved"),
+    ], ids=["pos-true", "non-ground-neg", "bg-false"])
+    def test_problem_refuses_a_part_by_group_and_index(self, field, group, atom, message):
+        # the grounding gives true and false fixed rows: neither is a fact
+        lang = Language(predicates=[("p", 1)], constants=["a"])
+        parts = {"pos": (), "neg": (), "background": ()}
+        parts[field] = (Atom("p", (a,)), atom)
+        with pytest.raises(ProblemError, match=f"^{group} 1: {message}") as err:
+            ILPProblem(language=lang, **parts)
+        assert (err.value.group, err.value.index) == (group, 1)
 
     def test_equal_vocabularies_compare_equal(self):
         make = lambda: Language([("p", 1)], [("f", 2)], ["a", "*"], ["x", "y"])

@@ -265,6 +265,20 @@ def test_nonground_example_rejected():
         parse_problem("pred p/1.\npos p(x).")
 
 
+@pytest.mark.parametrize("task", ["", "task t.\n"], ids=["no-task", "task"])
+@pytest.mark.parametrize("statement, col, message", [
+    ("bg false.", 6, "bg 0: 'false' is reserved"),
+    ("pos true.", 7, "pos 1: 'true' is reserved"),
+    ("neg p(x).", 7, r"neg 0: atoms must be ground: p\(x\)"),
+], ids=["bg-false", "pos-true", "non-ground-neg"])
+def test_problem_part_refused_at_its_statement(task, statement, col, message):
+    text = f"{task}pred p/1. const a.\npos p(a).\n  {statement}\nneg p(a).\n"
+    line = 3 + len(task) // len("task t.\n")
+    with pytest.raises(ParseError, match=f"^line {line}, column {col}: {message}") as err:
+        parse_problem(text)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
 def test_loose_clause_rejected_with_line():
     text = "pred p/1.\npred q/2.\nconst a.\ninit p(x) :- q(x,y).\n"
     with pytest.raises(ParseError, match="not range-restricted") as exc:
@@ -303,6 +317,26 @@ def test_problem_error_at_file_position(text, line, col):
         parse_problem(text)
     assert (err.value.line, err.value.col) == (line, col)
     assert str(err.value).startswith(f"line {line}, column {col}: ")
+
+
+@pytest.mark.parametrize("statement, col, message", [
+    ("pos p(a)@.", 11, "unexpected character '@'"),
+    ("pos p(a].", 10, "expected ')', found ']'"),
+    ("pos p(,).", 9, "expected a term, found ','"),
+    ("pos p(g(a)).", 9, "undeclared function symbol 'g'"),
+    ("func g/2. pos p(g(a)).", 19, "function g/2 applied to 1 arguments"),
+    ("pos (a).", 7, "expected a predicate name, found '('"),
+    ("pos p(a)", 3, "statement missing terminating '.'"),
+    ("pred q.", 8, "expected name/arity, found 'q'"),
+    ("fact p(a).", 3, "unknown statement 'fact'"),
+    ("const b c.", 9, "expected one name, found 'b c'"),
+], ids=["character", "expected-token", "term", "function", "function-arity",
+        "predicate-name", "no-period", "name-arity", "statement", "one-name"])
+def test_problem_error_message_and_position(statement, col, message):
+    with pytest.raises(ParseError) as err:
+        parse_problem(f"pred p/1. const a.\n  {statement}\n")
+    assert str(err.value) == f"line 2, column {col}: {message}"
+    assert (err.value.line, err.value.col) == (2, col)
 
 
 def test_clause_takes_one_terminating_period(list_lang):

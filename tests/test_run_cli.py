@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from softlog.cli import build_parser, main
 from softlog.datasets import TaskSpec, generate, load_problem, save_problem
@@ -23,6 +24,7 @@ from softlog.run import (
     default_beam_config,
     default_train_config,
     evaluate_saved,
+    load_weights,
     run_job,
     run_problem,
     save_weights,
@@ -55,6 +57,51 @@ def saved_member(member_result, tmp_path):
     save_problem(member_result.problem, prob)
     save_weights(weights, member_result)
     return prob, weights, json.loads(weights.read_text())
+
+
+@pytest.fixture(scope="module")
+def saved_texts(member_result, tmp_path_factory):
+    """The member run's problem and weight file texts, and a directory."""
+    where = tmp_path_factory.mktemp("fuzz")
+    save_problem(member_result.problem, where / "p.pl")
+    save_weights(where / "weights.json", member_result)
+    return {"problem": (where / "p.pl").read_text(),
+            "weights": (where / "weights.json").read_text()}, where
+
+
+_EDITS = st.lists(st.tuples(
+    st.sampled_from(["drop", "insert", "repeat"]),
+    st.integers(0, 2**20),  # the place, modulo the text's length
+    st.sampled_from("[{]}(),.:|\"a0x -\n"),
+    st.sampled_from([1, 2, 5000]),  # how many copies an insert or repeat writes
+), min_size=1, max_size=3)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@example(kind="weights", edits=[("insert", 0, "[", 5000)])
+@example(kind="problem", edits=[("repeat", 0, "[", 5000)])
+@given(kind=st.sampled_from(["problem", "weights"]), edits=_EDITS)
+def test_a_mutated_file_loads_or_is_refused_naming_it(saved_texts, member_result, kind,
+                                                      edits):
+    texts, where = saved_texts
+    text = texts[kind]
+    for op, at, char, copies in edits:
+        i = at % (len(text) + 1)
+        if op == "drop":
+            text = text[:i] + text[i + 1:]
+        elif op == "insert":
+            text = text[:i] + char * copies + text[i:]
+        else:
+            text = text[:i] + text[i:i + 1] * copies + text[i + 1:]
+    path = where / f"mutated-{kind}"
+    path.write_text(text)
+    try:
+        if kind == "problem":
+            load_problem(path)
+        else:
+            load_weights(path, member_result.problem)
+    except ValueError as e:
+        assert str(e).startswith(f"{path}: ")
 
 
 class TestRunProblem:
@@ -180,6 +227,14 @@ class TestJob:
             ({"naive_n": 5, "clause_cap": 5}, "not both"),
             ({"naive_n": 0}, "n_clause must be >= 1"),
             ({"clause_cap": 0}, "max_clauses must be >= 1, got 0"),
+            # a wrong type, before it reaches the grounding or a comparison
+            ({"train": {"steps": 2.5}}, "TrainConfig.steps must be int, got 2.5"),
+            ({"train": {"gamma": "1e-5"}}, "TrainConfig.gamma must be float, got '1e-5'"),
+            ({"train": {"epochs": True}}, "TrainConfig.epochs must be int, got True"),
+            ({"beam": {"n_body": 1.0}}, "BeamConfig.n_body must be int, got 1.0"),
+            ({"n_per_class": 2.5}, "Job.n_per_class must be int, got 2.5"),
+            ({"noise": "0.1"}, "Job.noise must be float, got '0.1'"),
+            ({"clause_cap": 3.0}, "Job.clause_cap must be int, got 3.0"),
         ]:
             with pytest.raises(ValueError, match=message):
                 run_job(Job("member", **settings))
@@ -428,7 +483,28 @@ class TestCli:
         assert main(["train", "--task", "member", "--n", "5", "--epochs", "1"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert "Out of range float values are not JSON compliant" in err
+        assert err == "error: RunRecord.test_mse is nan, not a finite number\n"
+
+    def test_non_finite_metric_is_refused_by_its_field(self, saved_member, monkeypatch,
+                                                       capsys):
+        # with logging off the run line is never formatted: the record refuses
+        import softlog.run
+
+        monkeypatch.setattr(softlog.run, "evaluate",
+                            lambda *a: {"auc": float("inf"), "mse": 0.25})
+        with pytest.raises(ValueError, match=r"^RunRecord.test_auc is inf, not a finite"):
+            run_job(Job("member", n_per_class=5, train={"epochs": 1}))
+        prob, weights, _ = saved_member
+        assert main(["eval", str(prob), "--weights", str(weights)]) == 2
+        assert capsys.readouterr().err == "error: test_auc is inf, not a finite number\n"
+
+    @pytest.mark.parametrize("field, value, name", [
+        ("confidences", [0.5, float("nan")], "confidences[1]"),
+        ("loss_samples", [[0, 0.7], [1, float("-inf")]], "loss_samples[1]"),
+    ])
+    def test_record_refuses_a_non_finite_sample(self, member_result, field, value, name):
+        with pytest.raises(ValueError, match=rf"^RunRecord.{re.escape(name)} is "):
+            replace(member_result.record, **{field: value})
 
     def test_one_class_training_split_exits_2_before_the_beam(
         self, tmp_path, monkeypatch, capsys
@@ -528,10 +604,16 @@ class TestCli:
         expected = message.format(n=n, more=n + 1)
         assert capsys.readouterr().err == f"error: {weights}: {expected}\n"
 
-    @pytest.mark.parametrize("case", ["truncated", "clause"])
+    @pytest.mark.parametrize("case", ["truncated", "clause", "brackets", "deep-w"])
     def test_unreadable_weight_file_exits_2_naming_it(self, case, saved_member, capsys):
         prob, weights, saved = saved_member
-        if case == "truncated":
+        message = "JSON nested too deep to read"  # deeper than the JSON reader recurses
+        if case == "brackets":
+            weights.write_text("[" * 100_000 + "]" * 100_000)
+        elif case == "deep-w":
+            deep = "[" * 5000 + "]" * 5000
+            weights.write_text(json.dumps({**saved, "w": "?"}).replace('"?"', deep))
+        elif case == "truncated":
             cut = weights.read_text()[:9]
             weights.write_text(cut)
             with pytest.raises(json.JSONDecodeError) as parsed:

@@ -14,7 +14,8 @@ import sys
 from pathlib import Path
 
 from .datasets import TASKS, TaskSpec, generate, load_problem, save_problem
-from .run import SWEEP_METRICS, Job, evaluate_saved, run_job, save_weights, sweep
+from .infer import WEIGHT_MODE
+from .run import SWEEP_METHODS, SWEEP_METRICS, Job, evaluate_saved, run_job, save_weights, sweep
 from .training import TrainingDiverged
 
 EXIT_OK = 0
@@ -37,7 +38,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise", type=float)
     p.add_argument("--split-frac", type=float)
-    p.add_argument("--weight-mode", choices=["multi", "pair"])
+    p.add_argument("--weight-mode", choices=WEIGHT_MODE["choices"])
     p.add_argument(
         "--naive-gen",
         type=int,
@@ -163,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, default=50)
     s.add_argument(
         "--method",
-        choices=["naive", "beam"],
+        choices=SWEEP_METHODS,
         default="naive",
         help="clause generator for the nclause axis",
     )

@@ -10,15 +10,20 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .logic import Atom, Clause, Const, Func, ILPProblem, Term, check_field_types, list_term
+from .logic import (
+    AT_LEAST_0, FRACTION, Atom, Clause, Const, Func, ILPProblem, Term, check_settings,
+    check_value, list_term,
+)
 from .parser import parse_clause, parse_problem, print_atom, problem_to_text
 from .prover import ProofConfig, entails
 
 ORACLE_DEPTH = 12
+# The share of a problem's examples whose labels noise flips.
+NOISE = {"min": 0, "max": 1}
 # generate gives up on a class after this many rejected draws in a row
 MAX_REJECTED_RUN = 10_000
 
@@ -37,15 +42,11 @@ def make_nat(n: int) -> Term:
 @dataclass(frozen=True)
 class TaskSpec:
     task: str
-    n_per_class: int = 50
-    seed: int = 0
+    n_per_class: int = field(default=50, metadata=AT_LEAST_0)
+    seed: int = field(default=0, metadata=AT_LEAST_0)
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.n_per_class < 0:
-            raise ValueError(f"TaskSpec.n_per_class must be >= 0, got {self.n_per_class}")
-        if self.seed < 0:
-            raise ValueError(f"TaskSpec.seed must be >= 0, got {self.seed}")
+        check_settings(self)
 
 
 @dataclass(frozen=True)
@@ -356,23 +357,12 @@ def generate(spec: TaskSpec) -> ILPProblem:
     return td.problem.with_examples(pos, neg)
 
 
-def check_noise(noise: float) -> None:
-    if not 0.0 <= noise <= 1.0:
-        raise ValueError(f"noise must be in [0, 1], got {noise}")
-
-
-def check_split_frac(split_frac: float, name: str = "split_frac") -> None:
-    """``name`` is how the message calls the setting."""
-    if not 0.0 < split_frac <= 1.0:
-        raise ValueError(f"{name} must be in (0, 1], got {split_frac}")
-
-
 def inject_noise(problem: ILPProblem, noise: float, seed: int) -> ILPProblem:
     """Flip exactly floor(noise * #examples) labels, moving the chosen
     atoms between the positive and negative sets.  Selection is by atom (from
     the canonically sorted example list), so flipping twice with the same
     seed restores the original class sets."""
-    check_noise(noise)
+    check_value("noise", noise, NOISE)
     n = int(noise * (len(problem.pos) + len(problem.neg)))
     if n == 0:
         return problem
@@ -393,7 +383,7 @@ def split(
     the rest come back as labeled test atoms.  An example that repeats, in
     its class or in the other, is refused: its copies could land on both
     sides of the split, or carry both labels."""
-    check_split_frac(split_frac)
+    check_value("split_frac", split_frac, FRACTION)
     first: dict = {}  # example -> where it first appears, "pos i" or "neg i"
     for cls, atoms in (("pos", problem.pos), ("neg", problem.neg)):
         for i, a in enumerate(atoms):

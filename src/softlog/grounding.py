@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .logic import (
+    AT_LEAST_1,
     Atom,
     Clause,
     FALSE,
@@ -30,6 +31,7 @@ from .logic import (
     TRUE,
     apply_subst,
     check_range_restricted,
+    check_value,
     unify,
 )
 
@@ -116,8 +118,7 @@ def ground_context(
     """Backward-chain from the examples and background for ``steps`` rounds.
     Atoms keep their discovery order: false, true, positives, negatives,
     background, then per round in clause, atom and body position order."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    check_value("steps", steps, AT_LEAST_1)
     seeds = (*problem.pos, *problem.neg, *problem.background)
     return _ground(clauses, seeds, steps, problem.background)
 

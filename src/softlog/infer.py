@@ -44,8 +44,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .logic import check_value
+
 MULTI = "multi"
 PAIR = "pair"
+WEIGHT_MODE = {"choices": (MULTI, PAIR)}
+# A gamma is finite and normal: dividing by a subnormal one overflows.
+GAMMA = {"min": sys.float_info.min, "below": np.inf}
 ONE_HOT_LOGIT = 200.0  # WeightSet.one_hot: the rest of a row gets mass < e**-200
 RANDOM_SCALE = 0.1  # WeightSet.random: standard deviation of the initial logits
 
@@ -63,23 +68,11 @@ def _softor_n(xs: np.ndarray, gamma: float):
     return m + gamma * np.log(s), e / s
 
 
-def check_gamma(gamma: float, name: str = "gamma") -> None:
-    """Refuse a gamma that is not finite and normal: dividing by a subnormal one overflows."""
-    if not sys.float_info.min <= gamma < np.inf:
-        raise ValueError(f"{name} must be positive, finite and normal, got {gamma}")
-
-
-def check_mode(mode: str, name: str = "weight mode") -> None:
-    """Refuse a weight mode other than ``multi`` and ``pair``."""
-    if mode not in (MULTI, PAIR):
-        raise ValueError(f"{name} must be {MULTI!r} or {PAIR!r}, got {mode!r}")
-
-
 def softor(xs: np.ndarray, gamma: float) -> np.ndarray:
     """Smooth maximum gamma * log(sum(exp(x / gamma))) over the rows, in
     max-shifted form.  A single row comes back exactly (log of one
     exponential of zero)."""
-    check_gamma(gamma)
+    check_value("gamma", gamma, GAMMA)
     return _softor_n(np.asarray(xs, dtype=np.float64), gamma)[0]
 
 
@@ -116,7 +109,7 @@ class WeightSet:
     w: np.ndarray
 
     def __post_init__(self):
-        check_mode(self.mode)
+        check_value("weight mode", self.mode, WEIGHT_MODE)
         if self.w.ndim != 2:
             raise ValueError(f"weights must be a matrix, got shape {self.w.shape}")
         if not self.w.shape[1]:
@@ -256,7 +249,7 @@ def infer(
     Returns the final valuation, or (valuation, tape) when ``record`` so the
     caller can run :func:`backward`.
     """
-    check_gamma(gamma)
+    check_value("gamma", gamma, GAMMA)
     if widths is not None and len(widths) != steps:
         raise ValueError(f"need one width per step ({steps}), got {len(widths)}")
     v = np.asarray(v0, dtype=np.float64)

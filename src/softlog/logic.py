@@ -20,7 +20,7 @@ from __future__ import annotations
 import numbers
 import re
 from dataclasses import dataclass, fields, replace
-from operator import attrgetter
+from operator import attrgetter, ge, gt, le, lt
 from typing import Iterable, Optional, Sequence, Union
 
 # Canonical variable alphabet used for alpha-renaming, and the variable pool
@@ -299,7 +299,7 @@ class ILPProblem:
     """Positive/negative ground examples, background facts, a language, and
     the initial clauses the refinement search grows from.  Construction checks
     every rule on these parts: the grounding gives ``true`` and ``false`` rows
-    of their own, so neither is an example or a fact."""
+    of their own, so neither is an example, a fact or a clause's head."""
 
     pos: tuple[Atom, ...]
     neg: tuple[Atom, ...]
@@ -320,9 +320,10 @@ class ILPProblem:
                 if type(e) is Atom and not e.ground:
                     text = to_text(e, self.language.has_list_sugar)
                     raise ProblemError(group, i, f"atoms must be ground: {text}")
-                if type(e) is Atom and e.pred in RESERVED_PREDS:
-                    raise ProblemError(group, i, f"{e.pred!r} is reserved and cannot be "
-                                                 "an example or a background fact")
+                head = e.head if type(e) is Clause else e
+                if head.pred in RESERVED_PREDS:
+                    what = "be an example or a background fact" if head is e else "head a clause"
+                    raise ProblemError(group, i, f"{head.pred!r} is reserved and cannot {what}")
 
     @property
     def examples(self) -> tuple[Atom, ...]:
@@ -334,20 +335,53 @@ class ILPProblem:
 
 # The values a settings field admits, by its annotation: a bool is neither an
 # int nor a float here, though Python counts it as both.
-_ADMITS = {"int": numbers.Integral, "float": numbers.Real, "str": str, "dict": dict}
+_ADMITS = {"int": numbers.Integral, "float": numbers.Real, "str": str, "dict": dict, "list": list}
+# A settings field declares its range in ``field(metadata=...)``: a list of
+# ``choices``, or one or two bounds, the lower first, under these keys.  Each
+# key holds its test, the symbol it reads as alone and its interval bracket.
+_BOUNDS = {"min": (ge, ">=", "["), "above": (gt, ">", "("),
+           "max": (le, "<=", "]"), "below": (lt, "<", ")")}
+# Ranges that several settings declare.
+AT_LEAST_0, AT_LEAST_1 = {"min": 0}, {"min": 1}
+FRACTION = {"above": 0, "max": 1}  # a share of a set that keeps some of it
 
 
-def check_field_types(settings) -> None:
+def check_settings(settings, label: str = "") -> None:
     """Refuse a field of the dataclass ``settings`` whose value its annotation
-    does not admit, naming the field; ``Optional[...]`` admits None too."""
+    or its declared range does not admit, naming the field ``Class.field``,
+    or ``label`` formatted with the field's name; ``Optional[...]`` admits
+    None too."""
     for f in fields(settings):
+        name = label.format(f.name) if label else f"{type(settings).__name__}.{f.name}"
         value = getattr(settings, f.name)
         kind = f.type.removeprefix("Optional[").removesuffix("]")
         if value is None and kind != f.type:
             continue
         if isinstance(value, bool) or not isinstance(value, _ADMITS[kind]):
-            raise ValueError(
-                f"{type(settings).__name__}.{f.name} must be {kind}, got {value!r:.40}")
+            raise ValueError(f"{name} must be {kind}, got {value!r:.40}")
+        check_value(name, value, f.metadata)
+
+
+def check_value(name: str, value, declared) -> None:
+    """Refuse ``value`` outside the range ``declared`` states, as ``<name> must
+    be <range>, got <value>``, the range read as ``>= 1`` or ``in (0, 1]``."""
+    if "choices" in declared:
+        if value in declared["choices"]:
+            return
+        want = " or ".join(map(repr, declared["choices"]))
+    else:
+        for key, bound in declared.items():
+            if not _BOUNDS[key][0](value, bound):
+                break
+        else:
+            return
+        (lo, a), *upper = declared.items()
+        if upper:
+            ((hi, b),) = upper
+            want = f"in {_BOUNDS[lo][2]}{a}, {b}{_BOUNDS[hi][2]}"
+        else:
+            want = f"{_BOUNDS[lo][1]} {a}"
+    raise ValueError(f"{name} must be {want}, got {value!r:.40}")
 
 
 # ---------------------------------------------------------------------------

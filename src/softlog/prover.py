@@ -11,7 +11,7 @@ Depth exhaustion returns False: an under-approximation, by design.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .logic import (
@@ -22,6 +22,7 @@ from .logic import (
     TRUE,
     apply_subst,
     check_range_restricted,
+    check_settings,
     unify,
 )
 
@@ -29,15 +30,16 @@ from .logic import (
 # Largest proof depth and horizon T: the prover recurses once per level, far
 # below Python's recursion limit, and training's hop distances fit one byte.
 MAX_HORIZON = 254
+# The range of a proof depth and of the horizon T.
+HORIZON = {"min": 1, "max": MAX_HORIZON}
 
 
 @dataclass(frozen=True)
 class ProofConfig:
-    max_depth: int = 4
+    max_depth: int = field(default=4, metadata=HORIZON)
 
     def __post_init__(self):
-        if not 1 <= self.max_depth <= MAX_HORIZON:
-            raise ValueError(f"max_depth must be >= 1 and <= {MAX_HORIZON}")
+        check_settings(self)
 
 
 class _Prover:

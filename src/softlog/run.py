@@ -6,27 +6,28 @@ import json
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .datasets import (
+    NOISE,
     TASKS,
     TaskSpec,
-    check_noise,
-    check_split_frac,
     generate,
     inject_noise,
     problem_hash,
     split,
 )
 from .grounding import ground_context
-from .infer import WeightSet
-from .logic import Clause, ILPProblem, check_field_types
+from .infer import GAMMA, WEIGHT_MODE, WeightSet
+from .logic import (
+    AT_LEAST_0, AT_LEAST_1, FRACTION, Clause, ILPProblem, check_settings, check_value,
+)
 from .parser import parse_clause, print_clause
-from .prover import ProofConfig
+from .prover import HORIZON, ProofConfig
 from .search import BeamConfig, beam_search, check_clause_budget, naive_generate
 from .training import TrainConfig, extract_program, make_labels, metrics, predictions, train
 
@@ -34,15 +35,10 @@ log = logging.getLogger(__name__)
 
 # Every this-many epochs one loss value goes into RunRecord.loss_samples.
 LOSS_SAMPLE_EVERY = 50
-# The entries of a weight file that evaluate_saved reads and the JSON types
-# each may hold, compared exactly so that a bool is not an int.
-_NUMBER = (int, float)
-WEIGHT_KEYS = {
-    "mode": (str,), "w": (list,), "clauses": (list,), "steps": (int,),
-    "gamma": _NUMBER, "split_frac": _NUMBER, "seed": (int,),
-}
 # The metric each sweep axis reports, by its RunRecord field name.
 SWEEP_METRICS = {"noise": "test_mse", "nclause": "test_auc"}
+# The clause generators of the nclause axis: unscored, or the capped beam.
+SWEEP_METHODS = ("naive", "beam")
 
 
 @dataclass
@@ -122,19 +118,17 @@ class Job:
 
     task: str
     seed: int = 0
-    n_per_class: int = 50
+    n_per_class: int = field(default=50, metadata=AT_LEAST_0)
     train: dict = field(default_factory=dict)
     beam: dict = field(default_factory=dict)
-    noise: float = 0.0
-    split_frac: float = 0.7
-    naive_n: Optional[int] = None
-    clause_cap: Optional[int] = None
+    noise: float = field(default=0.0, metadata=NOISE)
+    split_frac: float = field(default=0.7, metadata=FRACTION)
+    naive_n: Optional[int] = field(default=None, metadata=AT_LEAST_1)
+    clause_cap: Optional[int] = field(default=None, metadata=AT_LEAST_1)
 
     def __post_init__(self):
-        check_field_types(self)
+        check_settings(self)
         self.configs()
-        check_noise(self.noise)
-        check_split_frac(self.split_frac)
         check_clause_budget(self.naive_n, self.clause_cap)
 
     def configs(self) -> tuple[TrainConfig, BeamConfig]:
@@ -267,23 +261,40 @@ def _score(labels, ctx, weights, steps, gamma) -> dict:
 # Weight persistence
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class WeightFile:
+    """The entries of a weight file, which ``evaluate_saved`` reads: each
+    entry's range is that of the setting it was saved from."""
+
+    mode: str = field(metadata=WEIGHT_MODE)
+    w: list
+    clauses: list
+    steps: int = field(metadata=HORIZON)
+    gamma: float = field(metadata=GAMMA)
+    split_frac: float = field(metadata=FRACTION)
+    seed: int = field(metadata=AT_LEAST_0)
+
+    def __post_init__(self):
+        check_settings(self, "weight file entry {!r}")
+        if not all(type(t) is str for t in self.clauses):
+            raise ValueError("weight file entry 'clauses' must hold strings")
+        _check_matrix(self.w)
+
+
 def save_weights(path, result: RunResult) -> None:
-    lang = result.problem.language
-    payload = {
-        "mode": result.weights.mode,
-        "w": result.weights.w.tolist(),
-        "clauses": [print_clause(c, lang) for c in result.clauses],
-        "steps": result.record.config["steps"],
-        "gamma": result.record.config["gamma"],
-        "split_frac": result.record.config["split_frac"],
-        "seed": result.record.seed,
-    }
-    Path(path).write_text(json.dumps(payload, allow_nan=False), encoding="utf-8")
+    config = result.record.config
+    entries = WeightFile(
+        result.weights.mode,
+        result.weights.w.tolist(),
+        [print_clause(c, result.problem.language) for c in result.clauses],
+        config["steps"], config["gamma"], config["split_frac"], result.record.seed,
+    )
+    Path(path).write_text(json.dumps(asdict(entries), allow_nan=False), encoding="utf-8")
 
 
 def load_weights(path, problem: ILPProblem):
-    """The weights, clauses and entries of a weight file.  Any error in the
-    file is a ValueError that names it."""
+    """The weights, clauses and ``WeightFile`` entries of a weight file.  Any
+    error in the file is a ValueError that names it."""
     try:
         return _read_weights(Path(path).read_text(encoding="utf-8"), problem)
     except (ValueError, OverflowError) as e:  # overflow: an int no float holds
@@ -308,24 +319,14 @@ def _read_weights(text: str, problem: ILPProblem):
     # older files hold "clamp": false; clamped weights would not score as trained
     if payload.get("clamp", False) is not False:
         raise ValueError("weight file entry 'clamp' must be false")
-    for key, types in WEIGHT_KEYS.items():
-        if key not in payload:
-            raise ValueError(f"weight file has no {key!r} entry")
-        value = payload[key]
-        if type(value) not in types:
-            want = " or ".join(t.__name__ for t in types)
-            raise ValueError(
-                f"weight file entry {key!r} must be {want}, got {value!r:.40}"
-            )
-    if not all(type(t) is str for t in payload["clauses"]):
-        raise ValueError("weight file entry 'clauses' must hold strings")
-    # the entries obey the saved run's TrainConfig rules and split's rule
-    TrainConfig(steps=payload["steps"], gamma=payload["gamma"], seed=payload["seed"])
-    check_split_frac(payload["split_frac"], "weight file entry 'split_frac'")
-    _check_matrix(payload["w"])
-    weights = WeightSet(payload["mode"], np.array(payload["w"], dtype=np.float64))
+    keys = [f.name for f in fields(WeightFile)]
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise ValueError(f"weight file has no {missing[0]!r} entry")
+    entries = WeightFile(**{key: payload[key] for key in keys})
+    weights = WeightSet(entries.mode, np.array(entries.w, dtype=np.float64))
     clauses = []
-    for i, text in enumerate(payload["clauses"]):
+    for i, text in enumerate(entries.clauses):
         try:
             clauses.append(parse_clause(text, problem.language))
         except ValueError as e:
@@ -335,7 +336,7 @@ def _read_weights(text: str, problem: ILPProblem):
             f"{weights.mode} weights of shape {weights.w.shape} do not "
             f"fit the file's {len(clauses)} clauses"
         )
-    return weights, clauses, payload
+    return weights, clauses, entries
 
 
 def _check_matrix(w: list) -> None:
@@ -348,7 +349,7 @@ def _check_matrix(w: list) -> None:
             raise ValueError(f"weight file entry 'w'[{i}] must hold {len(w[0])} "
                              f"numbers as 'w'[0] does, got {len(row)}")
         for j, cell in enumerate(row):
-            if type(cell) not in _NUMBER:
+            if type(cell) not in (int, float):  # exactly: a bool is no number
                 raise ValueError(f"weight file entry 'w'[{i}][{j}] must be int or float, "
                                  f"got {cell!r:.40}")
 
@@ -357,11 +358,9 @@ def evaluate_saved(problem: ILPProblem, weights_path) -> dict:
     """The saved run's ``test_auc`` and ``test_mse``, recomputed on the
     recorded split.  Label noise flips only training examples, which
     ``evaluate`` does not read."""
-    weights, clauses, payload = load_weights(weights_path, problem)
-    train_problem, test_labels = split(problem, payload["split_frac"], payload["seed"])
-    m = evaluate(
-        train_problem, clauses, weights, test_labels, payload["steps"], payload["gamma"]
-    )
+    weights, clauses, entries = load_weights(weights_path, problem)
+    train_problem, test_labels = split(problem, entries.split_frac, entries.seed)
+    m = evaluate(train_problem, clauses, weights, test_labels, entries.steps, entries.gamma)
     out = {"test_auc": m["auc"], "test_mse": m["mse"]}
     check_finite(out)
     return out
@@ -384,10 +383,8 @@ def sweep(
     test AUC.  On the clause-count axis ``method`` selects unscored generation
     ("naive") or the budget-capped beam ("beam").  Each run is seeded and
     shares nothing with the others; rows come back sorted by (axis value, seed)."""
-    if axis not in SWEEP_METRICS:
-        raise ValueError(f"axis must be {' or '.join(map(repr, SWEEP_METRICS))}")
-    if method not in ("naive", "beam"):
-        raise ValueError("method must be 'naive' or 'beam'")
+    check_value("axis", axis, {"choices": tuple(SWEEP_METRICS)})
+    check_value("method", method, {"choices": SWEEP_METHODS})
     if not values:
         raise ValueError("at least one value is required")
     if not seeds:

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Optional
 
 from .logic import (
+    AT_LEAST_0,
+    AT_LEAST_1,
     Atom,
     Clause,
     Const,
@@ -21,7 +23,8 @@ from .logic import (
     apply_subst,
     canonical,
     canonical_in,
-    check_field_types,
+    check_settings,
+    check_value,
     nest_depth,
     variables,
 )
@@ -36,17 +39,13 @@ class BeamConfig:
     biases of the refinement space, maximum body length and function-nesting
     allowance."""
 
-    beam_size: int = 10
-    beam_steps: int = 5
-    n_body: int = 1
-    n_nest: int = 1
+    beam_size: int = field(default=10, metadata=AT_LEAST_1)
+    beam_steps: int = field(default=5, metadata=AT_LEAST_1)
+    n_body: int = field(default=1, metadata=AT_LEAST_0)
+    n_nest: int = field(default=1, metadata=AT_LEAST_0)
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.beam_size < 1 or self.beam_steps < 1:
-            raise ValueError("beam_size and beam_steps must be >= 1")
-        if self.n_body < 0 or self.n_nest < 0:
-            raise ValueError("n_body and n_nest must be >= 0")
+        check_settings(self)
 
 
 def rho_fun(c: Clause, lang: Language) -> list[Clause]:
@@ -118,15 +117,11 @@ def refine(
     return out
 
 
-def check_clause_budget(naive_n: Optional[int] = None, clause_cap: Optional[int] = None) -> None:
+def check_clause_budget(naive_n: Optional[int], clause_cap: Optional[int]) -> None:
     """A run's clause budget: ``naive_n`` clauses of unscored generation or a
-    beam capped at ``clause_cap`` clauses, not both, and each at least 1."""
+    beam capped at ``clause_cap`` clauses, not both."""
     if naive_n is not None and clause_cap is not None:
         raise ValueError("give naive_n (no beam) or clause_cap (a capped beam), not both")
-    if naive_n is not None and naive_n < 1:
-        raise ValueError("n_clause must be >= 1")
-    if clause_cap is not None and clause_cap < 1:
-        raise ValueError(f"max_clauses must be >= 1, got {clause_cap}")
 
 
 def beam_search(
@@ -156,7 +151,8 @@ def beam_search(
     """
     if not initial:
         raise ValueError("at least one initial clause is required")
-    check_clause_budget(clause_cap=max_clauses)
+    if max_clauses is not None:
+        check_value("max_clauses", max_clauses, AT_LEAST_1)
     base_nest = max(nest_depth(c) for c in initial)
     scored: dict = {}  # canonical clause -> (cover, rank key)
     collected: dict = {}  # canonical clause -> clause in the language's variables
@@ -217,7 +213,7 @@ def naive_generate(
     ``n_clause`` alpha-distinct clauses are collected from ``cfg``'s space."""
     if not initial:
         raise ValueError("at least one initial clause is required")
-    check_clause_budget(naive_n=n_clause)
+    check_value("n_clause", n_clause, AT_LEAST_1)
     base_nest = max(nest_depth(c) for c in initial)
     out: list[Clause] = []
     seen = set()

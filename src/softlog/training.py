@@ -3,17 +3,18 @@ program extraction, and evaluation metrics."""
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from .grounding import FALSE_INDEX, TRUE_INDEX, GroundContext
-from .infer import MULTI, WeightSet, backward, check_gamma, check_mode, infer, tape_floats
-from .logic import Atom, Clause, ILPProblem, canonical, check_field_types
-from .prover import MAX_HORIZON
+from .infer import GAMMA, MULTI, WEIGHT_MODE, WeightSet, backward, infer, tape_floats
+from .logic import (
+    AT_LEAST_0, AT_LEAST_1, FRACTION, Atom, Clause, ILPProblem, canonical, check_settings,
+)
+from .prover import HORIZON
 
 log = logging.getLogger(__name__)
 
@@ -31,35 +32,17 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    m: int = 2
-    steps: int = 4  # forward-chaining rounds per inference
-    gamma: float = 1e-5
-    lr: float = 0.01
-    epochs: int = 3000
-    batch_frac: float = 0.05
-    seed: int = 0
-    weight_mode: str = MULTI
+    m: int = field(default=2, metadata=AT_LEAST_1)
+    steps: int = field(default=4, metadata=HORIZON)  # forward-chaining rounds per inference
+    gamma: float = field(default=1e-5, metadata=GAMMA)
+    lr: float = field(default=0.01, metadata={"above": 0, "below": np.inf})
+    epochs: int = field(default=3000, metadata=AT_LEAST_0)
+    batch_frac: float = field(default=0.05, metadata=FRACTION)
+    seed: int = field(default=0, metadata=AT_LEAST_0)
+    weight_mode: str = field(default=MULTI, metadata=WEIGHT_MODE)
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.m < 1:
-            raise ValueError(f"TrainConfig.m must be >= 1, got {self.m}")
-        if not 1 <= self.steps <= MAX_HORIZON:
-            raise ValueError(
-                f"TrainConfig.steps must be >= 1 and <= {MAX_HORIZON}, got {self.steps}"
-            )
-        check_gamma(self.gamma, "TrainConfig.gamma")
-        if not 0 < self.lr < math.inf:
-            raise ValueError(f"TrainConfig.lr must be positive and finite, got {self.lr}")
-        if self.epochs < 0:
-            raise ValueError(f"TrainConfig.epochs must be >= 0, got {self.epochs}")
-        if self.seed < 0:
-            raise ValueError(f"TrainConfig.seed must be >= 0, got {self.seed}")
-        if not 0 < self.batch_frac <= 1:
-            raise ValueError(
-                f"TrainConfig.batch_frac must be in (0, 1], got {self.batch_frac}"
-            )
-        check_mode(self.weight_mode, "TrainConfig.weight_mode")
+        check_settings(self)
 
 
 @dataclass(frozen=True)

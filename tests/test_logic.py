@@ -309,16 +309,19 @@ class TestStructure:
         with pytest.raises(ValueError, match="^bad task name 'my task'$"):
             ILPProblem((), (), (), lang, name="my task")
 
-    @pytest.mark.parametrize("field, group, atom, message", [
+    @pytest.mark.parametrize("field, group, part, message", [
         ("pos", "pos", TRUE, "'true' is reserved and cannot be an example or a background fact"),
         ("neg", "neg", Atom("p", (x,)), r"atoms must be ground: p\(x\)"),
         ("background", "bg", FALSE, "'false' is reserved"),
-    ], ids=["pos-true", "non-ground-neg", "bg-false"])
-    def test_problem_refuses_a_part_by_group_and_index(self, field, group, atom, message):
-        # the grounding gives true and false fixed rows: neither is a fact
+        ("initial_clauses", "init", Clause(TRUE, (Atom("p", (a,)),)),
+         "'true' is reserved and cannot head a clause$"),
+    ], ids=["pos-true", "non-ground-neg", "bg-false", "init-true-head"])
+    def test_problem_refuses_a_part_by_group_and_index(self, field, group, part, message):
+        # the grounding gives true and false fixed rows: neither is a fact,
+        # and a clause with either head would take a weight and stay inert
         lang = Language(predicates=[("p", 1)], constants=["a"])
-        parts = {"pos": (), "neg": (), "background": ()}
-        parts[field] = (Atom("p", (a,)), atom)
+        parts = {"pos": (), "neg": (), "background": (), "initial_clauses": ()}
+        parts[field] = (Atom("p", (a,)) if type(part) is Atom else Clause(Atom("p", (x,))), part)
         with pytest.raises(ProblemError, match=f"^{group} 1: {message}") as err:
             ILPProblem(language=lang, **parts)
         assert (err.value.group, err.value.index) == (group, 1)

@@ -270,7 +270,8 @@ def test_nonground_example_rejected():
     ("bg false.", 6, "bg 0: 'false' is reserved"),
     ("pos true.", 7, "pos 1: 'true' is reserved"),
     ("neg p(x).", 7, r"neg 0: atoms must be ground: p\(x\)"),
-], ids=["bg-false", "pos-true", "non-ground-neg"])
+    ("init false :- p(a).", 8, "init 0: 'false' is reserved and cannot head a clause"),
+], ids=["bg-false", "pos-true", "non-ground-neg", "init-false"])
 def test_problem_part_refused_at_its_statement(task, statement, col, message):
     text = f"{task}pred p/1. const a.\npos p(a).\n  {statement}\nneg p(a).\n"
     line = 3 + len(task) // len("task t.\n")

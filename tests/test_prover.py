@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from conftest import eval_clause, forward_closure
@@ -67,9 +69,16 @@ class TestEntails:
         # config accepts, the prover's recursion stays below Python's limit
         loop = Clause(Atom("mem", (x, y)), (Atom("mem", (x, y)),))
         assert not entails([loop], [], Atom("mem", (a, b)), ProofConfig(MAX_HORIZON))
-        refused = f"max_depth must be >= 1 and <= {MAX_HORIZON}"
         for depth in (0, -1, MAX_HORIZON + 1):
+            refused = re.escape(
+                f"ProofConfig.max_depth must be in [1, {MAX_HORIZON}], got {depth}")
             with pytest.raises(ValueError, match=refused):
+                ProofConfig(depth)
+
+    def test_depth_that_is_no_int_refused(self):
+        for depth in (True, 2.5):
+            message = f"^ProofConfig.max_depth must be int, got {depth}$"
+            with pytest.raises(ValueError, match=message):
                 ProofConfig(depth)
 
     def test_nonground_goal_rejected(self):

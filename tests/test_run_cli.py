@@ -2,6 +2,7 @@ import argparse
 import inspect
 import io
 import json
+import math
 import os
 import pickle
 import re
@@ -21,6 +22,7 @@ from softlog.parser import print_atom
 from softlog.prover import MAX_HORIZON, ProofConfig
 from softlog.run import (
     Job,
+    WeightFile,
     default_beam_config,
     default_train_config,
     evaluate_saved,
@@ -225,8 +227,8 @@ class TestJob:
             ({"noise": 1.5}, r"noise must be in \[0, 1\], got 1.5"),
             ({"split_frac": 0.0}, r"split_frac must be in \(0, 1\], got 0.0"),
             ({"naive_n": 5, "clause_cap": 5}, "not both"),
-            ({"naive_n": 0}, "n_clause must be >= 1"),
-            ({"clause_cap": 0}, "max_clauses must be >= 1, got 0"),
+            ({"naive_n": 0}, "Job.naive_n must be >= 1, got 0"),
+            ({"clause_cap": 0}, "Job.clause_cap must be >= 1, got 0"),
             # a wrong type, before it reaches the grounding or a comparison
             ({"train": {"steps": 2.5}}, "TrainConfig.steps must be int, got 2.5"),
             ({"train": {"gamma": "1e-5"}}, "TrainConfig.gamma must be float, got '1e-5'"),
@@ -251,6 +253,62 @@ class TestJob:
         defaults = {f.name: f.default for f in fields(Job)}
         assert settings.keys() <= defaults.keys()
         assert settings == {k: defaults[k] for k in settings}
+
+    def test_bad_job_is_refused_when_built(self):
+        # n_per_class reaches TaskSpec only when a problem is drawn
+        with pytest.raises(ValueError, match=r"^Job\.n_per_class must be >= 0, got -1$"):
+            Job("member", n_per_class=-1)
+
+
+# One instance of each settings class, with how its messages name a field.
+SETTINGS = [
+    (TrainConfig(), "TrainConfig.{}"),
+    (BeamConfig(), "BeamConfig.{}"),
+    (ProofConfig(), "ProofConfig.{}"),
+    (TaskSpec("member"), "TaskSpec.{}"),
+    (Job("member"), "Job.{}"),
+    (WeightFile("multi", [[0.0]], ["mem(x,y)"], 4, 1e-5, 0.7, 0), "weight file entry {!r}"),
+]
+
+
+def _step(kind, value, direction):
+    """The next int, or the next float, from ``value`` toward ``direction``."""
+    return value + direction if kind == "int" else math.nextafter(value, direction * math.inf)
+
+
+def _edges(kind, declared):
+    """(a value the declared range admits, the nearest value past it, the text
+    of the range's edge between them), one triple per choice or bound: a bound
+    admits itself unless it is open."""
+    if "choices" in declared:
+        return [(c, c.title(), repr(c)) for c in declared["choices"]]
+    edges = []
+    for key, bound in declared.items():
+        inward = 1 if key in ("min", "above") else -1
+        value = bound if kind == "int" else float(bound)
+        if key in ("min", "max"):
+            edges.append((value, _step(kind, value, -inward), str(bound)))
+        else:
+            edges.append((_step(kind, value, inward), value, str(bound)))
+    return edges
+
+
+@pytest.mark.parametrize("settings, label", SETTINGS,
+                         ids=[type(s).__name__ for s, _ in SETTINGS])
+def test_every_declared_range_admits_its_edge_and_refuses_past_it(settings, label):
+    # a field that declares a range later is covered here without a new test
+    declared = [f for f in fields(settings) if f.metadata]
+    assert declared
+    for f in declared:
+        kind = f.type.removeprefix("Optional[").removesuffix("]")
+        for inside, outside, edge in _edges(kind, f.metadata):
+            assert getattr(replace(settings, **{f.name: inside}), f.name) == inside
+            with pytest.raises(ValueError) as err:
+                replace(settings, **{f.name: outside})
+            message = str(err.value)
+            assert message.startswith(f"{label.format(f.name)} must be "), message
+            assert message.endswith(f", got {outside!r}"), message
+            assert edge in message, message
 
 
 def _cell(seed, metric, **kw):
@@ -413,10 +471,10 @@ class TestCli:
         assert err == b""
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--split-frac", "1.5", "split_frac must be in (0, 1], got 1.5"),
-        ("--split-frac", "0", "split_frac must be in (0, 1], got 0.0"),
-        ("--noise", "1.5", "noise must be in [0, 1], got 1.5"),
-        ("--noise", "-0.1", "noise must be in [0, 1], got -0.1"),
+        ("--split-frac", "1.5", "Job.split_frac must be in (0, 1], got 1.5"),
+        ("--split-frac", "0", "Job.split_frac must be in (0, 1], got 0.0"),
+        ("--noise", "1.5", "Job.noise must be in [0, 1], got 1.5"),
+        ("--noise", "-0.1", "Job.noise must be in [0, 1], got -0.1"),
     ], ids=["split-frac-above", "split-frac-zero", "noise-above", "noise-below"])
     def test_bad_fraction_exits_2_naming_its_flag(self, flag, value, message, capsys):
         assert main(["train", "--task", "member", "--n", "5", flag, value]) == 2
@@ -535,7 +593,8 @@ class TestCli:
         n = len(saved["clauses"])
         cases = {
             "mode": ({**saved, "mode": mode.title()},
-                     f"weight mode must be 'multi' or 'pair', got '{mode.title()}'"),
+                     f"weight file entry 'mode' must be 'multi' or 'pair', "
+                     f"got '{mode.title()}'"),
             "dropped": ({**saved, "clauses": saved["clauses"][1:]},
                         f"do not fit the file's {n - 1} clauses"),
             "list": ([saved], "list.json: a weight file holds a JSON object"),
@@ -550,15 +609,14 @@ class TestCli:
                 for key, value, want in (
                     ("clauses", 5, "list"), ("steps", "4", "int"), ("seed", "x", "int"),
                     ("seed", True, "int"), ("mode", 1, "str"), ("w", {}, "list"),
-                    ("gamma", "0.1", "int or float"),
-                    ("split_frac", False, "int or float"),
+                    ("gamma", "0.1", "float"), ("split_frac", False, "float"),
                 )
             },
             "clause-types": ({**saved, "clauses": [1] * n},
                              "weight file entry 'clauses' must hold strings"),
-            "seed": ({**saved, "seed": -1}, "TrainConfig.seed must be >= 0, got -1"),
+            "seed": ({**saved, "seed": -1}, "weight file entry 'seed' must be >= 0, got -1"),
             "steps": ({**saved, "steps": 255},
-                      "TrainConfig.steps must be >= 1 and <= 254, got 255"),
+                      "weight file entry 'steps' must be in [1, 254], got 255"),
             **{
                 f"no-{key}": ({k: v for k, v in saved.items() if k != key},
                               f"no-{key}.json: weight file has no {key!r} entry")
@@ -706,7 +764,7 @@ class TestCli:
     @pytest.mark.parametrize("argv, message", [
         (["sweep", "--axis", "nclause", "--values", "4,2.5"], "whole numbers, got 2.5"),
         (["sweep", "--axis", "nclause", "--values", "0", "--method", "beam"],
-         "max_clauses must be >= 1, got 0"),
+         "Job.clause_cap must be >= 1, got 0"),
         (["gen", "--n", "-5"], "TaskSpec.n_per_class must be >= 0, got -5"),
         (["gen", "--seed", "-1"], "TaskSpec.seed must be >= 0, got -1"),
     ], ids=["sweep-fraction", "sweep-beam-0", "gen-n", "gen-seed"])
@@ -766,7 +824,8 @@ class TestCli:
         code = main(["train", "--task", "member", "--n", "5", "--epochs", "5",
                      "--weight-mode", mode, "--gamma", "0"])
         assert code == 2
-        assert "gamma must be positive" in capsys.readouterr().err
+        assert ("TrainConfig.gamma must be in [2.2250738585072014e-308, inf), got 0.0"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize(
         "flag, value, field",
@@ -788,6 +847,21 @@ class TestCli:
         assert code == 2
         assert f"TrainConfig.{field} must" in capsys.readouterr().err
 
+    def test_reserved_init_head_exits_2_before_the_beam(self, tmp_path, monkeypatch, capsys):
+        import softlog.run
+
+        def no_beam(*a, **kw):
+            raise AssertionError("beam search ran on a clause headed by false")
+
+        monkeypatch.setattr(softlog.run, "beam_search", no_beam)
+        prob = tmp_path / "p.pl"
+        prob.write_text("pred p/1. func s/1. const a. init false :- p(a). init p(x). "
+                        "bg p(a). pos p(s(a)). neg p(s(s(s(a)))).")
+        assert main(["train", str(prob), "--epochs", "5"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {prob}: line 1, column 35: init 0: 'false' is reserved and cannot "
+            "head a clause\n")
+
     @pytest.mark.parametrize("depth", ["0", "-1", "255"])
     def test_bad_proof_depth_exits_2(self, depth, monkeypatch, capsys):
         # the beam's proof depth is T: a depth the prover refuses stops the run
@@ -802,7 +876,7 @@ class TestCli:
             ProofConfig(int(depth))
         code = main(["train", "--task", "member", "--n", "5", "--T", depth])
         assert code == 2
-        assert f"must be >= 1 and <= {MAX_HORIZON}" in capsys.readouterr().err
+        assert f"must be in [1, {MAX_HORIZON}], got {depth}" in capsys.readouterr().err
 
     def test_pair_tape_over_budget_exits_2(self, monkeypatch, capsys):
         from softlog import training

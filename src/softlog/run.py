@@ -284,10 +284,10 @@ class WeightFile:
 def save_weights(path, result: RunResult) -> None:
     config = result.record.config
     entries = WeightFile(
-        result.weights.mode,
-        result.weights.w.tolist(),
-        [print_clause(c, result.problem.language) for c in result.clauses],
-        config["steps"], config["gamma"], config["split_frac"], result.record.seed,
+        mode=result.weights.mode, w=result.weights.w.tolist(),
+        clauses=[print_clause(c, result.problem.language) for c in result.clauses],
+        steps=config["steps"], gamma=config["gamma"],
+        split_frac=config["split_frac"], seed=result.record.seed,
     )
     Path(path).write_text(json.dumps(asdict(entries), allow_nan=False), encoding="utf-8")
 

@@ -31,8 +31,8 @@ print("softor(1, 0)  at gamma=1e-5 ->", softor(np.array([[1.0], [0.0]]), 1e-5)[0
 
 print("\n== valuations sharpen step by step (all weight on the recursion) ==")
 w = WeightSet.one_hot([1], len(clauses))
-for t in range(4):
-    v = infer(ctx.x, ctx.v0, w, t, gamma=1e-5)
+for t in range(4):  # t=0: the initial valuation, before any step
+    v = infer(ctx.x, ctx.v0, w, t, gamma=1e-5) if t else ctx.v0
     shown = {print_atom(a, lang): round(float(x), 4) for a, x in zip(ctx.atoms, v) if x > 0.01}
     print(f"t={t}: {shown}")
 

@@ -18,7 +18,7 @@ from .logic import (
     AT_LEAST_0, FRACTION, Atom, Clause, Const, Func, ILPProblem, Term, check_settings,
     check_value, list_term,
 )
-from .parser import parse_clause, parse_problem, print_atom, problem_to_text
+from .parser import parse_clause, parse_problem, problem_to_text
 from .prover import ProofConfig, entails
 
 ORACLE_DEPTH = 12
@@ -362,7 +362,7 @@ def inject_noise(problem: ILPProblem, noise: float, seed: int) -> ILPProblem:
     atoms between the positive and negative sets.  Selection is by atom (from
     the canonically sorted example list), so flipping twice with the same
     seed restores the original class sets."""
-    check_value("noise", noise, NOISE)
+    check_value("noise", noise, NOISE, "float")
     n = int(noise * (len(problem.pos) + len(problem.neg)))
     if n == 0:
         return problem
@@ -380,16 +380,9 @@ def split(
     problem: ILPProblem, split_frac: float, seed: int
 ) -> tuple[ILPProblem, list[tuple[Atom, int]]]:
     """Stratified split: floor(split_frac * n) of each class goes to training;
-    the rest come back as labeled test atoms.  An example that repeats, in
-    its class or in the other, is refused: its copies could land on both
-    sides of the split, or carry both labels."""
-    check_value("split_frac", split_frac, FRACTION)
-    first: dict = {}  # example -> where it first appears, "pos i" or "neg i"
-    for cls, atoms in (("pos", problem.pos), ("neg", problem.neg)):
-        for i, a in enumerate(atoms):
-            if first.setdefault(a, f"{cls} {i}") != f"{cls} {i}":
-                text = print_atom(a, problem.language)
-                raise ValueError(f"{cls} {i} repeats {first[a]}: {text}")
+    the rest come back as labeled test atoms.  A problem repeats no example,
+    so none lands on both sides."""
+    check_value("split_frac", split_frac, FRACTION, "float")
     rng = random.Random(seed)
 
     def cut(atoms):

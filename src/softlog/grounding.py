@@ -23,7 +23,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .logic import (
-    AT_LEAST_1,
     Atom,
     Clause,
     FALSE,
@@ -34,6 +33,7 @@ from .logic import (
     check_value,
     unify,
 )
+from .prover import HORIZON
 
 log = logging.getLogger(__name__)
 
@@ -118,7 +118,7 @@ def ground_context(
     """Backward-chain from the examples and background for ``steps`` rounds.
     Atoms keep their discovery order: false, true, positives, negatives,
     background, then per round in clause, atom and body position order."""
-    check_value("steps", steps, AT_LEAST_1)
+    check_value("steps", steps, HORIZON, "int")
     seeds = (*problem.pos, *problem.neg, *problem.background)
     return _ground(clauses, seeds, steps, problem.background)
 

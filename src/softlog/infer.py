@@ -45,6 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .logic import check_value
+from .prover import HORIZON
 
 MULTI = "multi"
 PAIR = "pair"
@@ -72,7 +73,7 @@ def softor(xs: np.ndarray, gamma: float) -> np.ndarray:
     """Smooth maximum gamma * log(sum(exp(x / gamma))) over the rows, in
     max-shifted form.  A single row comes back exactly (log of one
     exponential of zero)."""
-    check_value("gamma", gamma, GAMMA)
+    check_value("gamma", gamma, GAMMA, "float")
     return _softor_n(np.asarray(xs, dtype=np.float64), gamma)[0]
 
 
@@ -109,7 +110,7 @@ class WeightSet:
     w: np.ndarray
 
     def __post_init__(self):
-        check_value("weight mode", self.mode, WEIGHT_MODE)
+        check_value("weight mode", self.mode, WEIGHT_MODE, "str")
         if self.w.ndim != 2:
             raise ValueError(f"weights must be a matrix, got shape {self.w.shape}")
         if not self.w.shape[1]:
@@ -249,7 +250,8 @@ def infer(
     Returns the final valuation, or (valuation, tape) when ``record`` so the
     caller can run :func:`backward`.
     """
-    check_value("gamma", gamma, GAMMA)
+    check_value("steps", steps, HORIZON, "int")
+    check_value("gamma", gamma, GAMMA, "float")
     if widths is not None and len(widths) != steps:
         raise ValueError(f"need one width per step ({steps}), got {len(widths)}")
     v = np.asarray(v0, dtype=np.float64)

@@ -117,7 +117,7 @@ class Job:
     can take it as it is."""
 
     task: str
-    seed: int = 0
+    seed: int = field(default=0, metadata=AT_LEAST_0)
     n_per_class: int = field(default=50, metadata=AT_LEAST_0)
     train: dict = field(default_factory=dict)
     beam: dict = field(default_factory=dict)
@@ -276,8 +276,8 @@ class WeightFile:
 
     def __post_init__(self):
         check_settings(self, "weight file entry {!r}")
-        if not all(type(t) is str for t in self.clauses):
-            raise ValueError("weight file entry 'clauses' must hold strings")
+        for i, text in enumerate(self.clauses):
+            check_value(f"weight file entry 'clauses'[{i}]", text, {}, "str")
         _check_matrix(self.w)
 
 
@@ -343,15 +343,12 @@ def _check_matrix(w: list) -> None:
     """Every row of a weight file's ``w`` is a list of numbers, as long as the
     first row."""
     for i, row in enumerate(w):
-        if type(row) is not list:
-            raise ValueError(f"weight file entry 'w'[{i}] must be list, got {row!r:.40}")
+        check_value(f"weight file entry 'w'[{i}]", row, {}, "list")
         if len(row) != len(w[0]):
             raise ValueError(f"weight file entry 'w'[{i}] must hold {len(w[0])} "
                              f"numbers as 'w'[0] does, got {len(row)}")
         for j, cell in enumerate(row):
-            if type(cell) not in (int, float):  # exactly: a bool is no number
-                raise ValueError(f"weight file entry 'w'[{i}][{j}] must be int or float, "
-                                 f"got {cell!r:.40}")
+            check_value(f"weight file entry 'w'[{i}][{j}]", cell, {}, "float")
 
 
 def evaluate_saved(problem: ILPProblem, weights_path) -> dict:
@@ -383,8 +380,8 @@ def sweep(
     test AUC.  On the clause-count axis ``method`` selects unscored generation
     ("naive") or the budget-capped beam ("beam").  Each run is seeded and
     shares nothing with the others; rows come back sorted by (axis value, seed)."""
-    check_value("axis", axis, {"choices": tuple(SWEEP_METRICS)})
-    check_value("method", method, {"choices": SWEEP_METHODS})
+    check_value("axis", axis, {"choices": tuple(SWEEP_METRICS)}, "str")
+    check_value("method", method, {"choices": SWEEP_METHODS}, "str")
     if not values:
         raise ValueError("at least one value is required")
     if not seeds:

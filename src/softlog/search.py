@@ -151,8 +151,7 @@ def beam_search(
     """
     if not initial:
         raise ValueError("at least one initial clause is required")
-    if max_clauses is not None:
-        check_value("max_clauses", max_clauses, AT_LEAST_1)
+    check_value("max_clauses", max_clauses, AT_LEAST_1, "Optional[int]")
     base_nest = max(nest_depth(c) for c in initial)
     scored: dict = {}  # canonical clause -> (cover, rank key)
     collected: dict = {}  # canonical clause -> clause in the language's variables
@@ -213,7 +212,7 @@ def naive_generate(
     ``n_clause`` alpha-distinct clauses are collected from ``cfg``'s space."""
     if not initial:
         raise ValueError("at least one initial clause is required")
-    check_value("n_clause", n_clause, AT_LEAST_1)
+    check_value("n_clause", n_clause, AT_LEAST_1, "int")
     base_nest = max(nest_depth(c) for c in initial)
     out: list[Clause] = []
     seen = set()

@@ -14,7 +14,7 @@ from softlog.datasets import (
     save_problem,
     split,
 )
-from softlog.logic import Atom, Const, Func, ILPProblem, Language
+from softlog.logic import Atom, Const, Func, ILPProblem, Language, ProblemError
 from softlog.parser import parse_problem, print_atom, print_clause, problem_to_text
 from softlog.prover import ProofConfig, entails
 
@@ -136,17 +136,18 @@ class TestSplit:
         assert a[0].pos == b[0].pos and a[1] == b[1]
 
     def test_repeated_example_refused(self):
-        # a repeat could land on both sides of the split, or carry both labels
+        # a repeat could land on both sides of the split, or carry both labels,
+        # so the problem refuses it before any split sees it
         problem = generate(TaskSpec("member", n_per_class=5, seed=0))
         pos, neg = problem.pos, problem.neg
         text = print_atom(pos[1], problem.language)
         for examples, message in (
-            ((pos + pos[1:2], neg), f"pos 5 repeats pos 1: {text}"),
-            ((pos, neg + pos[1:2]), f"neg 5 repeats pos 1: {text}"),
-            ((pos, neg[:1] + neg), f"neg 1 repeats neg 0: "),
+            ((pos + pos[1:2], neg), f"pos 5: repeats pos 1: {text}"),
+            ((pos, neg + pos[1:2]), f"neg 5: repeats pos 1: {text}"),
+            ((pos, neg[:1] + neg), f"neg 1: repeats neg 0: "),
         ):
-            with pytest.raises(ValueError, match=re.escape(message)):
-                split(problem.with_examples(*examples), 0.7, seed=0)
+            with pytest.raises(ProblemError, match=re.escape(message)):
+                problem.with_examples(*examples)
 
 
 class TestFiles:

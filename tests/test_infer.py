@@ -193,10 +193,6 @@ class TestStep:
         v1 = infer(ctx6.x, v0, w, 1, GAMMA)
         assert (np.abs(v1 - v0) <= GAMMA * np.log(2) + 1e-12).all()
 
-    def test_zero_steps_identity(self, ctx6):
-        w = WeightSet.random(2, 2, seed=1)
-        assert (infer(ctx6.x, ctx6.v0, w, 0, GAMMA) == ctx6.v0).all()
-
     def test_bounded_overshoot(self, ctx6):
         m = 3
         w = WeightSet.random(m, 2, seed=9)

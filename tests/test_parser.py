@@ -245,7 +245,9 @@ def problems(draw):
     atoms = lambda: tuple(random_ground_atom(rng, lang) for _ in range(rng.randrange(4)))
     init = tuple(Clause(random_atom(rng, lang)) for _ in range(rng.randrange(3)))
     name = draw(st.one_of(st.just(""), _idents))
-    return ILPProblem(atoms(), atoms(), atoms(), lang, init, name)
+    pos = tuple(dict.fromkeys(atoms()))  # an example appears once, in one class
+    neg = tuple(a for a in dict.fromkeys(atoms()) if a not in pos)
+    return ILPProblem(pos, neg, atoms(), lang, init, name)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

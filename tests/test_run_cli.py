@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from dataclasses import asdict, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +18,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from softlog.cli import build_parser, main
-from softlog.datasets import TaskSpec, generate, load_problem, save_problem
+from softlog.datasets import (
+    NOISE, TaskSpec, generate, inject_noise, load_problem, save_problem, split,
+)
+from softlog.grounding import ground_context
+from softlog.infer import GAMMA, WEIGHT_MODE, WeightSet, infer, softor
+from softlog.logic import AT_LEAST_0, AT_LEAST_1, FRACTION
 from softlog.parser import print_atom
-from softlog.prover import MAX_HORIZON, ProofConfig
+from softlog.prover import HORIZON, MAX_HORIZON, ProofConfig
 from softlog.run import (
+    SWEEP_METHODS,
+    SWEEP_METRICS,
     Job,
     WeightFile,
     default_beam_config,
@@ -32,7 +40,7 @@ from softlog.run import (
     save_weights,
     sweep,
 )
-from softlog.search import BeamConfig
+from softlog.search import BeamConfig, beam_search, naive_generate
 from softlog.training import TrainConfig
 
 FAST = dict(epochs=120)
@@ -309,6 +317,64 @@ def test_every_declared_range_admits_its_edge_and_refuses_past_it(settings, labe
             assert message.startswith(f"{label.format(f.name)} must be "), message
             assert message.endswith(f", got {outside!r}"), message
             assert edge in message, message
+
+
+def _infer(problem, steps, gamma):
+    ctx = ground_context(problem, problem.initial_clauses, 1)
+    return infer(ctx.x, ctx.v0, WeightSet.one_hot([0], 1), steps, gamma)
+
+
+def _sweep(axis="nclause", method="naive"):
+    return sweep("member", axis, [1], [0], n_per_class=5, method=method, epochs=1)
+
+
+# Each library function that takes a setting as an argument: (the argument's
+# name, its type, its declared range, a call with the problem and a value).
+ARGUMENTS = {
+    "inject_noise": ("noise", "float", NOISE, lambda p, v: inject_noise(p, v, 0)),
+    "split": ("split_frac", "float", FRACTION, lambda p, v: split(p, v, 0)),
+    "softor": ("gamma", "float", GAMMA, lambda p, v: softor(np.zeros((2, 1)), v)),
+    "infer-gamma": ("gamma", "float", GAMMA, lambda p, v: _infer(p, 1, v)),
+    "infer-steps": ("steps", "int", HORIZON, lambda p, v: _infer(p, v, 1e-5)),
+    "ground_context": ("steps", "int", HORIZON,
+                       lambda p, v: ground_context(p, p.initial_clauses, v)),
+    "beam_search": ("max_clauses", "int", AT_LEAST_1, lambda p, v: beam_search(
+        list(p.initial_clauses), p, BeamConfig(beam_steps=1), max_clauses=v)),
+    "naive_generate": ("n_clause", "int", AT_LEAST_1,
+                       lambda p, v: naive_generate(list(p.initial_clauses), p, v)),
+    "WeightSet": ("weight mode", "str", WEIGHT_MODE, lambda p, v: WeightSet(v, np.zeros((2, 2)))),
+    "sweep-axis": ("axis", "str", {"choices": tuple(SWEEP_METRICS)}, lambda p, v: _sweep(axis=v)),
+    "sweep-method": ("method", "str", {"choices": SWEEP_METHODS},
+                     lambda p, v: _sweep(method=v)),
+    "Job-seed": ("Job.seed", "int", AT_LEAST_0, lambda p, v: Job("member", seed=v)),
+}
+
+
+def _refusal(call, value, name):
+    """The message ``call`` refuses ``value`` with, in the one shape."""
+    with pytest.raises(ValueError) as err:
+        call(value)
+    message = str(err.value)
+    assert message.startswith(f"{name} must be "), message
+    assert message.endswith(f", got {value!r}"), message
+    return message
+
+
+@pytest.mark.parametrize("entry", list(ARGUMENTS))
+def test_setting_arguments_refuse_what_their_field_refuses(entry):
+    # the type first, as for a settings field: a bool is no number, a string
+    # no number and, for a string setting, none of its choices, a float no int
+    name, kind, declared, call = ARGUMENTS[entry]
+    problem = generate(TaskSpec("member", n_per_class=5, seed=0))
+    call = partial(call, problem)
+    assert _refusal(call, True, name) == f"{name} must be {kind}, got True"
+    message = _refusal(call, "0.5", name)
+    assert kind == "str" or message == f"{name} must be {kind}, got '0.5'"
+    if kind == "int":
+        assert _refusal(call, 2.5, name) == f"{name} must be int, got 2.5"
+    for inside, outside, edge in _edges(kind, declared):
+        call(inside)
+        assert edge in _refusal(call, outside, name)
 
 
 def _cell(seed, metric, **kw):
@@ -613,7 +679,7 @@ class TestCli:
                 )
             },
             "clause-types": ({**saved, "clauses": [1] * n},
-                             "weight file entry 'clauses' must hold strings"),
+                             "weight file entry 'clauses'[0] must be str, got 1"),
             "seed": ({**saved, "seed": -1}, "weight file entry 'seed' must be >= 0, got -1"),
             "steps": ({**saved, "steps": 255},
                       "weight file entry 'steps' must be in [1, 254], got 255"),
@@ -644,9 +710,9 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {weights}: {message}\n"
 
     @pytest.mark.parametrize("case, message", [
-        ("null", "weight file entry 'w'[0][1] must be int or float, got None"),
-        ("true", "weight file entry 'w'[0][1] must be int or float, got True"),
-        ("string", "weight file entry 'w'[0][1] must be int or float, got '1.0'"),
+        ("null", "weight file entry 'w'[0][1] must be float, got None"),
+        ("true", "weight file entry 'w'[0][1] must be float, got True"),
+        ("string", "weight file entry 'w'[0][1] must be float, got '1.0'"),
         ("ragged", "weight file entry 'w'[1] must hold {n} numbers as 'w'[0] does, got {more}"),
     ], ids=["null", "true", "string", "ragged"])
     def test_weight_cell_that_is_no_number_exits_2(self, case, message, saved_member, capsys):
@@ -709,7 +775,8 @@ class TestCli:
         bad = tmp_path / "repeat.pl"
         bad.write_text(prob.read_text() + f"{cls} {text}.\n")
         n = len(problem.pos if cls == "pos" else problem.neg)
-        message = f"error: {cls} {n} repeats pos 0: {text}\n"
+        line = len(prob.read_text().splitlines()) + 1
+        message = f"error: {bad}: line {line}, column 5: {cls} {n}: repeats pos 0: {text}\n"
         assert main(["train", str(bad), "--epochs", "0"]) == 2
         assert capsys.readouterr().err == message
         assert main(["eval", str(bad), "--weights", str(weights)]) == 2
@@ -845,7 +912,8 @@ class TestCli:
         monkeypatch.setattr(softlog.run, "beam_search", no_beam)
         code = main(["train", "--task", "member", "--n", "5", flag, value])
         assert code == 2
-        assert f"TrainConfig.{field} must" in capsys.readouterr().err
+        owner = "Job" if field == "seed" else "TrainConfig"  # the job's seed seeds training
+        assert f"{owner}.{field} must" in capsys.readouterr().err
 
     def test_reserved_init_head_exits_2_before_the_beam(self, tmp_path, monkeypatch, capsys):
         import softlog.run
